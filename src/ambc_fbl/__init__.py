@@ -2,12 +2,9 @@
 and tag-error coupling for multiple-antenna ambient-backscatter channels."""
 
 from .asymptotics import (
-    AsymptoticSummary,
-    berry_esseen_b,
     capacity,
     dispersion,
     normal_approximation,
-    summarize,
     verify_sigma_maximizer,
 )
 from .bounds_ach import (
@@ -38,7 +35,6 @@ from .channel import (
     composite,
     draw_channel,
     eigen_spectrum,
-    product_gaussian_pdf,
 )
 from .cli import ExperimentConfig, SweepResult, SweepRow, emit_csv, main, run_sweep
 from .errors import (
@@ -50,24 +46,18 @@ from .errors import (
     ZeroSpectrumError,
 )
 from .numerics import (
-    EmpiricalSample,
     SeededRng,
-    bessel_k0,
     empirical_quantile,
     gaussian_q,
     gaussian_q_inv,
     log_bessel_i,
-    log_bessel_i_upper,
     log_gamma,
-    log_gamma_stirling,
     product_gamma_pdf,
 )
 from .power import PowerAllocation, waterfill
 from .tag import (
     TagErrorModel,
     eps_given_tag_error,
-    mrc_detect,
-    mrc_statistic,
     simulate_tag_error,
     tag_error_given_eps,
 )

@@ -1,18 +1,16 @@
-"""Capacity, dispersion, the normal approximation, and moment-ratio checks
-used by the Berry-Esseen argument."""
+"""Capacity, dispersion, the normal approximation, and the reference-variance
+critical-point check."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 from scipy import optimize
 
-from .bounds_ach import KIND_CONDITIONAL, _gammas, _LawParams
 from .channel import EigenSpectrum
-from .numerics import SeededRng, gaussian_q_inv
+from .numerics import gaussian_q_inv
 from .power import PowerAllocation
 
 _ArrayLike = Union[EigenSpectrum, np.ndarray]
@@ -54,95 +52,6 @@ def normal_approximation(capacity_nats: float, dispersion_v: float, n: int, eps:
     if dispersion_v == 0:
         return capacity_nats
     return capacity_nats - math.sqrt(dispersion_v / n) * gaussian_q_inv(eps)
-
-
-@dataclass(frozen=True)
-class AsymptoticSummary:
-    capacity_nats: float
-    dispersion: float
-    berry_esseen_b: Optional[float]
-    n: int
-    eps: float
-    rate_na_nats: float
-    rate_na_bits: float
-    na_negative: bool
-
-
-def summarize(
-    g: _ArrayLike,
-    p,
-    n: int,
-    eps: float,
-    rng: Optional[SeededRng] = None,
-    num_samples: int = 100_000,
-) -> AsymptoticSummary:
-    """Capacity, dispersion and normal approximation in one record.
-
-    The Berry-Esseen constant is filled in only when an rng is supplied
-    (it needs Monte Carlo); degenerate zero-dispersion inputs leave it None.
-    """
-    c = capacity(g, p)
-    v = dispersion(g, p)
-    na = normal_approximation(c, v, n, eps)
-    b = None
-    if rng is not None and v > 0:
-        b = berry_esseen_b(g, p, rng, num_samples).b
-    return AsymptoticSummary(
-        capacity_nats=c,
-        dispersion=v,
-        berry_esseen_b=b,
-        n=n,
-        eps=eps,
-        rate_na_nats=na,
-        rate_na_bits=na / math.log(2),
-        na_negative=na < 0,
-    )
-
-
-@dataclass(frozen=True)
-class BerryEsseenEstimate:
-    b: float
-    ci_rel: float
-    degenerate: bool
-
-
-def berry_esseen_ratio(centered: np.ndarray) -> float:
-    """6 E|X|^3 / (E X^2)^(3/2) for already-centered samples."""
-    x = np.asarray(centered, dtype=float)
-    m2 = float((x**2).mean())
-    if m2 == 0:
-        raise ValueError("zero-variance input")
-    m3 = float((np.abs(x) ** 3).mean())
-    return 6.0 * m3 / m2**1.5
-
-
-def berry_esseen_b(
-    g: _ArrayLike,
-    p,
-    rng: SeededRng,
-    num_samples: int = 100_000,
-) -> BerryEsseenEstimate:
-    """Monte Carlo estimate of the Berry-Esseen constant of the per-use
-    information density centered at capacity.
-
-    Returns a degenerate flag when the spectrum carries no power (the
-    statistic is then identically zero and the moment ratio is undefined).
-    """
-    if num_samples < 10_000:
-        raise ValueError("num_samples must be >= 1e4")
-    y = _as_gammas(g, p)
-    params = _LawParams(KIND_CONDITIONAL, 1, y)
-    if params.degenerate:
-        return BerryEsseenEstimate(b=math.nan, ci_rel=math.nan, degenerate=True)
-    j = params.sample(rng.generator(), num_samples) - float(np.log1p(y).sum())
-    b = berry_esseen_ratio(j)
-    # delta-method CI from the numerator and denominator moment errors
-    m2 = float((j**2).mean())
-    m3 = float((np.abs(j) ** 3).mean())
-    var_part = (j**2 - m2).std() / math.sqrt(num_samples)
-    abs_part = (np.abs(j) ** 3 - m3).std() / math.sqrt(num_samples)
-    ci_rel = 1.96 * math.hypot(abs_part / m3, 1.5 * var_part / m2)
-    return BerryEsseenEstimate(b=b, ci_rel=ci_rel, degenerate=False)
 
 
 def verify_sigma_maximizer(g_j: float, p_j: float, tol: float = 1e-9) -> float:

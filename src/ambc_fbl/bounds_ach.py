@@ -5,7 +5,8 @@ is the type-II error of the optimal test between the unconditional output law
 and the conditional law at type-I level 1 - eps + tau, and kappa is the
 measure-matching constant lower-bounded by tau over a computable density-ratio
 supremum.  Both ingredients are evaluated by Monte Carlo on the information
-density, with an exponential-tilt importance sampler for deep tails.
+density; the law, the threshold and the tilted deep-tail estimator live in
+``tail``, shared with the converse.
 """
 
 from __future__ import annotations
@@ -15,21 +16,20 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy import optimize
 
 from .channel import EigenSpectrum
 from .errors import InsufficientSamplesError, OverflowRegimeError
-from .numerics import (
-    EmpiricalSample,
-    SeededRng,
-    empirical_quantile,
-    log_bessel_i,
-    log_gamma,
-)
+from .numerics import SeededRng, log_bessel_i, log_gamma
 from .power import PowerAllocation, waterfill
-
-KIND_OUTPUT = "output"  # information density drawn under the output law
-KIND_CONDITIONAL = "conditional"  # drawn under the conditional law
+from .tail import (
+    KIND_CONDITIONAL,
+    KIND_OUTPUT,
+    LawParams,
+    mode_gammas,
+    sample_law,
+    threshold_with_ties,
+    tilted_log_tail,
+)
 
 _TAU_GRID_DIVISORS = (2, 4, 8, 16)
 _MIN_RAW_EXCEEDANCES = 100
@@ -43,7 +43,7 @@ class InfoDensityLaw:
     n: int
     g: EigenSpectrum
     p: PowerAllocation
-    draws: EmpiricalSample
+    draws: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -80,91 +80,6 @@ class AchievabilityResult:
     per_d: Optional[Tuple["AchievabilityResult", "AchievabilityResult"]] = None
 
 
-# ---------------------------------------------------------------------------
-# information-density laws
-#
-# Per active mode j with y = g_j p_j > 0, the per-block contribution is
-#   n (log(1+y) + 1) - s * (X + Y),   X ~ ncx2(n, lam),  Y ~ chi2(n)
-# with (lam, s) = (2n(1+y)/y, y/2) under the output law and
-# (2n/y, y/(2(1+y))) under the conditional law.  This is an exact
-# distributional identity for the sum over the n per-use terms, obtained by
-# splitting each complex Gaussian into its real and imaginary parts.
-# Zero-power modes contribute exactly zero.
-# ---------------------------------------------------------------------------
-
-
-class _LawParams:
-    def __init__(self, kind: str, n: int, gammas: np.ndarray):
-        if kind not in (KIND_OUTPUT, KIND_CONDITIONAL):
-            raise ValueError(f"unknown law kind {kind!r}")
-        active = np.asarray(gammas, dtype=float)
-        active = active[active > 0]
-        self.kind = kind
-        self.n = int(n)
-        self.gammas = active
-        self.const = n * (np.log1p(active) + 1.0)
-        if kind == KIND_OUTPUT:
-            self.lam = 2.0 * n * (1.0 + active) / active
-            self.scale = active / 2.0
-        else:
-            self.lam = 2.0 * n / active
-            self.scale = active / (2.0 * (1.0 + active))
-
-    @property
-    def degenerate(self) -> bool:
-        return self.gammas.size == 0
-
-    def theta_lower(self) -> float:
-        # tilt validity: 1 + theta * scale_j > 0 for every mode
-        return -1.0 / (2.0 * self.scale.max())
-
-    def cgf(self, theta: float) -> float:
-        t = -theta * self.scale
-        return float(
-            theta * self.const.sum()
-            + (self.lam * t / (1.0 - 2.0 * t) - self.n * np.log1p(-2.0 * t)).sum()
-        )
-
-    def cgf_mean(self, theta: float) -> float:
-        t = -theta * self.scale
-        return float(
-            self.const.sum()
-            - (self.scale * (self.lam / (1.0 - 2.0 * t) ** 2 + 2.0 * self.n / (1.0 - 2.0 * t))).sum()
-        )
-
-    def sample(self, gen: np.random.Generator, size: int, theta: float = 0.0) -> np.ndarray:
-        out = np.zeros(size)
-        t = -theta * self.scale
-        for c, lam, ti, s in zip(self.const, self.lam, t, self.scale):
-            w = gen.noncentral_chisquare(self.n, lam / (1.0 - 2.0 * ti), size)
-            w += gen.chisquare(self.n, size)
-            out += c - s * w / (1.0 - 2.0 * ti)
-        return out
-
-    def solve_tilt(self, target: float) -> float:
-        """Tilt parameter whose tilted mean equals ``target``."""
-        base = self.cgf_mean(0.0)
-        if target >= float(self.const.sum()):
-            raise ValueError("target above the supremum of the law")
-        if abs(target - base) < 1e-12:
-            return 0.0
-        if target > base:
-            hi = 1.0
-            while self.cgf_mean(hi) < target:
-                hi *= 2.0
-                if hi > 1e12:
-                    raise ValueError("tilt search diverged")
-            return float(optimize.brentq(lambda u: self.cgf_mean(u) - target, 0.0, hi, xtol=1e-12))
-        lo = self.theta_lower()
-        return float(
-            optimize.brentq(lambda u: self.cgf_mean(u) - target, lo * (1.0 - 1e-12), 0.0, xtol=1e-12)
-        )
-
-
-def _gammas(g: EigenSpectrum, p: PowerAllocation) -> np.ndarray:
-    return np.asarray(g.g, dtype=float) * np.asarray(p.p, dtype=float)
-
-
 def sample_info_density(
     kind: str,
     n: int,
@@ -174,32 +89,8 @@ def sample_info_density(
     num_samples: int = 100_000,
 ) -> InfoDensityLaw:
     """Draw the information density under the output or conditional law."""
-    if n < 1:
-        raise ValueError("blocklength must be >= 1")
-    if num_samples < 1000:
-        raise ValueError("num_samples must be >= 1000")
-    params = _LawParams(kind, n, _gammas(g, p))
-    if params.degenerate:
-        draws = np.zeros(num_samples)
-    else:
-        draws = params.sample(rng.generator(), num_samples)
-    return InfoDensityLaw(kind=kind, n=n, g=g, p=p, draws=EmpiricalSample(draws))
-
-
-def _threshold_with_ties(draws: np.ndarray, level: float) -> Tuple[float, float]:
-    """Threshold and randomization weight of the level-``level`` exceedance test.
-
-    Returns (gamma, rho) with P[X > gamma] + rho P[X = gamma] = level on the
-    empirical law; rho only matters when the sample has atoms.
-    """
-    gamma = empirical_quantile(EmpiricalSample(draws), level)
-    frac_gt = float((draws > gamma).mean())
-    frac_eq = float((draws == gamma).mean())
-    if frac_eq > 0:
-        rho = min(max((level - frac_gt) / frac_eq, 0.0), 1.0)
-    else:
-        rho = 0.0
-    return gamma, rho
+    draws = sample_law(kind, n, mode_gammas(g, p), rng, num_samples)
+    return InfoDensityLaw(kind=kind, n=n, g=g, p=p, draws=draws)
 
 
 def achievability_beta(
@@ -208,15 +99,15 @@ def achievability_beta(
     eps: float,
     tau: float,
     rng: Optional[SeededRng] = None,
-    num_samples: Optional[int] = None,
 ) -> BetaEstimate:
     """Estimate beta at type-I level 1 - eps + tau between the two laws.
 
     The threshold gamma_n is the empirical exceedance quantile of the
     conditional draws; beta is the exceedance fraction of the output draws.
     When fewer than 100 raw output draws exceed the threshold, an
-    exponentially tilted importance sampler (tilted mean pinned at gamma_n)
-    re-estimates the tail; that path requires ``rng``.
+    exponentially tilted importance sampler (tilted mean pinned at gamma_n,
+    as many draws as the raw sample) re-estimates the tail; that path
+    requires ``rng``.
     """
     if not 0.0 < tau < eps < 1.0:
         raise ValueError("need 0 < tau < eps < 1")
@@ -226,8 +117,8 @@ def achievability_beta(
         raise ValueError("laws must share the blocklength")
 
     level = 1.0 - eps + tau
-    gamma_n, rho = _threshold_with_ties(h_law.draws.values, level)
-    g = g_law.draws.values
+    gamma_n, rho = threshold_with_ties(h_law.draws, level)
+    g = g_law.draws
     n_samples = g.size
     exceed = int((g > gamma_n).sum())
     hits = (g > gamma_n).astype(float) + rho * (g == gamma_n)
@@ -250,19 +141,8 @@ def achievability_beta(
         raise InsufficientSamplesError(
             f"only {exceed} raw exceedances and no rng for tilted re-estimation"
         )
-    params = _LawParams(KIND_OUTPUT, g_law.n, _gammas(g_law.g, g_law.p))
-    if params.degenerate:
-        raise InsufficientSamplesError("degenerate output law cannot be tilted")
-    size = num_samples or n_samples
-    theta = params.solve_tilt(gamma_n)
-    draws = params.sample(rng.generator(), size, theta)
-    log_w = params.cgf(theta) - theta * draws
-    accepted = draws >= gamma_n
-    log_beta, ci_rel = _weighted_tail(log_w, accepted, size)
-    if ci_rel > 0.5:
-        raise InsufficientSamplesError(
-            f"tilted estimate still has relative CI {ci_rel:.2f} > 0.5"
-        )
+    law = LawParams(KIND_OUTPUT, g_law.n, mode_gammas(g_law.g, g_law.p))
+    log_beta, ci_rel = tilted_log_tail(law, gamma_n, 0.0, rng, n_samples)
     return BetaEstimate(
         beta=float(np.exp(log_beta)),
         log_beta=log_beta,
@@ -271,17 +151,6 @@ def achievability_beta(
         raw_exceedances=exceed,
         tilted=True,
     )
-
-
-def _weighted_tail(log_w: np.ndarray, accepted: np.ndarray, size: int) -> Tuple[float, float]:
-    """Mean of exp(log_w) * accepted in log-domain, with a relative 95% CI."""
-    if not accepted.any():
-        return -math.inf, math.inf
-    mx = float(log_w[accepted].max())
-    shifted = np.where(accepted, np.exp(log_w - mx), 0.0)
-    mean = float(shifted.mean())
-    se = float(shifted.std() / math.sqrt(size))
-    return mx + math.log(mean), 1.96 * se / mean
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +246,7 @@ def _fixed_d_rate(
     delta: float,
 ) -> AchievabilityResult:
     p = waterfill(g, total_power)
-    gammas = _gammas(g, p)
+    gammas = mode_gammas(g, p)
     g_law = sample_info_density(KIND_OUTPUT, n, g, p, rng.split(0), num_samples)
     h_law = sample_info_density(KIND_CONDITIONAL, n, g, p, rng.split(1), num_samples)
 

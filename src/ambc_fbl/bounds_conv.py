@@ -4,7 +4,9 @@ beta is the type-II error of the optimal test between the conditional output
 law and a product auxiliary channel whose per-mode outputs are CN(0, 1+g_j p_j);
 K = K1 K2 combines a supremum of the auxiliary per-mode-energy density (a
 product-of-gammas law evaluated by Mellin inversion) with the volume of the
-ball that contains every admissible energy vector.
+ball that contains every admissible energy vector.  The law, the threshold
+and the tilted deep-tail estimator live in ``tail``, shared with the
+achievability side.
 """
 
 from __future__ import annotations
@@ -17,17 +19,18 @@ from typing import Optional, Tuple, Union
 import numpy as np
 from scipy import optimize, special
 
-from .bounds_ach import (
-    KIND_CONDITIONAL,
-    _gammas,
-    _LawParams,
-    _threshold_with_ties,
-    _weighted_tail,
-)
 from .channel import EigenSpectrum
 from .errors import ConvergenceError, InsufficientSamplesError
-from .numerics import EmpiricalSample, SeededRng, product_gamma_logpdf
+from .numerics import SeededRng, product_gamma_logpdf
 from .power import PowerAllocation, waterfill
+from .tail import (
+    KIND_CONDITIONAL,
+    LawParams,
+    mode_gammas,
+    sample_law,
+    threshold_with_ties,
+    tilted_log_tail,
+)
 
 _MIN_EFFECTIVE_SAMPLES = 1000.0
 
@@ -74,35 +77,18 @@ def sample_converse_density(
     p: PowerAllocation,
     rng: SeededRng,
     num_samples: int = 100_000,
-) -> EmpiricalSample:
+) -> np.ndarray:
     """Draws of the blocklength-n log likelihood ratio between the conditional
     law and the auxiliary product channel (the same statistic as the
     conditional information-density law)."""
-    if n < 1:
-        raise ValueError("blocklength must be >= 1")
-    if num_samples < 1000:
-        raise ValueError("num_samples must be >= 1000")
-    params = _LawParams(KIND_CONDITIONAL, n, _gammas(g, p))
-    if params.degenerate:
-        return EmpiricalSample(np.zeros(num_samples))
-    return EmpiricalSample(params.sample(rng.generator(), num_samples))
-
-
-def sample_output_energy(
-    n: int, gamma: float, rng: SeededRng, num_samples: int
-) -> np.ndarray:
-    """Per-mode normalized output energy of the auxiliary channel,
-    (1 + gamma) / n times a sum of n unit exponentials."""
-    gen = rng.generator()
-    return (1.0 + gamma) / n * gen.standard_exponential((num_samples, n)).sum(axis=1)
+    return sample_law(KIND_CONDITIONAL, n, mode_gammas(g, p), rng, num_samples)
 
 
 def np_beta_converse(
-    draws: EmpiricalSample,
+    draws: np.ndarray,
     eps: float,
     law: Optional[Tuple[int, np.ndarray]] = None,
     rng: Optional[SeededRng] = None,
-    num_samples: Optional[int] = None,
 ) -> NPBetaEstimate:
     """Neyman-Pearson beta at level 1 - eps from log-likelihood-ratio draws.
 
@@ -112,13 +98,14 @@ def np_beta_converse(
     conditional draws.  Deep in the tail the raw estimator starves, so when
     the effective sample count drops below 1000 and the law parameters
     (blocklength, per-mode gammas) plus an rng are supplied, the expectation
-    is recomputed under an exponential tilt whose mean sits at eta.
+    is recomputed under an exponential tilt whose mean sits at eta, with as
+    many draws as the raw sample.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    s = draws.values
+    s = draws
     n_draws = s.size
-    eta, rho = _threshold_with_ties(s, 1.0 - eps)
+    eta, rho = threshold_with_ties(s, 1.0 - eps)
 
     weights = np.where(s > eta, np.exp(-np.clip(s, -700, None)), 0.0)
     if rho > 0:
@@ -154,19 +141,10 @@ def np_beta_converse(
         )
 
     n, gammas = law
-    params = _LawParams(KIND_CONDITIONAL, n, gammas)
-    if params.degenerate:
-        # conditional law equals the auxiliary one; beta_alpha(P, P) = alpha
-        return NPBetaEstimate(
-            beta=1.0 - eps, log_beta=math.log1p(-eps), eta=eta, ci_rel=0.0, tilted=False
-        )
-    size = num_samples or n_draws
-    theta = params.solve_tilt(eta)
-    tilted = params.sample(rng.generator(), size, theta)
-    log_w = params.cgf(theta) - theta * tilted - tilted
-    log_beta, ci_rel = _weighted_tail(log_w, tilted >= eta, size)
-    if ci_rel > 0.5:
-        raise InsufficientSamplesError(f"tilted estimate relative CI {ci_rel:.2f} > 0.5")
+    # exp(-S) turns conditional-law mass into auxiliary-channel mass
+    log_beta, ci_rel = tilted_log_tail(
+        LawParams(KIND_CONDITIONAL, n, gammas), eta, 1.0, rng, n_draws
+    )
     return NPBetaEstimate(
         beta=float(np.exp(log_beta)), log_beta=log_beta, eta=eta, ci_rel=ci_rel, tilted=True
     )
@@ -239,7 +217,7 @@ def pdf_sup_bound(m: int, n: int, g: EigenSpectrum, p: PowerAllocation) -> float
     the total scale, so the supremum is the cached unit-scale supremum
     divided by prod theta_j.
     """
-    gammas = _gammas(g, p)
+    gammas = mode_gammas(g, p)
     if gammas.size != m:
         raise ValueError("spectrum size does not match m")
     log_theta_prod = float(np.log((1.0 + gammas) / (2.0 * n)).sum())
@@ -267,9 +245,7 @@ def _fixed_d_rate(
     m = g.m
     consts = converse_constants(m, n, g, p, total_power)
     draws = sample_converse_density(n, g, p, rng.split(0), num_samples)
-    est = np_beta_converse(
-        draws, eps, law=(n, _gammas(g, p)), rng=rng.split(1), num_samples=num_samples
-    )
+    est = np_beta_converse(draws, eps, law=(n, mode_gammas(g, p)), rng=rng.split(1))
     rate = (math.log(consts.k * m * n) - est.log_beta) / n
     return ConverseResult(
         rate_nats=rate,

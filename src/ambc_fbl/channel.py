@@ -10,7 +10,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .numerics import SeededRng, bessel_k0
+from .numerics import SeededRng
 
 RAYLEIGH = "rayleigh"
 RICIAN = "rician"
@@ -162,16 +162,3 @@ def eigen_spectrum(pair: CompositePair, clamp: float = 1e-12) -> EigenSpectrum:
     ev = np.sort(ev)[::-1][:m]
     ev = np.where((ev < 0) & (ev >= -clamp), 0.0, ev)
     return EigenSpectrum(g=np.maximum(ev, 0.0), d=pair.d)
-
-
-def product_gaussian_pdf(x):
-    """Density of the product of two independent real standard Gaussians.
-
-    Equals 2 K0(2|x|) / pi; it diverges logarithmically at the origin, so
-    evaluation at exactly zero is rejected.
-    """
-    x = np.asarray(x, dtype=float)
-    if np.any(x == 0):
-        raise ValueError("density of a Gaussian product is singular at 0")
-    out = np.asarray(2.0 * bessel_k0(2.0 * np.abs(x)) / np.pi)
-    return float(out) if out.ndim == 0 else out

@@ -17,6 +17,11 @@ from .errors import ConvergenceError
 
 _MASK64 = (1 << 64) - 1
 
+# largest product and shape the Mellin quadrature of ``product_gamma_logpdf``
+# resolves; the converse evaluates it with copies = min(t, r), shape = n
+MAX_GAMMA_COPIES = 8
+MAX_GAMMA_SHAPE = 4096
+
 
 def _splitmix64(x: int) -> int:
     """One round of the splitmix64 mixer (bijective on 64-bit words)."""
@@ -59,30 +64,7 @@ class SeededRng:
         return SeededRng(self.seed, child)
 
 
-@dataclass(frozen=True)
-class EmpiricalSample:
-    """An immutable batch of scalar Monte Carlo draws."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1:
-            raise ValueError("sample values must be a 1-D array")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def count(self) -> int:
-        return self.values.size
-
-    def mean(self) -> float:
-        return float(self.values.mean())
-
-    def std(self) -> float:
-        return float(self.values.std())
-
-
-def empirical_quantile(sample: EmpiricalSample, level: float) -> float:
+def empirical_quantile(draws: np.ndarray, level: float) -> float:
     """Value gamma with empirical exceedance fraction P[X >= gamma] = level.
 
     Linear interpolation between order statistics, so the result is a
@@ -90,9 +72,9 @@ def empirical_quantile(sample: EmpiricalSample, level: float) -> float:
     """
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie in (0, 1), got {level}")
-    if sample.count < 1:
+    if draws.size < 1:
         raise ValueError("cannot take a quantile of an empty sample")
-    return float(np.quantile(sample.values, 1.0 - level))
+    return float(np.quantile(draws, 1.0 - level))
 
 
 def gaussian_q(x):
@@ -115,27 +97,6 @@ def log_gamma(x):
     if np.any(x <= 0):
         raise ValueError("log_gamma requires x > 0")
     out = special.gammaln(x)
-    return float(out) if out.ndim == 0 else out
-
-
-def log_gamma_stirling(x):
-    """Leading Stirling form x ln x - x - (1/2) ln x, exposed for cross-checks.
-
-    Differs from ln Gamma(x) by ln sqrt(2 pi) + O(1/x).
-    """
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise ValueError("log_gamma_stirling requires x > 0")
-    out = x * np.log(x) - x - 0.5 * np.log(x)
-    return float(out) if out.ndim == 0 else out
-
-
-def bessel_k0(x):
-    """Modified Bessel function of the second kind, K0(x), x > 0."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise ValueError("bessel_k0 requires x > 0")
-    out = special.k0(x)
     return float(out) if out.ndim == 0 else out
 
 
@@ -208,28 +169,6 @@ def log_bessel_i(order: float, x):
     return float(out[0]) if scalar else out
 
 
-def log_bessel_i_upper(order: float, x):
-    """Log of a closed-form envelope that dominates I_order(x).
-
-    The envelope is sqrt(pi/(8x)) e^x (1 + v^2/x^2)^(-1/4)
-    exp(-v asinh(v/x) + x (sqrt(1 + v^2/x^2) - 1)) with v the order.
-    """
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise ValueError("x must be > 0")
-    ratio = order / x
-    root = np.sqrt(1.0 + ratio * ratio)
-    out = (
-        0.5 * np.log(np.pi / (8.0 * x))
-        - 0.25 * np.log1p(ratio * ratio)
-        - order * np.arcsinh(ratio)
-        + x * root
-    )
-    return float(out) if out.ndim == 0 else out
-
-
 def product_gamma_logpdf(
     z: float,
     copies: int,
@@ -246,10 +185,10 @@ def product_gamma_logpdf(
     adaptively until the envelope tail drops below ``tail_tol`` of the
     accumulated integral.  All gamma factors stay in log-domain.
     """
-    if not 1 <= copies <= 8:
-        raise ValueError("copies must be between 1 and 8")
-    if not 1 <= shape <= 4096:
-        raise ValueError("shape must be between 1 and 4096")
+    if not 1 <= copies <= MAX_GAMMA_COPIES:
+        raise ValueError(f"copies must be between 1 and {MAX_GAMMA_COPIES}")
+    if not 1 <= shape <= MAX_GAMMA_SHAPE:
+        raise ValueError(f"shape must be between 1 and {MAX_GAMMA_SHAPE}")
     if scale <= 0:
         raise ValueError("scale must be positive")
     if z <= 0:

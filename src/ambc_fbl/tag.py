@@ -103,22 +103,6 @@ def eps_given_tag_error(model: TagErrorModel, eps_d: float, residue: float = 1e-
     return eps
 
 
-def mrc_statistic(
-    y: np.ndarray, x_est: np.ndarray, h0: np.ndarray, h1: np.ndarray
-) -> float:
-    """Combining statistic Re tr(h1^H x_est^H (y - x_est h0)) / ||h1||^2."""
-    norm2 = float(np.linalg.norm(h1)) ** 2
-    if norm2 == 0.0:
-        raise InfeasibleTargetError("tag link is absent (h1 = 0)")
-    resid = y - x_est @ h0
-    return float(np.real(np.trace(h1.conj().T @ (x_est.conj().T @ resid)))) / norm2
-
-
-def mrc_detect(z: float) -> int:
-    """Decision on the combining statistic; the measure-zero tie goes to +1."""
-    return 1 if z >= 0.0 else -1
-
-
 def simulate_tag_error(
     model: TagErrorModel,
     eps: float,

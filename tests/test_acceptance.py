@@ -22,7 +22,7 @@ from ambc_fbl.bounds_ach import (
 from ambc_fbl.bounds_conv import converse_rate, np_beta_converse, sample_converse_density
 from ambc_fbl.channel import EigenSpectrum, Fading, composite, draw_channel, eigen_spectrum
 from ambc_fbl.cli import ExperimentConfig, emit_csv, run_sweep
-from ambc_fbl.numerics import EmpiricalSample, SeededRng, gaussian_q_inv, product_gamma_pdf
+from ambc_fbl.numerics import SeededRng, gaussian_q_inv, product_gamma_pdf
 from ambc_fbl.power import PowerAllocation, waterfill
 from ambc_fbl.tag import TagErrorModel, eps_given_tag_error, simulate_tag_error, tag_error_given_eps
 
@@ -286,7 +286,7 @@ class TestCriterion6IdentitySuite:
         _report("criterion 6e (beta of identical laws equals the level)", ok, f"gap {gap:.2e}")
         assert ok
 
-        degenerate = np_beta_converse(EmpiricalSample(np.zeros(num)), eps)
+        degenerate = np_beta_converse(np.zeros(num), eps)
         gap2 = abs(degenerate.beta - (1 - eps))
         ok2 = gap2 <= 2 / math.sqrt(num)
         _report("criterion 6f (degenerate converse beta equals its level)", ok2, f"gap {gap2:.2e}")

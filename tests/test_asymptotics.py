@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 
 from ambc_fbl.asymptotics import (
-    berry_esseen_b,
-    berry_esseen_ratio,
     capacity,
     dispersion,
     normal_approximation,
-    summarize,
     verify_sigma_maximizer,
 )
 from ambc_fbl.numerics import SeededRng, gaussian_q_inv
+from ambc_fbl.tail import KIND_CONDITIONAL, LawParams
 
 
 class TestCapacity:
@@ -80,39 +78,19 @@ class TestNormalApproximation:
     def test_negative_values_returned_as_is(self):
         val = normal_approximation(0.01, 0.02, 8, 1e-3)
         assert val < 0
-        s = summarize(np.array([1.0]), np.array([0.01]), 8, 1e-3)
-        assert s.na_negative
-        assert s.rate_na_nats < 0
+        g, p = np.array([1.0]), np.array([0.01])
+        assert normal_approximation(capacity(g, p), dispersion(g, p), 8, 1e-3) < 0
 
 
 class TestBerryEsseen:
-    def test_degenerate_zero_power(self):
-        est = berry_esseen_b(np.array([1.0]), np.array([0.0]), SeededRng(0), 20_000)
-        assert est.degenerate
-        assert math.isnan(est.b)
-
-    def test_standard_normal_oracle(self):
-        # closed form: 6 E|Z|^3 with E|Z|^3 = 2 sqrt(2/pi)
-        draws = SeededRng(1).generator().standard_normal(400_000)
-        target = 6.0 * 2.0 * math.sqrt(2.0 / math.pi)
-        assert berry_esseen_ratio(draws) == pytest.approx(target, rel=0.02)
-        assert target == pytest.approx(9.5746, abs=2e-4)
-
     def test_lyapunov_ordering(self):
         g = np.array([2.0, 0.7])
         p = np.array([0.6, 0.4])
-        from ambc_fbl.bounds_ach import KIND_CONDITIONAL, _LawParams
-
-        params = _LawParams(KIND_CONDITIONAL, 1, g * p)
+        params = LawParams(KIND_CONDITIONAL, 1, g * p)
         j = params.sample(SeededRng(2).generator(), 100_000) - capacity(g, p)
         m2 = float((j**2).mean())
         m3 = float((np.abs(j) ** 3).mean())
         assert m2**0.5 <= m3 ** (1.0 / 3.0)
-
-    def test_finite_positive_on_active_channel(self):
-        est = berry_esseen_b(np.array([2.0, 1.0]), np.array([0.5, 0.5]), SeededRng(3), 50_000)
-        assert not est.degenerate
-        assert 0 < est.b < math.inf
 
 
 class TestSigmaCriticalPoint:
@@ -142,14 +120,3 @@ class TestSigmaCriticalPoint:
         with pytest.raises(ValueError):
             verify_sigma_maximizer(1.0, 0.0)
 
-
-class TestSummarize:
-    def test_fields_consistent(self):
-        g = np.array([3.0, 1.0])
-        p = np.array([0.6, 0.4])
-        s = summarize(g, p, 200, 1e-3, rng=SeededRng(5), num_samples=20_000)
-        assert s.capacity_nats == pytest.approx(capacity(g, p))
-        assert s.dispersion == pytest.approx(dispersion(g, p))
-        assert s.rate_na_bits == pytest.approx(s.rate_na_nats / math.log(2))
-        assert s.berry_esseen_b is not None and s.berry_esseen_b > 0
-        assert not s.na_negative

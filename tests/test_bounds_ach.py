@@ -54,18 +54,18 @@ class TestSampleInfoDensity:
         for kind in (KIND_OUTPUT, KIND_CONDITIONAL):
             law = sample_info_density(kind, 50, g, p, SeededRng(0), 2000)
             assert law.draws.mean() == 0.0
-            assert np.all(law.draws.values == 0.0)
+            assert np.all(law.draws == 0.0)
 
     def test_conditional_mean_is_capacity(self):
         _, h_law = _laws([1.0], [1.0], 100, seed=1)
-        v = h_law.draws.values
+        v = h_law.draws
         se = v.std() / math.sqrt(v.size)
         assert v.mean() / 100 == pytest.approx(math.log(2.0), abs=3 * se / 100)
 
     def test_per_use_variance_matches_dispersion(self):
         gamma = 1.5
         _, h_law = _laws([gamma], [1.0], 1, seed=2)
-        v = h_law.draws.values
+        v = h_law.draws
         target = 1.0 - 1.0 / (1.0 + gamma) ** 2
         assert v.var() == pytest.approx(target, rel=0.05)
 
@@ -77,7 +77,7 @@ class TestSampleInfoDensity:
             direct = _direct_per_use(kind, n, gamma, gen, num)
             g, p = _setup([gamma], [1.0])
             law = sample_info_density(kind, n, g, p, SeededRng(3, 7), num)
-            mine = law.draws.values
+            mine = law.draws
             se = math.hypot(direct.std(), mine.std()) / math.sqrt(num)
             assert mine.mean() == pytest.approx(direct.mean(), abs=4 * se)
             assert mine.std() == pytest.approx(direct.std(), rel=0.03)
@@ -85,7 +85,7 @@ class TestSampleInfoDensity:
 
     def test_output_mean_below_conditional_mean(self):
         g_law, h_law = _laws([2.0, 0.5], [0.7, 0.3], 50, seed=4)
-        se = math.hypot(g_law.draws.std(), h_law.draws.std()) / math.sqrt(g_law.draws.count)
+        se = math.hypot(g_law.draws.std(), h_law.draws.std()) / math.sqrt(g_law.draws.size)
         assert g_law.draws.mean() <= h_law.draws.mean() + 3 * se
 
     def test_preconditions(self):
@@ -121,7 +121,7 @@ class TestAchievabilityBeta:
         law_g = stats.ncx2(2, 2 * (1 + gamma) / gamma)
         gamma_n = c - gamma / (2 * (1 + gamma)) * law_h.ppf(1 - eps + tau)
         beta_oracle = law_g.cdf((c - gamma_n) * 2 / gamma)
-        se = math.sqrt(beta_oracle * (1 - beta_oracle) / g_law.draws.count)
+        se = math.sqrt(beta_oracle * (1 - beta_oracle) / g_law.draws.size)
         # allow for threshold noise propagated from the conditional quantile
         assert est.beta == pytest.approx(beta_oracle, abs=4 * se + 0.003)
 
@@ -160,13 +160,13 @@ class TestAchievabilityBeta:
 
     def test_monotone_nonincreasing_in_blocklength(self):
         # fixed per-use threshold: the exceedance probability must fall with n
-        from ambc_fbl.bounds_ach import _LawParams
+        from ambc_fbl.tail import LawParams
 
         gamma = 1.0
         rate = -1.0  # above the per-use mean log(2) - 2 of the output law
         vals = []
         for n in (50, 100, 200):
-            params = _LawParams(KIND_OUTPUT, n, np.array([gamma]))
+            params = LawParams(KIND_OUTPUT, n, np.array([gamma]))
             theta = params.solve_tilt(rate * n)
             gen = SeededRng(63, n).generator()
             draws = params.sample(gen, 100_000, theta)

@@ -11,10 +11,9 @@ from ambc_fbl.bounds_conv import (
     np_beta_converse,
     pdf_sup_bound,
     sample_converse_density,
-    sample_output_energy,
 )
 from ambc_fbl.channel import EigenSpectrum, Fading, composite, draw_channel, eigen_spectrum
-from ambc_fbl.numerics import EmpiricalSample, SeededRng
+from ambc_fbl.numerics import SeededRng
 from ambc_fbl.power import PowerAllocation, waterfill
 
 
@@ -33,7 +32,7 @@ class TestSampleConverseDensity:
         g, p = _setup([2.0, 0.5], [0.6, 0.4])
         draws = sample_converse_density(120, g, p, SeededRng(0), 50_000)
         cap = float(np.log1p(g.g * p.p).sum())
-        se = draws.std() / math.sqrt(draws.count)
+        se = draws.std() / math.sqrt(draws.size)
         assert draws.mean() / 120 == pytest.approx(cap, abs=3 * se / 120)
 
     def test_per_use_variance_is_dispersion(self):
@@ -41,19 +40,19 @@ class TestSampleConverseDensity:
         g, p = _setup([gamma], [1.0])
         draws = sample_converse_density(1, g, p, SeededRng(1), 100_000)
         target = 1.0 - 1.0 / (1.0 + gamma) ** 2
-        assert draws.values.var() == pytest.approx(target, rel=0.05)
+        assert draws.var() == pytest.approx(target, rel=0.05)
 
     def test_zero_power_degenerates(self):
         g, p = _setup([1.0], [0.0])
         draws = sample_converse_density(10, g, p, SeededRng(2), 2000)
-        assert draws.values.var() == 0.0
-        assert np.all(draws.values == 0.0)
+        assert draws.var() == 0.0
+        assert np.all(draws == 0.0)
 
 
 class TestNpBetaConverse:
     def test_identical_laws_return_the_level(self):
         # zero power makes the two hypotheses coincide
-        draws = EmpiricalSample(np.zeros(50_000))
+        draws = np.zeros(50_000)
         for eps in (0.3, 0.1, 0.01):
             est = np_beta_converse(draws, eps)
             assert est.beta == pytest.approx(1 - eps, abs=2 / math.sqrt(50_000))
@@ -63,15 +62,13 @@ class TestNpBetaConverse:
         n, eps = 1, 0.1
         g, p = _setup([gamma], [1.0])
         draws = sample_converse_density(n, g, p, SeededRng(3), 100_000)
-        est = np_beta_converse(
-            draws, eps, law=(n, g.g * p.p), rng=SeededRng(30), num_samples=100_000
-        )
+        est = np_beta_converse(draws, eps, law=(n, g.g * p.p), rng=SeededRng(30))
         c = math.log1p(gamma) + 1.0
         law_h = stats.ncx2(2, 2 / gamma)
         law_g = stats.ncx2(2, 2 * (1 + gamma) / gamma)
         eta = c - gamma / (2 * (1 + gamma)) * law_h.ppf(1 - eps)
         beta_oracle = law_g.cdf((c - eta) * 2 / gamma)
-        se = math.sqrt(beta_oracle * (1 - beta_oracle) / draws.count)
+        se = math.sqrt(beta_oracle * (1 - beta_oracle) / draws.size)
         assert est.beta == pytest.approx(beta_oracle, abs=4 * se + 0.003)
 
     def test_monotone_in_level(self):
@@ -86,9 +83,7 @@ class TestNpBetaConverse:
     def test_tilted_path_engages_at_large_blocklength(self):
         g, p = _setup([1.0], [1.0])
         draws = sample_converse_density(1000, g, p, SeededRng(5), 20_000)
-        est = np_beta_converse(
-            draws, 1e-3, law=(1000, g.g * p.p), rng=SeededRng(50), num_samples=20_000
-        )
+        est = np_beta_converse(draws, 1e-3, law=(1000, g.g * p.p), rng=SeededRng(50))
         assert est.tilted
         assert est.log_beta < -500
         assert est.ci_rel < 0.2
@@ -100,9 +95,7 @@ class TestNpBetaConverse:
         gamma, n = 1.0, 100
         g, p = _setup([gamma], [1.0])
         draws = sample_converse_density(n, g, p, SeededRng(51), 100_000)
-        est = np_beta_converse(
-            draws, 1e-3, law=(n, g.g * p.p), rng=SeededRng(52), num_samples=100_000
-        )
+        est = np_beta_converse(draws, 1e-3, law=(n, g.g * p.p), rng=SeededRng(52))
         assert est.tilted
         c = n * (math.log1p(gamma) + 1.0)
         exact = stats.ncx2.cdf((c - est.eta) * 2 / gamma, 2 * n, 2 * n * (1 + gamma) / gamma)
@@ -116,9 +109,7 @@ class TestNpBetaConverse:
         draws = sample_converse_density(1000, g, p, SeededRng(6), 20_000)
         lb = np_beta_converse(draws, 1e-3)
         assert lb.lower_bound_only
-        exact = np_beta_converse(
-            draws, 1e-3, law=(1000, g.g * p.p), rng=SeededRng(60), num_samples=20_000
-        )
+        exact = np_beta_converse(draws, 1e-3, law=(1000, g.g * p.p), rng=SeededRng(60))
         assert lb.log_beta <= exact.log_beta + 3 * exact.ci_rel
 
 
@@ -161,12 +152,6 @@ class TestConverseConstants:
         consts = converse_constants(3, 128, g, p, 1.0)
         assert 0 < consts.k1 < math.inf
         assert consts.k == consts.k1 * consts.k2
-
-    def test_output_energy_sampler_mean(self):
-        gamma, n, num = 1.7, 40, 20_000
-        s = sample_output_energy(n, gamma, SeededRng(7), num)
-        se = s.std() / math.sqrt(num)
-        assert s.mean() == pytest.approx(1 + gamma, abs=3 * se)
 
 
 class TestConverseRate:

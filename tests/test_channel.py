@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
 
 from ambc_fbl.channel import (
     ChannelRealization,
@@ -11,7 +10,6 @@ from ambc_fbl.channel import (
     composite,
     draw_channel,
     eigen_spectrum,
-    product_gaussian_pdf,
 )
 from ambc_fbl.numerics import SeededRng
 
@@ -120,28 +118,3 @@ class TestEigenSpectrum:
             spec = eigen_spectrum(composite(_draw(seed, t=3, r=3), +1))
             assert np.all(spec.g >= 0)
 
-
-class TestProductGaussianPdf:
-    def test_total_mass(self):
-        half, _ = integrate.quad(product_gaussian_pdf, 1e-12, 40)
-        assert 2 * half == pytest.approx(1.0, abs=1e-6)
-
-    def test_symmetry(self):
-        for x in (0.1, 0.7, 2.3):
-            assert product_gaussian_pdf(x) == product_gaussian_pdf(-x)
-
-    @pytest.mark.parametrize("t", [0.0, 1.0, 2.0])
-    def test_characteristic_function(self, t):
-        # numerical Fourier transform: one factor transforms to 2/sqrt(t^2+4),
-        # and the real part of a product of two independent complex Gaussians
-        # (a difference of two such factors) therefore has CF 4/(t^2+4)
-        real, _ = integrate.quad(
-            lambda x: math.cos(t * x) * product_gaussian_pdf(x), 1e-12, 50, limit=200
-        )
-        cf_factor = 2 * real
-        assert cf_factor == pytest.approx(2.0 / math.sqrt(t * t + 4.0), abs=1e-4)
-        assert cf_factor**2 == pytest.approx(4.0 / (t * t + 4.0), abs=1e-4)
-
-    def test_singular_origin(self):
-        with pytest.raises(ValueError):
-            product_gaussian_pdf(0.0)

@@ -57,6 +57,11 @@ class TestConfig:
             dict(mc_samples=10),
             dict(aggregate="geomean"),
             dict(a_coeff=1.5),
+            dict(snr_db="0"),
+            dict(snr_db=None),
+            dict(n_grid=[16, "a"]),
+            dict(n_grid=[16, 5000]),
+            dict(t=9, r=9),
         ],
     )
     def test_rejects_bad_configs(self, overrides):
@@ -196,6 +201,12 @@ class TestMain:
         cfg_path.write_text(json.dumps(bad))
         assert main(["sweep", "--config", str(cfg_path), "--out", "x.csv"]) == 2
         capsys.readouterr()
+
+    def test_converse_beyond_its_blocklength_limit_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "long.json"
+        cfg_path.write_text(json.dumps(dict(_config().to_dict(), n_grid=[16, 5000])))
+        assert main(["sweep", "--config", str(cfg_path), "--out", "x.csv"]) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_tag_convert_prints_table(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

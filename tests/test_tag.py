@@ -9,11 +9,24 @@ from ambc_fbl.numerics import SeededRng, gaussian_q
 from ambc_fbl.tag import (
     TagErrorModel,
     eps_given_tag_error,
-    mrc_detect,
-    mrc_statistic,
     simulate_tag_error,
     tag_error_given_eps,
 )
+
+
+def mrc_statistic(y, x_est, h0, h1):
+    """Combining statistic Re tr(h1^H x_est^H (y - x_est h0)) / ||h1||^2.
+
+    The matrix-level MRC detector; ``simulate_tag_error`` runs its scalar law.
+    """
+    norm2 = float(np.linalg.norm(h1)) ** 2
+    resid = y - x_est @ h0
+    return float(np.real(np.trace(h1.conj().T @ (x_est.conj().T @ resid)))) / norm2
+
+
+def mrc_detect(z):
+    """Decision on the combining statistic; the measure-zero tie goes to +1."""
+    return 1 if z >= 0.0 else -1
 
 
 def _random_model(seed, scale=1.0):
