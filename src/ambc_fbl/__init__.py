@@ -9,8 +9,6 @@ from .asymptotics import (
 )
 from .bounds_ach import (
     AchievabilityResult,
-    BetaEstimate,
-    InfoDensityLaw,
     achievability_beta,
     achievability_rate,
     compute_c1,
@@ -20,7 +18,6 @@ from .bounds_ach import (
 from .bounds_conv import (
     ConverseConstants,
     ConverseResult,
-    NPBetaEstimate,
     ball_volume_bound,
     converse_rate,
     np_beta_converse,
@@ -55,6 +52,7 @@ from .numerics import (
     product_gamma_pdf,
 )
 from .power import PowerAllocation, waterfill
+from .tail import BetaEstimate, MixedRate
 from .tag import (
     TagErrorModel,
     eps_given_tag_error,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy import optimize, special
@@ -25,11 +25,13 @@ from .numerics import SeededRng, product_gamma_logpdf
 from .power import PowerAllocation, waterfill
 from .tail import (
     KIND_CONDITIONAL,
+    BetaEstimate,
     LawParams,
+    MixedRate,
+    estimate_beta,
+    mix_tag_symbols,
     mode_gammas,
     sample_law,
-    threshold_with_ties,
-    tilted_log_tail,
 )
 
 _MIN_EFFECTIVE_SAMPLES = 1000.0
@@ -47,28 +49,15 @@ class ConverseConstants:
 
 
 @dataclass(frozen=True)
-class NPBetaEstimate:
-    beta: float
-    log_beta: float
-    eta: float
-    ci_rel: float
-    tilted: bool
-    lower_bound_only: bool = False
-
-
-@dataclass(frozen=True)
 class ConverseResult:
+    """Converse bound for one tag symbol ``d``: the constant K = K1 K2 and
+    the beta estimate."""
+
     rate_nats: float
-    rate_bits: float
-    beta: float
-    log_beta: float
-    k: float
-    n: int
-    eps: float
-    d: Union[int, str]
     ci_rate_bits: float
-    num_samples: int
-    per_d: Optional[Tuple["ConverseResult", "ConverseResult"]] = None
+    d: int
+    k: float
+    estimate: BetaEstimate
 
 
 def sample_converse_density(
@@ -89,7 +78,7 @@ def np_beta_converse(
     eps: float,
     law: Optional[Tuple[int, np.ndarray]] = None,
     rng: Optional[SeededRng] = None,
-) -> NPBetaEstimate:
+) -> BetaEstimate:
     """Neyman-Pearson beta at level 1 - eps from log-likelihood-ratio draws.
 
     The optimal test thresholds the statistic at its empirical (1-eps)
@@ -99,59 +88,40 @@ def np_beta_converse(
     the effective sample count drops below 1000 and the law parameters
     (blocklength, per-mode gammas) plus an rng are supplied, the expectation
     is recomputed under an exponential tilt whose mean sits at eta, with as
-    many draws as the raw sample.
+    many draws as the raw sample.  Without them the result is the flagged
+    threshold-grid lower bound.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    s = draws
-    n_draws = s.size
-    eta, rho = threshold_with_ties(s, 1.0 - eps)
-
-    weights = np.where(s > eta, np.exp(-np.clip(s, -700, None)), 0.0)
-    if rho > 0:
-        weights = weights + rho * np.where(s == eta, np.exp(-np.clip(s, -700, None)), 0.0)
-    total = float(weights.sum())
-    sq = float((weights**2).sum())
-    # subnormal weights can square to exactly zero; treat that as starvation
-    ess = total**2 / sq if sq > 0 else 0.0
-    can_tilt = law is not None and rng is not None
-
-    if total > 0 and sq > 0:
-        mean = total / n_draws
-        ci_rel = 1.96 * float(weights.std() / math.sqrt(n_draws)) / mean
-        if ess >= _MIN_EFFECTIVE_SAMPLES or (not can_tilt and ci_rel <= 0.5):
-            return NPBetaEstimate(
-                beta=mean, log_beta=math.log(mean), eta=eta, ci_rel=ci_rel, tilted=False
-            )
-    if not can_tilt:
-        # last resort without law parameters: the explicit threshold-grid
-        # lower bound beta >= max_l exp(-l) (P[S < l] - eps), valid at any l
-        log_lb = _threshold_grid_lower_bound(s, eps)
-        if log_lb is None:
-            raise InsufficientSamplesError(
-                "raw change-of-measure estimate too noisy and no law/rng for tilting"
-            )
-        return NPBetaEstimate(
-            beta=float(np.exp(log_lb)),
-            log_beta=log_lb,
-            eta=eta,
-            ci_rel=math.nan,
-            tilted=False,
-            lower_bound_only=True,
+    params = LawParams(KIND_CONDITIONAL, *law) if law is not None else None
+    try:
+        # exp(-S) turns conditional-law mass into auxiliary-channel mass
+        return estimate_beta(draws, 1.0 - eps, draws, 1.0, _MIN_EFFECTIVE_SAMPLES, params, rng)
+    except InsufficientSamplesError:
+        if params is not None and rng is not None:
+            raise
+    # last resort without law parameters: the explicit threshold-grid lower
+    # bound beta >= max_l exp(-l) (P[S < l] - eps), valid at any l
+    best = _threshold_grid_lower_bound(draws, eps)
+    if best is None:
+        raise InsufficientSamplesError(
+            "raw change-of-measure estimate too noisy and no law/rng for tilting"
         )
-
-    n, gammas = law
-    # exp(-S) turns conditional-law mass into auxiliary-channel mass
-    log_beta, ci_rel = tilted_log_tail(
-        LawParams(KIND_CONDITIONAL, n, gammas), eta, 1.0, rng, n_draws
+    log_lb, lam = best
+    return BetaEstimate(
+        beta=float(np.exp(log_lb)),
+        log_beta=log_lb,
+        threshold=lam,
+        ci_rel=math.nan,
+        ess=math.nan,
+        tilted=False,
+        lower_bound_only=True,
     )
-    return NPBetaEstimate(
-        beta=float(np.exp(log_beta)), log_beta=log_beta, eta=eta, ci_rel=ci_rel, tilted=True
-    )
 
 
-def _threshold_grid_lower_bound(s: np.ndarray, eps: float):
-    """max over a threshold grid of exp(-l) (P[S < l] - eps), in log-domain.
+def _threshold_grid_lower_bound(s: np.ndarray, eps: float) -> Optional[Tuple[float, float]]:
+    """max over a threshold grid of exp(-l) (P[S < l] - eps), in log-domain,
+    with the maximizing threshold l.
 
     A valid lower bound on beta at every threshold; the maximum over sample
     quantiles is the tightest the draws support.  Returns None when no
@@ -164,8 +134,8 @@ def _threshold_grid_lower_bound(s: np.ndarray, eps: float):
         if frac <= 0:
             continue
         cand = -float(lam) + math.log(frac)
-        if best is None or cand > best:
-            best = cand
+        if best is None or cand > best[0]:
+            best = (cand, float(lam))
     return best
 
 
@@ -249,15 +219,10 @@ def _fixed_d_rate(
     rate = (math.log(consts.k * m * n) - est.log_beta) / n
     return ConverseResult(
         rate_nats=rate,
-        rate_bits=rate / math.log(2),
-        beta=est.beta,
-        log_beta=est.log_beta,
-        k=consts.k,
-        n=n,
-        eps=eps,
-        d=g.d,
         ci_rate_bits=est.ci_rel / n / math.log(2),
-        num_samples=num_samples,
+        d=g.d,
+        k=consts.k,
+        estimate=est,
     )
 
 
@@ -269,7 +234,7 @@ def converse_rate(
     eps: float,
     rng: SeededRng,
     num_samples: int = 100_000,
-) -> ConverseResult:
+) -> MixedRate:
     """Converse upper bound mixed over the equiprobable tag symbol.
 
     Substreams are shared between the two symbols (common random numbers),
@@ -277,20 +242,7 @@ def converse_rate(
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    res_minus = _fixed_d_rate(n, g_minus, total_power, eps, rng, num_samples)
-    res_plus = _fixed_d_rate(n, g_plus, total_power, eps, rng, num_samples)
-    rate = 0.5 * (res_minus.rate_nats + res_plus.rate_nats)
-    ci = 0.5 * math.hypot(res_minus.ci_rate_bits, res_plus.ci_rate_bits)
-    return ConverseResult(
-        rate_nats=rate,
-        rate_bits=rate / math.log(2),
-        beta=math.nan,
-        log_beta=math.nan,
-        k=math.nan,
-        n=n,
-        eps=eps,
-        d="mixed",
-        ci_rate_bits=ci,
-        num_samples=num_samples,
-        per_d=(res_minus, res_plus),
+    return mix_tag_symbols(
+        _fixed_d_rate(n, g_minus, total_power, eps, rng, num_samples),
+        _fixed_d_rate(n, g_plus, total_power, eps, rng, num_samples),
     )

@@ -7,10 +7,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import operator
 import subprocess
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -47,6 +48,21 @@ _NUMERIC_FAILURES = (
 )
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int; floats (even integral ones) and booleans fail."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_real(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     t: int
@@ -65,6 +81,12 @@ class ExperimentConfig:
     aggregate: str = "mean"
 
     def __post_init__(self) -> None:
+        for name in ("t", "r", "mc_samples", "channel_draws", "seed"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        for name in ("snr_db", "a_coeff", "eps", "eps_d", "k_factor_db"):
+            value = getattr(self, name)
+            if value is not None or name in ("snr_db", "a_coeff"):
+                _check_real(name, value)
         if self.t < 1 or self.r < 1:
             raise ConfigError("antenna counts must be >= 1")
         if self.fading not in ("rayleigh", "rician"):
@@ -73,17 +95,12 @@ class ExperimentConfig:
             raise ConfigError("rician fading requires k_factor_db")
         if not 0.0 <= self.a_coeff <= 1.0:
             raise ConfigError("a_coeff must lie in [0, 1]")
-        if not isinstance(self.snr_db, (int, float)):
-            raise ConfigError("snr_db must be a number")
         if (self.eps is None) == (self.eps_d is None):
             raise ConfigError("exactly one of eps / eps_d must be set")
         for name, value in (("eps", self.eps), ("eps_d", self.eps_d)):
             if value is not None and not 0.0 < value < 1.0:
                 raise ConfigError(f"{name} must lie in (0, 1)")
-        try:
-            grid = tuple(operator.index(n) for n in self.n_grid)
-        except TypeError as exc:
-            raise ConfigError("n_grid must be a list of integers") from exc
+        grid = tuple(_integer("n_grid entries", n) for n in self.n_grid)
         if not grid or any(n < 8 for n in grid):
             raise ConfigError("n_grid entries must be >= 8")
         if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -145,24 +162,6 @@ class ExperimentConfig:
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
         return cls.from_dict(data)
-
-    def to_dict(self) -> Dict:
-        return {
-            "t": self.t,
-            "r": self.r,
-            "fading": self.fading,
-            "k_factor_db": self.k_factor_db,
-            "a_coeff": self.a_coeff,
-            "snr_db": self.snr_db,
-            "eps": self.eps,
-            "eps_d": self.eps_d,
-            "n_grid": list(self.n_grid),
-            "mc_samples": self.mc_samples,
-            "channel_draws": self.channel_draws,
-            "seed": self.seed,
-            "curves": list(self.curves),
-            "aggregate": self.aggregate,
-        }
 
 
 @dataclass(frozen=True)
@@ -321,28 +320,6 @@ def format_rows(rows: Sequence[SweepRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_rows(text: str) -> List[SweepRow]:
-    lines = text.strip().splitlines()
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError("unexpected CSV header")
-    rows = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        rows.append(
-            SweepRow(
-                n=int(parts[0]),
-                capacity_bits=float(parts[1]),
-                na_bits=float(parts[2]),
-                ach_bits=float(parts[3]),
-                conv_bits=float(parts[4]),
-                ach_ci=float(parts[5]),
-                conv_ci=float(parts[6]),
-                draws=int(parts[7]),
-            )
-        )
-    return rows
-
-
 def _git_describe() -> str:
     try:
         out = subprocess.run(
@@ -357,32 +334,22 @@ def _git_describe() -> str:
     return out.stdout.strip() or "unknown"
 
 
-def emit_csv(
-    result: Union[SweepResult, Sequence[SweepRow]],
-    path: Union[str, Path],
-    config: Optional[ExperimentConfig] = None,
-    skipped: int = 0,
-) -> None:
+def emit_csv(result: SweepResult, path: Union[str, Path]) -> None:
     """Write rows as UTF-8 CSV plus a JSON sidecar with the full provenance.
 
     The CSV bytes are a pure function of the rows; the sidecar records the
     configuration (including the seed), skip counts, and the repository
     version string.
     """
-    if isinstance(result, SweepResult):
-        rows, config, skipped = result.rows, result.config, result.skipped_realizations
-        nan_reasons = result.nan_reasons
-    else:
-        rows, nan_reasons = list(result), {}
     path = Path(path)
     try:
-        path.write_text(format_rows(rows), encoding="utf-8", newline="\n")
+        path.write_text(format_rows(result.rows), encoding="utf-8", newline="\n")
         meta = {
-            "config": config.to_dict() if config is not None else None,
-            "seed": config.seed if config is not None else None,
+            "config": asdict(result.config),
+            "seed": result.config.seed,
             "git_describe": _git_describe(),
-            "skipped_realizations": skipped,
-            "nan_reasons": nan_reasons,
+            "skipped_realizations": result.skipped_realizations,
+            "nan_reasons": result.nan_reasons,
         }
         meta_path = path.with_name(path.name + ".meta.json")
         meta_path.write_text(

@@ -21,6 +21,10 @@ _MASK64 = (1 << 64) - 1
 # resolves; the converse evaluates it with copies = min(t, r), shape = n
 MAX_GAMMA_COPIES = 8
 MAX_GAMMA_SHAPE = 4096
+# Mellin contour Re(s) of ``product_gamma_logpdf``, and the envelope tail,
+# relative to the integrand at t = 0, at which that contour is truncated
+_CONTOUR_OFFSET = 0.5
+_CONTOUR_TAIL_TOL = 1e-12
 
 
 def _splitmix64(x: int) -> int:
@@ -103,7 +107,8 @@ def log_gamma(x):
 def _log_ive_uniform(order: float, x: np.ndarray) -> np.ndarray:
     # Uniform large-order expansion of I_v(v z) with four correction terms.
     # Only invoked where scipy's scaled Bessel underflows, which requires the
-    # order to be in the hundreds or more; the truncation error there is far
+    # order to be in the hundreds or more, or is NaN (x above ~1.07e9, where
+    # the correction terms are O(1/x)); the truncation error there is far
     # below the 1e-8 contract.
     z = x / order
     t = 1.0 / np.sqrt(1.0 + z * z)
@@ -157,8 +162,9 @@ def log_bessel_i(order: float, x):
     with np.errstate(divide="ignore"):
         ive = special.ive(order, x_arr)
         out = np.where(ive > 0, np.log(np.maximum(ive, 1e-300)) + x_arr, -np.inf)
-    # ive underflows when I_order(x) << e^x, i.e. order much larger than x.
-    bad = ive <= 1e-280
+    # ive underflows when I_order(x) << e^x, i.e. order much larger than x,
+    # and is NaN for x above about 1.07e9; both take the expansions below
+    bad = ~(ive > 1e-280)
     if np.any(bad):
         small = bad & (x_arr < 50.0)
         if np.any(small):
@@ -169,21 +175,14 @@ def log_bessel_i(order: float, x):
     return float(out[0]) if scalar else out
 
 
-def product_gamma_logpdf(
-    z: float,
-    copies: int,
-    shape: int,
-    scale: float,
-    contour_offset: float = 0.5,
-    tail_tol: float = 1e-10,
-) -> float:
+def product_gamma_logpdf(z: float, copies: int, shape: int, scale: float) -> float:
     """ln of the density of a product of ``copies`` iid Gamma(shape, scale).
 
     Evaluated by Mellin inversion: the Mellin transform of the product is
     (scale^m)^(s-1) Gamma(shape + s - 1)^m / Gamma(shape)^m, and the density
-    is recovered on the vertical contour Re(s) = contour_offset, truncated
-    adaptively until the envelope tail drops below ``tail_tol`` of the
-    accumulated integral.  All gamma factors stay in log-domain.
+    is recovered on the vertical contour Re(s) = 1/2, truncated adaptively
+    until the envelope tail drops below 1e-12 of the integrand at the real
+    axis.  All gamma factors stay in log-domain.
     """
     if not 1 <= copies <= MAX_GAMMA_COPIES:
         raise ValueError(f"copies must be between 1 and {MAX_GAMMA_COPIES}")
@@ -199,13 +198,13 @@ def product_gamma_logpdf(
     log_w = np.log(z) - m * np.log(scale)
 
     def parts(t: np.ndarray):
-        s = contour_offset + 1j * t
+        s = _CONTOUR_OFFSET + 1j * t
         val = -s * log_w + m * special.loggamma(s + n - 1.0)
         return val.real, val.imag
 
     # Step size set by the fastest phase rotation at the contour base; the
     # integrand envelope is monotone decreasing in |t|.
-    phase_rate = abs(m * special.digamma(contour_offset + n - 1.0) - log_w) + m + 1.0
+    phase_rate = abs(m * special.digamma(_CONTOUR_OFFSET + n - 1.0) - log_w) + m + 1.0
     h = min(0.05, 2 * np.pi / (64.0 * phase_rate))
     big_t = 10.0
     l_zero, _ = parts(np.zeros(1))
@@ -222,7 +221,7 @@ def product_gamma_logpdf(
         value = float(np.trapezoid(integrand, dx=h))
         # envelope beyond T decays at least like exp(-(pi/2) m (t - T))
         tail = float(np.exp(lv[-1] - l_zero)) * 2.0 / (np.pi * m / 2.0)
-        if tail < min(tail_tol, 1e-12):
+        if tail < _CONTOUR_TAIL_TOL:
             break
         big_t *= 1.6
     else:

@@ -1,11 +1,12 @@
-"""The tail engine behind both bounds.
+"""What both bounds share: the tail engine and the tag-symbol mixture.
 
 Both bounds need the Neyman-Pearson type-II error beta of one information
 density, read at two type-I levels: 1 - eps + tau for the kappa-beta
 achievability bound and 1 - eps for the meta-converse.  This module owns the
 exponential-family law of that density, the tie-aware threshold of the
-level-``level`` test, and the exponentially tilted estimator of the deep tail
-that raw Monte Carlo cannot reach.
+level-``level`` test, the one beta estimator (a raw change-of-measure mean,
+replaced by an exponentially tilted estimate of the deep tail that raw Monte
+Carlo cannot reach), and the equiprobable mixture of the per-symbol rates.
 
 Per active mode j with y = g_j p_j > 0, the per-block contribution is
   n (log(1+y) + 1) - s * (X + Y),   X ~ ncx2(n, lam),  Y ~ chi2(n)
@@ -19,7 +20,8 @@ Zero-power modes contribute exactly zero.
 from __future__ import annotations
 
 import math
-from typing import Tuple
+from dataclasses import dataclass
+from typing import Any, Optional, Tuple
 
 import numpy as np
 from scipy import optimize
@@ -166,3 +168,83 @@ def tilted_log_tail(
     if ci_rel > 0.5:
         raise InsufficientSamplesError(f"tilted estimate relative CI {ci_rel:.2f} > 0.5")
     return mx + math.log(mean), ci_rel
+
+
+@dataclass(frozen=True)
+class BetaEstimate:
+    """Type-II error estimate with its threshold and accuracy diagnostics.
+
+    ``log_beta`` is authoritative; ``beta`` itself can underflow to zero for
+    large blocklengths.  ``ci_rel`` is the relative 95% half-width and
+    ``ess`` the effective sample size of the raw estimate (both NaN for a
+    lower bound).  ``tilted`` marks the tilted path; ``lower_bound_only``
+    marks a value that only bounds beta from below.
+    """
+
+    beta: float
+    log_beta: float
+    threshold: float
+    ci_rel: float
+    ess: float
+    tilted: bool
+    lower_bound_only: bool = False
+
+
+def estimate_beta(
+    level_draws: np.ndarray,
+    level: float,
+    tail_draws: np.ndarray,
+    weight_rate: float,
+    min_ess: float,
+    law: Optional[LawParams] = None,
+    rng: Optional[SeededRng] = None,
+) -> BetaEstimate:
+    """beta = E[exp(-weight_rate X) (1{X > gamma} + rho 1{X = gamma})] over
+    ``tail_draws``, with (gamma, rho) the level-``level`` threshold of
+    ``level_draws``.
+
+    The raw mean is kept when its effective sample size reaches ``min_ess``
+    (or the sample has atoms, which no tilt resolves) and its relative CI is
+    at most 0.5.  Otherwise the tail is re-estimated by ``tilted_log_tail``
+    under ``law`` with as many draws as ``tail_draws``; without ``law`` or
+    ``rng`` that raises ``InsufficientSamplesError``.
+    """
+    gamma, rho = threshold_with_ties(level_draws, level)
+    x = tail_draws
+    # a zero rate gives unit weights without a pass of exp over the draws
+    w = np.exp(-weight_rate * np.clip(x, -700, None)) if weight_rate else 1.0
+    weights = np.where(x > gamma, w, 0.0) + rho * np.where(x == gamma, w, 0.0)
+    total = float(weights.sum())
+    sq = float((weights**2).sum())
+    # subnormal weights can square to exactly zero; treat that as starvation
+    ess = total**2 / sq if sq > 0 else 0.0
+    if (ess >= min_ess or rho > 0) and sq > 0:
+        mean = total / x.size
+        ci_rel = 1.96 * float(weights.std() / math.sqrt(x.size)) / mean
+        if ci_rel <= 0.5:
+            return BetaEstimate(mean, math.log(mean), gamma, ci_rel, ess, tilted=False)
+    if law is None or rng is None:
+        raise InsufficientSamplesError(
+            f"raw estimate has effective sample size {ess:.0f} and no law/rng for tilting"
+        )
+    log_beta, ci_rel = tilted_log_tail(law, gamma, weight_rate, rng, x.size)
+    return BetaEstimate(float(np.exp(log_beta)), log_beta, gamma, ci_rel, ess, tilted=True)
+
+
+@dataclass(frozen=True)
+class MixedRate:
+    """A bound mixed over the equiprobable tag symbol; ``per_d`` holds the
+    per-symbol results for d = -1 and d = +1."""
+
+    rate_nats: float
+    rate_bits: float
+    ci_rate_bits: float
+    per_d: Tuple[Any, Any]
+
+
+def mix_tag_symbols(res_minus: Any, res_plus: Any) -> MixedRate:
+    """Equiprobable mixture of two per-symbol results, read through their
+    ``rate_nats`` and ``ci_rate_bits``."""
+    rate = 0.5 * (res_minus.rate_nats + res_plus.rate_nats)
+    ci = 0.5 * math.hypot(res_minus.ci_rate_bits, res_plus.ci_rate_bits)
+    return MixedRate(rate, rate / math.log(2), ci, (res_minus, res_plus))

@@ -167,9 +167,11 @@ class TestCriterion5BetaOracles:
         n, eps, tau, num = 1, 0.1, 0.025, 200_000
         g = EigenSpectrum(g=np.array([gamma]), d=1)
         p = PowerAllocation(p=np.array([1.0]), water_level=2.0, total_power=1.0)
-        g_law = sample_info_density(KIND_OUTPUT, n, g, p, SeededRng(105, 1), num)
-        h_law = sample_info_density(KIND_CONDITIONAL, n, g, p, SeededRng(105, 2), num)
-        est = achievability_beta(g_law, h_law, eps, tau, rng=SeededRng(105, 3))
+        g_draws = sample_info_density(KIND_OUTPUT, n, g, p, SeededRng(105, 1), num)
+        h_draws = sample_info_density(KIND_CONDITIONAL, n, g, p, SeededRng(105, 2), num)
+        est = achievability_beta(
+            g_draws, h_draws, eps, tau, law=(n, g.g * p.p), rng=SeededRng(105, 3)
+        )
 
         c, law_h, scale_h, law_g, scale_g = _oracle_laws(gamma)
         gamma_n = c - scale_h * law_h.ppf(1 - eps + tau)
@@ -276,11 +278,9 @@ class TestCriterion6IdentitySuite:
         num = 100_000
         g = EigenSpectrum(g=np.array([1.0]), d=1)
         p = PowerAllocation(p=np.array([1.0]), water_level=2.0, total_power=1.0)
-        h_law = sample_info_density(KIND_CONDITIONAL, 20, g, p, SeededRng(111, 1), num)
-        fake = sample_info_density(KIND_OUTPUT, 20, g, p, SeededRng(111, 2), num)
-        object.__setattr__(fake, "draws", h_law.draws)
+        h_draws = sample_info_density(KIND_CONDITIONAL, 20, g, p, SeededRng(111, 1), num)
         eps, tau = 0.1, 0.02
-        est = achievability_beta(fake, h_law, eps, tau)
+        est = achievability_beta(h_draws, h_draws, eps, tau)
         gap = abs(est.beta - (1 - eps + tau))
         ok = gap <= 2 / math.sqrt(num)
         _report("criterion 6e (beta of identical laws equals the level)", ok, f"gap {gap:.2e}")

@@ -1,16 +1,18 @@
+import csv
 import json
 import math
+from dataclasses import asdict
 
 import pytest
 
 from ambc_fbl.cli import (
     CSV_HEADER,
     ExperimentConfig,
+    SweepResult,
     SweepRow,
     emit_csv,
     format_rows,
     main,
-    parse_rows,
     run_sweep,
 )
 from ambc_fbl.errors import ConfigError
@@ -36,7 +38,7 @@ def _config(**overrides):
 class TestConfig:
     def test_round_trip(self):
         cfg = _config()
-        again = ExperimentConfig.from_dict(cfg.to_dict())
+        again = ExperimentConfig.from_dict(asdict(cfg))
         assert again == cfg
 
     def test_power_conversion(self):
@@ -62,6 +64,14 @@ class TestConfig:
             dict(n_grid=[16, "a"]),
             dict(n_grid=[16, 5000]),
             dict(t=9, r=9),
+            dict(t=2.0),
+            dict(mc_samples=2000.0),
+            dict(channel_draws=1.0),
+            dict(seed=1.5),
+            dict(seed=True),
+            dict(snr_db=float("inf")),
+            dict(fading="rician", k_factor_db="abc"),
+            dict(fading="rician", k_factor_db="10"),
         ],
     )
     def test_rejects_bad_configs(self, overrides):
@@ -119,7 +129,7 @@ class TestRunSweep:
 class TestEmitCsv:
     def test_header_only_for_empty_rows(self, tmp_path):
         path = tmp_path / "empty.csv"
-        emit_csv([], path)
+        emit_csv(SweepResult([], _config(), 0), path)
         assert path.read_text() == CSV_HEADER + "\n"
 
     def test_round_trip(self, tmp_path):
@@ -128,12 +138,15 @@ class TestEmitCsv:
             SweepRow(32, 1.5, 1.25, float("nan"), 1.6, float("nan"), 0.01, 3),
         ]
         path = tmp_path / "rows.csv"
-        emit_csv(rows, path)
-        back = parse_rows(path.read_text())
+        emit_csv(SweepResult(rows, _config(), 0), path)
+        with open(path, newline="") as fh:
+            back = list(csv.DictReader(fh))
+        assert list(back[0]) == CSV_HEADER.split(",")
         for orig, rt in zip(rows, back):
-            assert rt.n == orig.n
-            for field in ("capacity_bits", "na_bits", "ach_bits", "conv_bits"):
-                a, b = getattr(orig, field), getattr(rt, field)
+            assert int(rt["n"]) == orig.n
+            assert int(rt["draws"]) == orig.draws
+            for field in ("capacity_bits", "na_bits", "ach_bits", "conv_bits", "ach_ci", "conv_ci"):
+                a, b = getattr(orig, field), float(rt[field])
                 assert (math.isnan(a) and math.isnan(b)) or a == pytest.approx(b, rel=1e-5)
 
     def test_metadata_sidecar_records_seed(self, tmp_path):
@@ -158,6 +171,20 @@ class TestDeterminism:
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    # CSV text of two small sweeps; a change that keeps every random stream
+    # reproduces it byte for byte.  At -20 dB and eps = 0.3 both estimators
+    # take the raw path (the converse also the tilted one); at 0 dB and
+    # eps = 1e-3 both take the tilted path.
+    PINNED = {
+        "raw": (dict(snr_db=-20.0, eps=0.3, n_grid=[8, 16]), 'n,capacity_bits,na_bits,ach_bits,conv_bits,ach_ci,conv_ci,draws\n8,0.0932227,0.0036593,-0.211465,0.407001,0.0588339,0.0749506,2\n16,0.0932227,0.0298918,-0.0730538,0.278172,0.0540741,0.0656164,2\n'),
+        "tilted": (dict(snr_db=0.0, eps=1e-3, n_grid=[16, 32]), 'n,capacity_bits,na_bits,ach_bits,conv_bits,ach_ci,conv_ci,draws\n16,2.98626,1.72366,1.34415,2.26555,0.966398,0.865685,2\n32,2.98626,2.09347,1.93217,2.40188,1.01976,1.08875,2\n'),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_matches_recorded_csv(self, name):
+        overrides, text = self.PINNED[name]
+        assert format_rows(run_sweep(_config(channel_draws=2, **overrides)).rows) == text
+
     def test_seed_changes_outputs(self, tmp_path):
         r1 = run_sweep(_config(seed=77, curves=["achievability"]))
         r2 = run_sweep(_config(seed=78, curves=["achievability"]))
@@ -167,7 +194,7 @@ class TestDeterminism:
 class TestMain:
     def test_sweep_and_point_commands(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(_config(curves=["capacity", "normal_approx"]).to_dict()))
+        cfg_path.write_text(json.dumps(asdict(_config(curves=["capacity", "normal_approx"]))))
         out = tmp_path / "out.csv"
         assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
         assert out.exists()
@@ -180,7 +207,7 @@ class TestMain:
 
     def test_seed_override_changes_csv(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(_config(curves=["capacity"]).to_dict()))
+        cfg_path.write_text(json.dumps(asdict(_config(curves=["capacity"]))))
         outs = []
         for seed in ("5", "6"):
             out = tmp_path / f"s{seed}.csv"
@@ -195,22 +222,28 @@ class TestMain:
         assert "config error" in capsys.readouterr().err
 
     def test_invalid_config_exits_2(self, tmp_path, capsys):
-        bad = _config().to_dict()
+        bad = asdict(_config())
         bad["eps_d"] = 0.5  # both error modes set
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps(bad))
         assert main(["sweep", "--config", str(cfg_path), "--out", "x.csv"]) == 2
         capsys.readouterr()
 
+    def test_float_sample_count_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "float.json"
+        cfg_path.write_text(json.dumps(dict(asdict(_config()), mc_samples=2000.0)))
+        assert main(["sweep", "--config", str(cfg_path), "--out", "x.csv"]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_converse_beyond_its_blocklength_limit_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "long.json"
-        cfg_path.write_text(json.dumps(dict(_config().to_dict(), n_grid=[16, 5000])))
+        cfg_path.write_text(json.dumps(dict(asdict(_config()), n_grid=[16, 5000])))
         assert main(["sweep", "--config", str(cfg_path), "--out", "x.csv"]) == 2
         assert "config error" in capsys.readouterr().err
 
     def test_tag_convert_prints_table(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(_config().to_dict()))
+        cfg_path.write_text(json.dumps(asdict(_config())))
         assert main(["tag-convert", "--config", str(cfg_path), "--grid", "0.2,1e-9"]) == 0
         out = capsys.readouterr().out
         assert "eps_d,eps,feasible" in out

@@ -158,6 +158,12 @@ class TestLogBesselI:
             ref = _mpmath_log_bessel_i(order, x)
         assert log_bessel_i(order, x) == pytest.approx(ref, abs=1e-8)
 
+    def test_beyond_the_scaled_bessel_range(self):
+        # scipy's scaled Bessel is NaN above x ~ 1.07e9; one ulp of the log
+        # there is 2.4e-7, so the comparison is relative
+        ref = _mpmath_log_bessel_i(7999.0, 1.6e9)
+        assert log_bessel_i(7999.0, 1.6e9) == pytest.approx(ref, rel=1e-12)
+
     @pytest.mark.slow
     def test_huge_order_reference_matches_live_mpmath(self):
         ref = _mpmath_log_bessel_i(1e6, 1e6)
