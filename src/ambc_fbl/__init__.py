@@ -33,7 +33,6 @@ from .channel import (
     draw_channel,
     eigen_spectrum,
 )
-from .cli import ExperimentConfig, SweepResult, SweepRow, emit_csv, main, run_sweep
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -61,3 +60,15 @@ from .tag import (
 )
 
 __version__ = "0.1.0"
+
+# The CLI names load on first use (PEP 562), so ``python -m ambc_fbl.cli``
+# does not find ``ambc_fbl.cli`` already imported by the package.
+_CLI_NAMES = ("ExperimentConfig", "SweepResult", "SweepRow", "emit_csv", "main", "run_sweep")
+
+
+def __getattr__(name):
+    if name in _CLI_NAMES:
+        from . import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

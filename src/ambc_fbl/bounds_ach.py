@@ -19,7 +19,7 @@ import numpy as np
 
 from .channel import EigenSpectrum
 from .errors import OverflowRegimeError
-from .numerics import SeededRng, log_bessel_i, log_gamma
+from .numerics import SeededRng, empirical_quantile, log_bessel_i, log_gamma
 from .power import PowerAllocation, waterfill
 from .tail import (
     KIND_CONDITIONAL,
@@ -67,7 +67,7 @@ def sample_info_density(
 
 
 def achievability_beta(
-    output_draws: np.ndarray,
+    output_draws: Optional[np.ndarray],
     conditional_draws: np.ndarray,
     eps: float,
     tau: float,
@@ -78,11 +78,11 @@ def achievability_beta(
 
     The threshold gamma_n is the empirical exceedance quantile of the
     conditional draws; beta is the exceedance fraction of the output draws.
-    When fewer than 100 raw output draws exceed the threshold, an
-    exponentially tilted importance sampler (tilted mean pinned at gamma_n,
-    as many draws as the raw sample) re-estimates the tail; that path
-    requires the law parameters ``law`` = (blocklength, per-mode gammas) and
-    ``rng``.
+    When fewer than 100 raw output draws exceed the threshold, or
+    ``output_draws`` is None (no raw draws made), an exponentially tilted
+    importance sampler (tilted mean pinned at gamma_n, as many draws as the
+    conditional sample) estimates the tail; that path requires the law
+    parameters ``law`` = (blocklength, per-mode gammas) and ``rng``.
     """
     if not 0.0 < tau < eps < 1.0:
         raise ValueError("need 0 < tau < eps < 1")
@@ -175,8 +175,18 @@ def _fixed_d_rate(
 ) -> AchievabilityResult:
     p = waterfill(g, total_power)
     gammas = mode_gammas(g, p)
-    g_draws = sample_info_density(KIND_OUTPUT, n, g, p, rng.split(0), num_samples)
+    taus = [eps / k for k in _TAU_GRID_DIVISORS]
     h_draws = sample_info_density(KIND_CONDITIONAL, n, g, p, rng.split(1), num_samples)
+    # The raw output-law estimate needs 100 exceedances (16 when the threshold
+    # is an atom; with fewer its relative CI is above 0.5).  When the Chernoff
+    # bound leaves less than one expected exceedance at the lowest threshold,
+    # that of the largest tau, the raw estimate would be kept at any tau with
+    # probability below 1/16! (1/100! without atoms), so the output draws are
+    # skipped and every tau takes the tilted path, which reads no raw draws.
+    lowest = empirical_quantile(h_draws, 1.0 - eps + max(taus))
+    g_draws = None
+    if math.log(num_samples) + LawParams(KIND_OUTPUT, n, gammas).log_tail_bound(lowest) >= 0.0:
+        g_draws = sample_info_density(KIND_OUTPUT, n, g, p, rng.split(0), num_samples)
 
     log_c1 = 0.0
     for y in gammas[gammas > 0]:
@@ -184,7 +194,7 @@ def _fixed_d_rate(
     c1_total = math.exp(log_c1)
 
     best = None
-    for i, tau in enumerate(eps / k for k in _TAU_GRID_DIVISORS):
+    for i, tau in enumerate(taus):
         est = achievability_beta(g_draws, h_draws, eps, tau, law=(n, gammas), rng=rng.split(2 + i))
         kap = kappa_tau(tau, c1_total)
         rate = (math.log(kap) - est.log_beta) / n
@@ -214,8 +224,10 @@ def achievability_rate(
 ) -> MixedRate:
     """Achievable-rate lower bound mixed over the equiprobable tag symbol.
 
-    Per symbol: waterfill, sample both information-density laws, search tau
-    over {eps/2, eps/4, eps/8, eps/16} for the largest log(kappa/beta)/n.
+    Per symbol: waterfill, sample the conditional information-density law
+    (and the output law unless a Chernoff bound shows the raw tail estimate
+    cannot be used), search tau over {eps/2, eps/4, eps/8, eps/16} for the
+    largest log(kappa/beta)/n.
     Both symbols reuse the same substreams (common random numbers), so equal
     spectra produce identical rates.
     """

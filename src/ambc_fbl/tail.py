@@ -104,6 +104,18 @@ class LawParams:
             optimize.brentq(lambda u: self.cgf_mean(u) - target, lo * (1.0 - 1e-12), 0.0, xtol=1e-12)
         )
 
+    def log_tail_bound(self, threshold: float) -> float:
+        """Chernoff bound on log P[X >= threshold]: the minimum over theta >= 0
+        of cgf(theta) - theta * threshold, attained at the tilt whose mean is
+        the threshold.  0 (the trivial bound) at or below the mean; -inf at
+        or above the supremum of the law."""
+        if self.degenerate or threshold <= self.cgf_mean(0.0):
+            return 0.0
+        if threshold >= float(self.const.sum()):
+            return -math.inf
+        theta = self.solve_tilt(threshold)
+        return self.cgf(theta) - theta * threshold
+
 
 def mode_gammas(g: EigenSpectrum, p: PowerAllocation) -> np.ndarray:
     """Per-mode received SNRs g_j p_j."""
@@ -176,9 +188,10 @@ class BetaEstimate:
 
     ``log_beta`` is authoritative; ``beta`` itself can underflow to zero for
     large blocklengths.  ``ci_rel`` is the relative 95% half-width and
-    ``ess`` the effective sample size of the raw estimate (both NaN for a
-    lower bound).  ``tilted`` marks the tilted path; ``lower_bound_only``
-    marks a value that only bounds beta from below.
+    ``ess`` the effective sample size of the raw estimate (0.0 when no raw
+    draws were made; both NaN for a lower bound).  ``tilted`` marks the
+    tilted path; ``lower_bound_only`` marks a value that only bounds beta
+    from below.
     """
 
     beta: float
@@ -193,7 +206,7 @@ class BetaEstimate:
 def estimate_beta(
     level_draws: np.ndarray,
     level: float,
-    tail_draws: np.ndarray,
+    tail_draws: Optional[np.ndarray],
     weight_rate: float,
     min_ess: float,
     law: Optional[LawParams] = None,
@@ -205,29 +218,32 @@ def estimate_beta(
 
     The raw mean is kept when its effective sample size reaches ``min_ess``
     (or the sample has atoms, which no tilt resolves) and its relative CI is
-    at most 0.5.  Otherwise the tail is re-estimated by ``tilted_log_tail``
-    under ``law`` with as many draws as ``tail_draws``; without ``law`` or
-    ``rng`` that raises ``InsufficientSamplesError``.
+    at most 0.5.  Otherwise, or when ``tail_draws`` is None (no raw draws
+    made), the tail is re-estimated by ``tilted_log_tail`` under ``law``
+    with as many draws as ``level_draws``; without ``law`` or ``rng`` that
+    raises ``InsufficientSamplesError``.
     """
     gamma, rho = threshold_with_ties(level_draws, level)
+    ess = 0.0
     x = tail_draws
-    # a zero rate gives unit weights without a pass of exp over the draws
-    w = np.exp(-weight_rate * np.clip(x, -700, None)) if weight_rate else 1.0
-    weights = np.where(x > gamma, w, 0.0) + rho * np.where(x == gamma, w, 0.0)
-    total = float(weights.sum())
-    sq = float((weights**2).sum())
-    # subnormal weights can square to exactly zero; treat that as starvation
-    ess = total**2 / sq if sq > 0 else 0.0
-    if (ess >= min_ess or rho > 0) and sq > 0:
-        mean = total / x.size
-        ci_rel = 1.96 * float(weights.std() / math.sqrt(x.size)) / mean
-        if ci_rel <= 0.5:
-            return BetaEstimate(mean, math.log(mean), gamma, ci_rel, ess, tilted=False)
+    if x is not None:
+        # a zero rate gives unit weights without a pass of exp over the draws
+        w = np.exp(-weight_rate * np.clip(x, -700, None)) if weight_rate else 1.0
+        weights = np.where(x > gamma, w, 0.0) + rho * np.where(x == gamma, w, 0.0)
+        total = float(weights.sum())
+        sq = float((weights**2).sum())
+        # subnormal weights can square to exactly zero; treat that as starvation
+        ess = total**2 / sq if sq > 0 else 0.0
+        if (ess >= min_ess or rho > 0) and sq > 0:
+            mean = total / x.size
+            ci_rel = 1.96 * float(weights.std() / math.sqrt(x.size)) / mean
+            if ci_rel <= 0.5:
+                return BetaEstimate(mean, math.log(mean), gamma, ci_rel, ess, tilted=False)
     if law is None or rng is None:
         raise InsufficientSamplesError(
             f"raw estimate has effective sample size {ess:.0f} and no law/rng for tilting"
         )
-    log_beta, ci_rel = tilted_log_tail(law, gamma, weight_rate, rng, x.size)
+    log_beta, ci_rel = tilted_log_tail(law, gamma, weight_rate, rng, level_draws.size)
     return BetaEstimate(float(np.exp(log_beta)), log_beta, gamma, ci_rel, ess, tilted=True)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from ambc_fbl import bounds_ach
 from ambc_fbl.bounds_ach import (
     KIND_CONDITIONAL,
     KIND_OUTPUT,
@@ -20,6 +21,7 @@ from ambc_fbl.channel import EigenSpectrum, Fading, composite, draw_channel, eig
 from ambc_fbl.errors import InsufficientSamplesError
 from ambc_fbl.numerics import SeededRng
 from ambc_fbl.power import PowerAllocation, waterfill
+from ambc_fbl.tail import LawParams, estimate_beta
 
 
 def _setup(gains, powers, d=1):
@@ -176,6 +178,16 @@ class TestAchievabilityBeta:
         with pytest.raises(InsufficientSamplesError):
             achievability_beta(g_draws, h_draws, 1e-3, 2.5e-4, law=law)
 
+    def test_without_output_draws_goes_straight_to_the_tilted_path(self):
+        g_draws, h_draws, law = _laws([1.0], [1.0], 400, seed=8)
+        drawn = achievability_beta(g_draws, h_draws, 1e-3, 2.5e-4, law=law, rng=SeededRng(62))
+        skipped = achievability_beta(None, h_draws, 1e-3, 2.5e-4, law=law, rng=SeededRng(62))
+        assert skipped.tilted and skipped.ess == 0.0
+        assert skipped.log_beta == drawn.log_beta
+        assert skipped.ci_rel == drawn.ci_rel
+        with pytest.raises(InsufficientSamplesError):
+            estimate_beta(h_draws, 0.99, None, 0.0, 100)
+
     def test_tau_eps_validation(self):
         g_draws, h_draws, _ = _laws([1.0], [1.0], 10, seed=10, num=2000)
         with pytest.raises(ValueError):
@@ -308,3 +320,52 @@ class TestAchievabilityRate:
             assert 0 < sub.kappa_tau <= 1.0
             assert sub.tau in (1e-3 / 2, 1e-3 / 4, 1e-3 / 8, 1e-3 / 16)
             assert sub.c1 > 0
+
+
+class TestOutputDrawSkip:
+    @pytest.mark.parametrize("gamma", [0.3, 1.0, 4.0])
+    @pytest.mark.parametrize("n", [8, 100, 1000])
+    def test_chernoff_bound_dominates_exact_tail(self, gamma, n):
+        # one mode: the information density is c - (gamma/2)(X + Y) with
+        # X + Y ~ ncx2(2n, 2n(1+gamma)/gamma) under the output law
+        law = LawParams(KIND_OUTPUT, n, np.array([gamma]))
+        c = n * (math.log1p(gamma) + 1.0)
+        for per_use in (-2.0, -1.0, 0.0, 0.5):
+            bound = law.log_tail_bound(per_use * n)
+            exact = stats.ncx2.logcdf(
+                (c - per_use * n) * 2 / gamma, 2 * n, 2 * n * (1 + gamma) / gamma
+            )
+            assert bound >= exact
+            if math.isfinite(exact):
+                # a Chernoff bound is loose by a subexponential factor only
+                assert bound <= exact + 5.0
+        assert law.log_tail_bound(law.cgf_mean(0.0) - 1.0) == 0.0
+        assert law.log_tail_bound(c) == -math.inf
+
+    def _spectra(self, seed):
+        ch = draw_channel(SeededRng(seed), 2, 3, Fading.rayleigh(), 0.5)
+        return eigen_spectrum(composite(ch, +1)), eigen_spectrum(composite(ch, -1))
+
+    def test_skipping_output_draws_keeps_the_rate(self, monkeypatch):
+        sp, sm = self._spectra(19)
+        kinds = []
+        sampler = bounds_ach.sample_info_density
+
+        def recorded(kind, *args):
+            kinds.append(kind)
+            return sampler(kind, *args)
+
+        monkeypatch.setattr(bounds_ach, "sample_info_density", recorded)
+        skipped = achievability_rate(100, sp, sm, 1.0, 1e-3, SeededRng(20), 20_000)
+        assert kinds == [KIND_CONDITIONAL, KIND_CONDITIONAL]
+        assert all(sub.estimate.tilted and sub.estimate.ess == 0.0 for sub in skipped.per_d)
+
+        # the trivial bound forces the output draws the skip saves
+        monkeypatch.setattr(LawParams, "log_tail_bound", lambda self, threshold: 0.0)
+        kinds.clear()
+        forced = achievability_rate(100, sp, sm, 1.0, 1e-3, SeededRng(20), 20_000)
+        assert kinds == [KIND_CONDITIONAL, KIND_OUTPUT] * 2
+        assert all(sub.estimate.tilted for sub in forced.per_d)
+        assert forced.rate_bits == skipped.rate_bits
+        assert forced.ci_rate_bits == skipped.ci_rate_bits
+

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import optimize, special, stats
 
+from ambc_fbl import bounds_conv
 from ambc_fbl.bounds_conv import (
+    _unit_scale_log_sup,
     ball_volume_bound,
     converse_constants,
     converse_rate,
@@ -142,12 +144,40 @@ class TestConverseConstants:
 
     def test_single_mode_sup_matches_gamma_mode(self):
         # closed form: the Gamma(n, theta) density peaks at (n-1) theta
-        n = 50
         g, p = _setup([1.0], [1.0])
-        theta = (1.0 + 1.0) / (2 * n)
-        k1 = pdf_sup_bound(1, n, g, p)
-        peak = stats.gamma.pdf((n - 1) * theta, a=n, scale=theta)
-        assert k1 == pytest.approx(peak / (1 * n), rel=1e-6)
+        for n in (50, 4096):
+            theta = (1.0 + 1.0) / (2 * n)
+            k1 = pdf_sup_bound(1, n, g, p)
+            peak = stats.gamma.pdf((n - 1) * theta, a=n, scale=theta)
+            assert k1 == pytest.approx(peak / (1 * n), rel=1e-6)
+
+    @pytest.mark.parametrize("n", [8, 100, 2000, 4096])
+    def test_two_mode_sup_matches_bessel_k0_closed_form(self, n):
+        # the product of two Gamma(n, 1) variables has density
+        # 2 z^(n-1) K0(2 sqrt z) / Gamma(n)^2; maximize its log over u = log z
+        def neg(u):
+            x = 2.0 * math.exp(u / 2.0)
+            log_k0 = math.log(special.k0e(x)) - x
+            return -(math.log(2.0) + (n - 1) * u + log_k0 - 2.0 * special.gammaln(n))
+
+        u0 = 2.0 * math.log(n - 1)
+        res = optimize.minimize_scalar(
+            neg, bounds=(u0 - 8.0, u0 + 4.0), method="bounded", options={"xatol": 1e-10}
+        )
+        assert _unit_scale_log_sup(2, n) == pytest.approx(-res.fun, abs=1e-9)
+
+    def test_cold_search_quadrature_count(self, monkeypatch):
+        calls = []
+        quadrature = bounds_conv.product_gamma_logpdf
+
+        def counted(*args):
+            calls.append(args)
+            return quadrature(*args)
+
+        monkeypatch.setattr(bounds_conv, "product_gamma_logpdf", counted)
+        _unit_scale_log_sup.cache_clear()
+        _unit_scale_log_sup(2, 2000)
+        assert 0 < len(calls) <= 25
 
     def test_sup_dominates_samples(self):
         g, p = _setup([3.0, 1.0], [0.7, 0.3])

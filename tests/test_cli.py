@@ -1,10 +1,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
+import ambc_fbl
 from ambc_fbl.cli import (
     CSV_HEADER,
     ExperimentConfig,
@@ -185,6 +190,29 @@ class TestDeterminism:
         overrides, text = self.PINNED[name]
         assert format_rows(run_sweep(_config(channel_draws=2, **overrides)).rows) == text
 
+    def test_raw_case_still_draws_the_output_sample(self, monkeypatch):
+        from ambc_fbl import bounds_ach
+
+        kinds, tilted = [], []
+        sampler, beta = bounds_ach.sample_info_density, bounds_ach.achievability_beta
+
+        def recorded_sampler(kind, *args):
+            kinds.append(kind)
+            return sampler(kind, *args)
+
+        def recorded_beta(*args, **kwargs):
+            est = beta(*args, **kwargs)
+            tilted.append(est.tilted)
+            return est
+
+        monkeypatch.setattr(bounds_ach, "sample_info_density", recorded_sampler)
+        monkeypatch.setattr(bounds_ach, "achievability_beta", recorded_beta)
+        overrides = dict(self.PINNED["raw"][0], n_grid=[8])
+        run_sweep(_config(channel_draws=2, curves=["achievability"], **overrides))
+        # two draws, two tag symbols: a conditional and an output sample each
+        assert kinds.count(bounds_ach.KIND_OUTPUT) == kinds.count(bounds_ach.KIND_CONDITIONAL) == 4
+        assert tilted == [False] * 16
+
     def test_seed_changes_outputs(self, tmp_path):
         r1 = run_sweep(_config(seed=77, curves=["achievability"]))
         r2 = run_sweep(_config(seed=78, curves=["achievability"]))
@@ -240,6 +268,27 @@ class TestMain:
         cfg_path.write_text(json.dumps(dict(asdict(_config()), n_grid=[16, 5000])))
         assert main(["sweep", "--config", str(cfg_path), "--out", "x.csv"]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_module_entry_point_runs_without_runtime_warning(self):
+        # the package must not import the cli module that ``-m`` then runs
+        src = str(Path(ambc_fbl.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "ambc_fbl.cli", "selftest"],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_package_exports_the_cli_names(self):
+        from ambc_fbl import ExperimentConfig as exported_config
+        from ambc_fbl import main as exported_main
+
+        assert exported_main is main
+        assert exported_config is ExperimentConfig
+        with pytest.raises(AttributeError):
+            ambc_fbl.no_such_name
 
     def test_tag_convert_prints_table(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -163,6 +164,15 @@ class TestLogBesselI:
         # there is 2.4e-7, so the comparison is relative
         ref = _mpmath_log_bessel_i(7999.0, 1.6e9)
         assert log_bessel_i(7999.0, 1.6e9) == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("order", [0.0, 0.5])
+    def test_small_order_beyond_the_scaled_bessel_range(self, order):
+        # the uniform expansion divides by the order; small orders at such x
+        # take the large-argument expansion, without any warning
+        ref = _mpmath_log_bessel_i(order, 2e9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert log_bessel_i(order, 2e9) == pytest.approx(ref, rel=1e-12)
 
     @pytest.mark.slow
     def test_huge_order_reference_matches_live_mpmath(self):
