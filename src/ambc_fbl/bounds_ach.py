@@ -19,7 +19,7 @@ import numpy as np
 
 from .channel import EigenSpectrum
 from .errors import OverflowRegimeError
-from .numerics import SeededRng, empirical_quantile, log_bessel_i, log_gamma
+from .numerics import SeededRng, log_bessel_i, log_gamma
 from .power import PowerAllocation, waterfill
 from .tail import (
     KIND_CONDITIONAL,
@@ -31,6 +31,7 @@ from .tail import (
     mix_tag_symbols,
     mode_gammas,
     sample_law,
+    threshold_with_ties,
 )
 
 _TAU_GRID_DIVISORS = (2, 4, 8, 16)
@@ -73,6 +74,7 @@ def achievability_beta(
     tau: float,
     law: Optional[Tuple[int, np.ndarray]] = None,
     rng: Optional[SeededRng] = None,
+    threshold: Optional[Tuple[float, float]] = None,
 ) -> BetaEstimate:
     """Estimate beta at type-I level 1 - eps + tau between the two laws.
 
@@ -83,12 +85,17 @@ def achievability_beta(
     importance sampler (tilted mean pinned at gamma_n, as many draws as the
     conditional sample) estimates the tail; that path requires the law
     parameters ``law`` = (blocklength, per-mode gammas) and ``rng``.
+    ``threshold``, the (gamma_n, rho) pair that ``threshold_with_ties``
+    returns for the conditional draws at this level, spares the quantile
+    pass when the caller already made it for several tau at once.
     """
     if not 0.0 < tau < eps < 1.0:
         raise ValueError("need 0 < tau < eps < 1")
+    if threshold is None:
+        threshold = threshold_with_ties(conditional_draws, [1.0 - eps + tau])[0]
     params = LawParams(KIND_OUTPUT, *law) if law is not None else None
     return estimate_beta(
-        conditional_draws, 1.0 - eps + tau, output_draws, 0.0, _MIN_RAW_EXCEEDANCES, params, rng
+        threshold, conditional_draws.size, output_draws, 0.0, _MIN_RAW_EXCEEDANCES, params, rng
     )
 
 
@@ -177,13 +184,15 @@ def _fixed_d_rate(
     gammas = mode_gammas(g, p)
     taus = [eps / k for k in _TAU_GRID_DIVISORS]
     h_draws = sample_info_density(KIND_CONDITIONAL, n, g, p, rng.split(1), num_samples)
+    # one quantile pass over the conditional draws serves every tau
+    thresholds = threshold_with_ties(h_draws, [1.0 - eps + tau for tau in taus])
     # The raw output-law estimate needs 100 exceedances (16 when the threshold
     # is an atom; with fewer its relative CI is above 0.5).  When the Chernoff
     # bound leaves less than one expected exceedance at the lowest threshold,
     # that of the largest tau, the raw estimate would be kept at any tau with
     # probability below 1/16! (1/100! without atoms), so the output draws are
     # skipped and every tau takes the tilted path, which reads no raw draws.
-    lowest = empirical_quantile(h_draws, 1.0 - eps + max(taus))
+    lowest = thresholds[0][0]  # that of taus[0] = eps/2, the largest tau
     g_draws = None
     if math.log(num_samples) + LawParams(KIND_OUTPUT, n, gammas).log_tail_bound(lowest) >= 0.0:
         g_draws = sample_info_density(KIND_OUTPUT, n, g, p, rng.split(0), num_samples)
@@ -194,8 +203,10 @@ def _fixed_d_rate(
     c1_total = math.exp(log_c1)
 
     best = None
-    for i, tau in enumerate(taus):
-        est = achievability_beta(g_draws, h_draws, eps, tau, law=(n, gammas), rng=rng.split(2 + i))
+    for i, (tau, threshold) in enumerate(zip(taus, thresholds)):
+        est = achievability_beta(
+            g_draws, h_draws, eps, tau, law=(n, gammas), rng=rng.split(2 + i), threshold=threshold
+        )
         kap = kappa_tau(tau, c1_total)
         rate = (math.log(kap) - est.log_beta) / n
         if best is None or rate > best[0]:

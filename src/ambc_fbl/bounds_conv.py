@@ -32,6 +32,7 @@ from .tail import (
     mix_tag_symbols,
     mode_gammas,
     sample_law,
+    threshold_with_ties,
 )
 
 _MIN_EFFECTIVE_SAMPLES = 1000.0
@@ -96,7 +97,8 @@ def np_beta_converse(
     params = LawParams(KIND_CONDITIONAL, *law) if law is not None else None
     try:
         # exp(-S) turns conditional-law mass into auxiliary-channel mass
-        return estimate_beta(draws, 1.0 - eps, draws, 1.0, _MIN_EFFECTIVE_SAMPLES, params, rng)
+        threshold = threshold_with_ties(draws, [1.0 - eps])[0]
+        return estimate_beta(threshold, draws.size, draws, 1.0, _MIN_EFFECTIVE_SAMPLES, params, rng)
     except InsufficientSamplesError:
         if params is not None and rng is not None:
             raise

@@ -9,11 +9,14 @@ import json
 import math
 import numbers
 import operator
+import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -184,13 +187,15 @@ class SweepResult:
     nan_reasons: Dict[str, str] = field(default_factory=dict)
 
 
-def _draw_curves(config: ExperimentConfig, rng: SeededRng):
-    """Evaluate all requested curves for one channel realization.
+def _set_up_draw(config: ExperimentConfig, rng: SeededRng):
+    """Set up one channel realization: its closed-form curves and its bounds.
 
-    Returns per-curve values keyed by curve name; capacity and the normal
-    approximation are closed-form per blocklength, the two bounds are Monte
-    Carlo.  Raises ``InfeasibleTargetError`` when the realization cannot meet
-    a requested tag error target.
+    Returns ``(out, items)``.  ``out`` maps each requested curve to
+    {n: (rate_bits, ci_bits)}, filled for capacity and the normal
+    approximation; ``items`` lists one ``(curve, n, call)`` per requested
+    Monte Carlo bound and blocklength, where ``call()`` evaluates the bound
+    on its own random substream.  Raises ``InfeasibleTargetError`` when the
+    realization cannot meet a requested tag error target.
     """
     ch = draw_channel(rng.split(0), config.t, config.r, config.fading_spec, config.a_coeff)
     pair_minus = composite(ch, -1)
@@ -215,6 +220,7 @@ def _draw_curves(config: ExperimentConfig, rng: SeededRng):
         cv.append((c, v))
 
     out: Dict[str, Dict[int, Tuple[float, float]]] = {name: {} for name in config.curves}
+    items = []
     ln2 = math.log(2)
     for n in config.n_grid:
         if "capacity" in out:
@@ -226,16 +232,40 @@ def _draw_curves(config: ExperimentConfig, rng: SeededRng):
             )
             out["normal_approx"][n] = (na / ln2, 0.0)
         if "achievability" in out:
-            res = bounds_ach.achievability_rate(
-                n, spec_plus, spec_minus, power, eps, rng.split(2 * n), config.mc_samples
+            call = partial(
+                bounds_ach.achievability_rate,
+                n, spec_plus, spec_minus, power, eps, rng.split(2 * n), config.mc_samples,
             )
-            out["achievability"][n] = (res.rate_bits, res.ci_rate_bits)
+            items.append(("achievability", n, call))
         if "converse" in out:
-            res = bounds_conv.converse_rate(
-                n, spec_plus, spec_minus, power, eps, rng.split(2 * n + 1), config.mc_samples
+            call = partial(
+                bounds_conv.converse_rate,
+                n, spec_plus, spec_minus, power, eps, rng.split(2 * n + 1), config.mc_samples,
             )
-            out["converse"][n] = (res.rate_bits, res.ci_rate_bits)
-    return out
+            items.append(("converse", n, call))
+    return out, items
+
+
+def _worker_count() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _run_items(calls: Sequence[Callable]) -> list:
+    """Results of ``calls``, in order, evaluated on a thread pool.
+
+    Raises the exception of the first failing call in list order; calls
+    still queued behind it are cancelled.
+    """
+    pool = ThreadPoolExecutor(max_workers=min(_worker_count(), len(calls)))
+    try:
+        futures = [pool.submit(call) for call in calls]
+        return [future.result() for future in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _aggregate(values: np.ndarray, cis: np.ndarray, how: str) -> Tuple[float, float]:
@@ -254,16 +284,41 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     Realizations whose channel cannot attain a requested tag-error target are
     skipped and counted.  All randomness descends from (seed, draw index) so
     repeated runs are bit-identical.
+
+    Every draw is set up on the calling thread first: channel, spectra, eps,
+    capacity, dispersion and the normal approximation.  The Monte Carlo
+    bounds then run on a thread pool with one worker per CPU this process
+    may run on, as a fixed list of (draw, n, bound) items in serial order;
+    each item reads only its own random substream, so the rows do not
+    depend on the worker count or the scheduling.  A failure is raised as
+    in a serial run: the first failing item in that order wins, a set-up
+    failure of a later draw counts as coming after the earlier draws'
+    items, and the items still queued are cancelled.
     """
     root = SeededRng(config.seed)
     n_draws = config.channel_draws if config.aggregate != "single" else 1
     per_draw = []
+    items = []
     skipped = 0
+    setup_failure = None
     for k in range(n_draws):
         try:
-            per_draw.append(_draw_curves(config, root.split(k)))
+            out, draw_items = _set_up_draw(config, root.split(k))
         except InfeasibleTargetError:
             skipped += 1
+            continue
+        except _NUMERIC_FAILURES as exc:
+            # raised once the earlier draws' items have run, as in a serial run
+            setup_failure = exc
+            break
+        per_draw.append(out)
+        items += [(out, curve, n, call) for curve, n, call in draw_items]
+    if items:
+        results = _run_items([call for _, _, _, call in items])
+        for (out, curve, n, _), res in zip(items, results):
+            out[curve][n] = (res.rate_bits, res.ci_rate_bits)
+    if setup_failure is not None:
+        raise setup_failure
     nan_reasons = {c: "curve not requested" for c in CURVES if c not in config.curves}
     if not per_draw:
         rows = [

@@ -68,17 +68,21 @@ class SeededRng:
         return SeededRng(self.seed, child)
 
 
-def empirical_quantile(draws: np.ndarray, level: float) -> float:
+def empirical_quantile(draws: np.ndarray, level):
     """Value gamma with empirical exceedance fraction P[X >= gamma] = level.
 
     Linear interpolation between order statistics, so the result is a
-    deterministic function of the sample.
+    deterministic function of the sample.  An array of levels gives the
+    array of thresholds from one pass over the sample, each bit-equal to
+    the threshold of its level alone.
     """
-    if not 0.0 < level < 1.0:
+    levels = np.asarray(level, dtype=float)
+    if not np.all((levels > 0.0) & (levels < 1.0)):
         raise ValueError(f"level must lie in (0, 1), got {level}")
     if draws.size < 1:
         raise ValueError("cannot take a quantile of an empty sample")
-    return float(np.quantile(draws, 1.0 - level))
+    gamma = np.quantile(draws, 1.0 - levels)
+    return float(gamma) if gamma.ndim == 0 else gamma
 
 
 def gaussian_q(x):

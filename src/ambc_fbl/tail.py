@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Optional, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import optimize
@@ -82,7 +82,11 @@ class LawParams:
         for c, lam, ti, s in zip(self.const, self.lam, t, self.scale):
             w = gen.noncentral_chisquare(self.n, lam / (1.0 - 2.0 * ti), size)
             w += gen.chisquare(self.n, size)
-            out += c - s * w / (1.0 - 2.0 * ti)
+            # c - s * w / (1 - 2 t), evaluated in place in the same order
+            w *= s
+            w /= 1.0 - 2.0 * ti
+            np.subtract(c, w, out=w)
+            out += w
         return out
 
     def solve_tilt(self, target: float) -> float:
@@ -136,20 +140,24 @@ def sample_law(
     return law.sample(rng.generator(), num_samples)
 
 
-def threshold_with_ties(draws: np.ndarray, level: float) -> Tuple[float, float]:
-    """Threshold and randomization weight of the level-``level`` exceedance test.
+def threshold_with_ties(draws: np.ndarray, levels: Sequence[float]) -> List[Tuple[float, float]]:
+    """Thresholds and randomization weights of the level-``level`` exceedance
+    tests, one per entry of ``levels``, from one quantile pass over ``draws``.
 
-    Returns (gamma, rho) with P[X > gamma] + rho P[X = gamma] = level on the
+    Each (gamma, rho) has P[X > gamma] + rho P[X = gamma] = level on the
     empirical law; rho only matters when the sample has atoms.
     """
-    gamma = empirical_quantile(draws, level)
-    frac_gt = float((draws > gamma).mean())
-    frac_eq = float((draws == gamma).mean())
-    if frac_eq > 0:
-        rho = min(max((level - frac_gt) / frac_eq, 0.0), 1.0)
-    else:
-        rho = 0.0
-    return gamma, rho
+    out = []
+    for level, gamma in zip(levels, empirical_quantile(draws, levels)):
+        gamma = float(gamma)
+        frac_gt = float((draws > gamma).mean())
+        frac_eq = float((draws == gamma).mean())
+        if frac_eq > 0:
+            rho = min(max((level - frac_gt) / frac_eq, 0.0), 1.0)
+        else:
+            rho = 0.0
+        out.append((gamma, rho))
+    return out
 
 
 def tilted_log_tail(
@@ -169,12 +177,18 @@ def tilted_log_tail(
         raise InsufficientSamplesError("degenerate law cannot be tilted")
     theta = law.solve_tilt(threshold)
     draws = law.sample(rng.generator(), size, theta)
-    log_w = law.cgf(theta) - theta * draws - weight_rate * draws
+    # cgf - theta x - weight_rate x, and below its shift and exp, in place,
+    # so concurrent estimates hold fewer sample-sized buffers
+    log_w = theta * draws
+    np.subtract(law.cgf(theta), log_w, out=log_w)
+    log_w -= weight_rate * draws
     accepted = draws >= threshold
     if not accepted.any():
         raise InsufficientSamplesError("no tilted draw reached the threshold")
     mx = float(log_w[accepted].max())
-    shifted = np.where(accepted, np.exp(log_w - mx), 0.0)
+    log_w -= mx
+    shifted = np.exp(log_w, out=log_w)
+    shifted[~accepted] = 0.0
     mean = float(shifted.mean())
     ci_rel = 1.96 * float(shifted.std() / math.sqrt(size)) / mean
     if ci_rel > 0.5:
@@ -204,8 +218,8 @@ class BetaEstimate:
 
 
 def estimate_beta(
-    level_draws: np.ndarray,
-    level: float,
+    threshold: Tuple[float, float],
+    size: int,
     tail_draws: Optional[np.ndarray],
     weight_rate: float,
     min_ess: float,
@@ -213,17 +227,17 @@ def estimate_beta(
     rng: Optional[SeededRng] = None,
 ) -> BetaEstimate:
     """beta = E[exp(-weight_rate X) (1{X > gamma} + rho 1{X = gamma})] over
-    ``tail_draws``, with (gamma, rho) the level-``level`` threshold of
-    ``level_draws``.
+    ``tail_draws``, with (gamma, rho) = ``threshold`` as ``threshold_with_ties``
+    returns it for a sample of ``size`` draws.
 
     The raw mean is kept when its effective sample size reaches ``min_ess``
     (or the sample has atoms, which no tilt resolves) and its relative CI is
     at most 0.5.  Otherwise, or when ``tail_draws`` is None (no raw draws
     made), the tail is re-estimated by ``tilted_log_tail`` under ``law``
-    with as many draws as ``level_draws``; without ``law`` or ``rng`` that
-    raises ``InsufficientSamplesError``.
+    with ``size`` draws; without ``law`` or ``rng`` that raises
+    ``InsufficientSamplesError``.
     """
-    gamma, rho = threshold_with_ties(level_draws, level)
+    gamma, rho = threshold
     ess = 0.0
     x = tail_draws
     if x is not None:
@@ -239,11 +253,12 @@ def estimate_beta(
             ci_rel = 1.96 * float(weights.std() / math.sqrt(x.size)) / mean
             if ci_rel <= 0.5:
                 return BetaEstimate(mean, math.log(mean), gamma, ci_rel, ess, tilted=False)
+        del w, weights  # not held through the tilted estimate's own draws
     if law is None or rng is None:
         raise InsufficientSamplesError(
             f"raw estimate has effective sample size {ess:.0f} and no law/rng for tilting"
         )
-    log_beta, ci_rel = tilted_log_tail(law, gamma, weight_rate, rng, level_draws.size)
+    log_beta, ci_rel = tilted_log_tail(law, gamma, weight_rate, rng, size)
     return BetaEstimate(float(np.exp(log_beta)), log_beta, gamma, ci_rel, ess, tilted=True)
 
 

@@ -21,7 +21,7 @@ from ambc_fbl.channel import EigenSpectrum, Fading, composite, draw_channel, eig
 from ambc_fbl.errors import InsufficientSamplesError
 from ambc_fbl.numerics import SeededRng
 from ambc_fbl.power import PowerAllocation, waterfill
-from ambc_fbl.tail import LawParams, estimate_beta
+from ambc_fbl.tail import LawParams, estimate_beta, threshold_with_ties
 
 
 def _setup(gains, powers, d=1):
@@ -186,7 +186,7 @@ class TestAchievabilityBeta:
         assert skipped.log_beta == drawn.log_beta
         assert skipped.ci_rel == drawn.ci_rel
         with pytest.raises(InsufficientSamplesError):
-            estimate_beta(h_draws, 0.99, None, 0.0, 100)
+            estimate_beta(threshold_with_ties(h_draws, [0.99])[0], h_draws.size, None, 0.0, 100)
 
     def test_tau_eps_validation(self):
         g_draws, h_draws, _ = _laws([1.0], [1.0], 10, seed=10, num=2000)

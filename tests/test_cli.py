@@ -4,12 +4,16 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 from dataclasses import asdict
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import ambc_fbl
+from ambc_fbl import bounds_ach, bounds_conv, cli
 from ambc_fbl.cli import (
     CSV_HEADER,
     ExperimentConfig,
@@ -20,7 +24,8 @@ from ambc_fbl.cli import (
     main,
     run_sweep,
 )
-from ambc_fbl.errors import ConfigError
+from ambc_fbl.errors import ConfigError, ConvergenceError, ZeroSpectrumError
+from ambc_fbl.numerics import SeededRng
 
 
 def _config(**overrides):
@@ -129,6 +134,83 @@ class TestRunSweep:
     def test_single_aggregate_uses_one_draw(self):
         result = run_sweep(_config(aggregate="single", curves=["capacity"]))
         assert all(row.draws == 1 for row in result.rows)
+
+
+class TestBoundPool:
+    """The (draw, n, bound) items of a sweep run on a thread pool."""
+
+    # 3 draws x 4 blocklengths x 2 bounds
+    GRID = dict(n_grid=[16, 32, 64, 128], channel_draws=3)
+
+    def _stub_bounds(self, monkeypatch, fail_rng=None):
+        """Cheap stand-ins for both bounds that record their calls; the
+        converse item whose substream is ``fail_rng`` raises."""
+        calls = []
+        lock = threading.Lock()
+
+        def stub(curve):
+            def bound(n, g_plus, g_minus, power, eps, rng, num_samples):
+                with lock:
+                    calls.append((curve, n, rng))
+                if curve == "converse" and rng == fail_rng:
+                    raise ConvergenceError(f"stub converse failed at n = {n}")
+                time.sleep(0.02)
+                return SimpleNamespace(rate_bits=float(n), ci_rate_bits=0.0)
+
+            return bound
+
+        monkeypatch.setattr(bounds_ach, "achievability_rate", stub("achievability"))
+        monkeypatch.setattr(bounds_conv, "converse_rate", stub("converse"))
+        monkeypatch.setattr(cli, "_worker_count", lambda: 2)
+        return calls
+
+    @staticmethod
+    def _substream(cfg, draw, n, bound):
+        # run_sweep keys each item by (seed, draw, n, bound)
+        return SeededRng(cfg.seed).split(draw).split(2 * n + (bound == "converse"))
+
+    def test_rows_do_not_depend_on_the_worker_count(self, monkeypatch):
+        # both bounds, four draws of which the tag target skips two
+        cfg = _config(eps=None, eps_d=0.1, channel_draws=4, seed=1)
+        results = []
+        for workers in (1, 4):
+            monkeypatch.setattr(cli, "_worker_count", lambda workers=workers: workers)
+            results.append(run_sweep(cfg))
+        assert results[0].skipped_realizations == results[1].skipped_realizations == 2
+        assert results[0].rows == results[1].rows
+        rows = results[0].rows
+        assert all(math.isfinite(row.ach_bits) and math.isfinite(row.conv_bits) for row in rows)
+
+    def test_failing_item_exits_3_and_cancels_the_queue(self, monkeypatch, tmp_path, capsys):
+        cfg = _config(**self.GRID)
+        calls = self._stub_bounds(monkeypatch, fail_rng=self._substream(cfg, 0, 16, "converse"))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(asdict(cfg)))
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv")]) == 3
+        assert "stub converse failed at n = 16" in capsys.readouterr().err
+        assert len(calls) < 3 * 4 * 2
+
+    def test_later_set_up_failure_does_not_mask_an_earlier_item_failure(self, monkeypatch):
+        cfg = _config(**self.GRID)
+        draw = cli.draw_channel
+        third = SeededRng(cfg.seed).split(2).split(0)
+
+        def failing_draw(rng, *args):
+            if rng == third:
+                raise ZeroSpectrumError("stub set-up failure in draw 2")
+            return draw(rng, *args)
+
+        monkeypatch.setattr(cli, "draw_channel", failing_draw)
+        # alone, the set-up failure is raised after the first two draws' items
+        calls = self._stub_bounds(monkeypatch)
+        with pytest.raises(ZeroSpectrumError, match="draw 2"):
+            run_sweep(cfg)
+        per_draw = [(curve, n) for curve in ("achievability", "converse") for n in cfg.n_grid]
+        assert sorted((curve, n) for curve, n, _ in calls) == sorted(2 * per_draw)
+        # an item of draw 1 fails first in serial order
+        self._stub_bounds(monkeypatch, fail_rng=self._substream(cfg, 1, 64, "converse"))
+        with pytest.raises(ConvergenceError, match="n = 64"):
+            run_sweep(cfg)
 
 
 class TestEmitCsv:

@@ -236,10 +236,20 @@ class TestEmpiricalQuantile:
         q = empirical_quantile(draws, 1 - eps + tau)
         assert draws.min() < q < draws.max()
 
+    def test_array_of_levels_equals_each_level_alone(self):
+        # the achievability bound reads its four tau thresholds in one pass
+        draws = SeededRng(6).generator().standard_normal(100_000)
+        eps = 1e-3
+        levels = [1 - eps + eps / k for k in (2, 4, 8, 16)]
+        together = empirical_quantile(draws, levels)
+        assert together.tolist() == [empirical_quantile(draws, level) for level in levels]
+
     def test_errors(self):
         sample = np.array([1.0])
         with pytest.raises(ValueError):
             empirical_quantile(sample, 0.0)
+        with pytest.raises(ValueError):
+            empirical_quantile(sample, [0.5, 1.0])
         with pytest.raises(ValueError):
             empirical_quantile(np.array([]), 0.5)
 
