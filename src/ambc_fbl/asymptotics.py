@@ -7,7 +7,6 @@ import math
 from typing import Union
 
 import numpy as np
-from scipy import optimize
 
 from .channel import EigenSpectrum
 from .numerics import gaussian_q_inv
@@ -61,7 +60,13 @@ def verify_sigma_maximizer(g_j: float, p_j: float, tol: float = 1e-9) -> float:
     The critical point is the unique interior extremum of that display
     (numerically it is where the derivative vanishes); used as a test oracle
     for the reference-variance choice 1 + y, with y = g_j p_j.
+
+    A grid scan, refined by scipy's bounded scalar minimizer.  Only
+    ``selftest`` and the tests call it, so ``scipy.optimize`` is imported
+    here and stays off the import path of the library and the CLI.
     """
+    from scipy import optimize
+
     y = float(g_j) * float(p_j)
     if y <= 0:
         raise ValueError("requires g_j p_j > 0")

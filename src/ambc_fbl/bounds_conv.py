@@ -17,11 +17,11 @@ from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 from .channel import EigenSpectrum
 from .errors import ConvergenceError, InsufficientSamplesError
-from .numerics import SeededRng, product_gamma_logpdf
+from .numerics import SeededRng, brent_min, product_gamma_logpdf
 from .power import PowerAllocation, waterfill
 from .tail import (
     KIND_CONDITIONAL,
@@ -157,10 +157,12 @@ def ball_volume_bound(m: int, total_power: float) -> float:
 def _unit_scale_log_sup(m: int, n: int) -> float:
     """sup_z log pdf for the product of m iid Gamma(n, 1) variables.
 
-    Brent's method on log z, inside a bracket grown in steps of 2 around the
-    single-factor mode (n - 1)^m; the bulk of the product density is
-    unimodal.  Each point is evaluated once (the minimizer re-reads the
-    bracket ends), about 20 Mellin quadratures per (m, n).
+    Brent's method on log z (``numerics.brent_min``, xtol 1e-10), inside a
+    bracket grown in steps of 2 around the single-factor mode (n - 1)^m; the
+    bulk of the product density is unimodal.  Each point is evaluated once
+    (the minimizer re-reads the bracket ends), about 20 Mellin quadratures
+    per (m, n).  Raises ``ConvergenceError`` when 60 steps find no bracket
+    or the search does not converge.
     """
     u0 = m * math.log(max(n - 1, 1))
     seen = {}
@@ -180,10 +182,8 @@ def _unit_scale_log_sup(m: int, n: int) -> float:
             hi += 2.0
     else:
         raise ConvergenceError("could not bracket the density mode")
-    res = optimize.minimize_scalar(neg, bracket=(lo, u0, hi), method="brent", options={"xtol": 1e-10})
-    if not res.success:
-        raise ConvergenceError("Brent search on the density failed")
-    return -float(res.fun)
+    _, neg_sup = brent_min(neg, lo, u0, hi, xtol=1e-10)
+    return -neg_sup
 
 
 def pdf_sup_bound(m: int, n: int, g: EigenSpectrum, p: PowerAllocation) -> float:

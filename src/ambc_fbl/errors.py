@@ -2,7 +2,7 @@
 
 
 class ConvergenceError(RuntimeError):
-    """A numerical routine (contour quadrature, maximizer) failed to converge."""
+    """A numerical routine (contour quadrature, root or minimum search) failed to converge."""
 
 
 class InsufficientSamplesError(RuntimeError):

@@ -1,5 +1,5 @@
-"""Deterministic special functions, splittable RNG streams, and empirical
-distribution helpers.
+"""Deterministic special functions, splittable RNG streams, empirical
+distribution helpers, and Brent's scalar root and minimum searches.
 
 Everything here is evaluated in log-domain wherever intermediate quantities can
 overflow double precision (Bessel functions of large order, gamma functions of
@@ -8,7 +8,9 @@ large argument, Mellin-Barnes integrands).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 from scipy import special
@@ -25,6 +27,14 @@ MAX_GAMMA_SHAPE = 4096
 # relative to the integrand at t = 0, at which that contour is truncated
 _CONTOUR_OFFSET = 0.5
 _CONTOUR_TAIL_TOL = 1e-12
+# Brent's root and minimum searches: the relative tolerance, absolute
+# tolerance floor, golden ratio and iteration limits of scipy's brentq and
+# minimize_scalar(method="brent"), whose steps they repeat
+_EPS = float(np.finfo(float).eps)
+_ROOT_MAXITER = 100
+_MIN_TOL_FLOOR = 1.0e-11
+_GOLDEN = 0.3819660
+_MIN_MAXITER = 500
 
 
 def _splitmix64(x: int) -> int:
@@ -83,6 +93,148 @@ def empirical_quantile(draws: np.ndarray, level):
         raise ValueError("cannot take a quantile of an empty sample")
     gamma = np.quantile(draws, 1.0 - levels)
     return float(gamma) if gamma.ndim == 0 else gamma
+
+
+def brent_root(f, a: float, b: float, xtol: float) -> float:
+    """Root of ``f`` in [a, b], where f(a) and f(b) differ in sign.
+
+    Brent's method (Brent 1973, ch. 4), step for step the one scipy's
+    ``brentq`` runs, with its relative tolerance 4 * eps and 100 iterations,
+    so the root is bit-equal to ``brentq(f, a, b, xtol=xtol)``.  Raises
+    ``ConvergenceError`` when the ends do not bracket a sign change, when
+    ``f`` returns NaN, or when 100 iterations leave the root unresolved.
+    """
+
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ConvergenceError(f"root search met a NaN at x = {x}")
+        return fx
+
+    rtol = 4.0 * _EPS
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ConvergenceError("root search interval does not bracket a sign change")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_ROOT_MAXITER):
+        if (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # secant step
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # inverse quadratic extrapolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise ConvergenceError(f"root search did not converge in {_ROOT_MAXITER} iterations")
+
+
+def brent_min(f, lo: float, mid: float, hi: float, xtol: float) -> Tuple[float, float]:
+    """(x, f(x)) at a local minimum of ``f`` inside the bracket lo < mid < hi,
+    where f(mid) lies below f(lo) and f(hi).
+
+    Brent's parabolic-interpolation minimizer (Brent 1973, ch. 5), step for
+    step the one scipy's ``minimize_scalar(method="brent")`` runs on a given
+    three-point bracket, with its absolute floor 1e-11 on the tolerance
+    ``xtol * |x|``, golden ratio 0.3819660 and 500 iterations, so the
+    minimum is bit-equal to scipy's.  ``f`` is called at lo, mid and hi
+    first, then once per iteration.  Raises ``ConvergenceError`` when the
+    bracket is not one, when the search ends on a NaN, or when 500
+    iterations leave the minimum unresolved.
+    """
+    a, x, b = float(lo), float(mid), float(hi)
+    if not a < x < b:
+        raise ConvergenceError("minimum search bracket is not ordered")
+    fa, fx, fb = f(a), f(x), f(b)
+    if not (fx < fa and fx < fb):
+        raise ConvergenceError("minimum search bracket does not enclose a minimum")
+    w = v = x
+    fw = fv = fx
+    deltax = 0.0
+    rat = 0.0
+    for _ in range(_MIN_MAXITER):
+        tol1 = xtol * abs(x) + _MIN_TOL_FLOOR
+        tol2 = 2.0 * tol1
+        xmid = 0.5 * (a + b)
+        if abs(x - xmid) < tol2 - 0.5 * (b - a):
+            break
+        if abs(deltax) <= tol1:
+            # golden-section step into the larger part
+            deltax = a - x if x >= xmid else b - x
+            rat = _GOLDEN * deltax
+        else:
+            # parabolic step through x, w and v, if it is useful
+            tmp1 = (x - w) * (fx - fv)
+            tmp2 = (x - v) * (fx - fw)
+            p = (x - v) * tmp2 - (x - w) * tmp1
+            tmp2 = 2.0 * (tmp2 - tmp1)
+            if tmp2 > 0.0:
+                p = -p
+            tmp2 = abs(tmp2)
+            dx_temp = deltax
+            deltax = rat
+            if p > tmp2 * (a - x) and p < tmp2 * (b - x) and abs(p) < abs(0.5 * tmp2 * dx_temp):
+                rat = p / tmp2
+                u = x + rat
+                if (u - a) < tol2 or (b - u) < tol2:
+                    rat = tol1 if xmid - x >= 0 else -tol1
+            else:
+                deltax = a - x if x >= xmid else b - x
+                rat = _GOLDEN * deltax
+        if abs(rat) < tol1:
+            u = x + tol1 if rat >= 0 else x - tol1
+        else:
+            u = x + rat
+        fu = f(u)
+        if fu > fx:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, w = w, u
+                fv, fw = fw, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+        else:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, w, x = w, x, u
+            fv, fw, fx = fw, fx, fu
+    else:
+        raise ConvergenceError(f"minimum search did not converge in {_MIN_MAXITER} iterations")
+    if math.isnan(x) or math.isnan(fx):
+        raise ConvergenceError("minimum search ended on a NaN")
+    return x, fx
 
 
 def gaussian_q(x):

@@ -23,7 +23,9 @@ class PowerAllocation:
         p = np.asarray(self.p, dtype=float)
         if np.any(p < 0):
             raise ValueError("allocated powers must be nonnegative")
-        if abs(p.sum() - self.total_power) > 1e-9:
+        # relative to the budget above 1: at P = 1e8 the rounding of p.sum()
+        # alone exceeds an absolute 1e-9
+        if abs(p.sum() - self.total_power) > 1e-9 * max(1.0, self.total_power):
             raise ValueError("allocation does not meet the power budget")
         object.__setattr__(self, "p", p)
 
@@ -54,8 +56,8 @@ def waterfill(g: Union[EigenSpectrum, np.ndarray], total_power: float) -> PowerA
 
     with np.errstate(divide="ignore"):
         p = np.where(positive, np.maximum(lam - 1.0 / np.where(positive, gv, 1.0), 0.0), 0.0)
-    # remove the accumulated rounding so the budget holds to 1e-9; a mode
-    # active by less than one ulp could be pushed below zero, so clamp
+    # remove the accumulated rounding so the budget holds to 1e-9 relative;
+    # a mode active by less than one ulp could be pushed below zero, so clamp
     active = p > 0
     p[active] += (total_power - p.sum()) / active.sum()
     p = np.maximum(p, 0.0)

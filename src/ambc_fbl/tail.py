@@ -24,11 +24,10 @@ from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import optimize
 
 from .channel import EigenSpectrum
-from .errors import InsufficientSamplesError
-from .numerics import SeededRng, empirical_quantile
+from .errors import ConvergenceError, InsufficientSamplesError
+from .numerics import SeededRng, brent_root, empirical_quantile
 from .power import PowerAllocation
 
 KIND_OUTPUT = "output"  # information density drawn under the output law
@@ -90,7 +89,13 @@ class LawParams:
         return out
 
     def solve_tilt(self, target: float) -> float:
-        """Tilt parameter whose tilted mean equals ``target``."""
+        """Tilt parameter whose tilted mean equals ``target``.
+
+        Brent's root search (``numerics.brent_root``, to 1e-12) on the tilted
+        mean, over [0, hi] with hi doubled from 1 until it clears the target,
+        or over (theta_lower, 0] for a target below the mean.  Raises
+        ``ConvergenceError`` when hi passes 1e12 or the search fails.
+        """
         base = self.cgf_mean(0.0)
         if target >= float(self.const.sum()):
             raise ValueError("target above the supremum of the law")
@@ -101,12 +106,10 @@ class LawParams:
             while self.cgf_mean(hi) < target:
                 hi *= 2.0
                 if hi > 1e12:
-                    raise ValueError("tilt search diverged")
-            return float(optimize.brentq(lambda u: self.cgf_mean(u) - target, 0.0, hi, xtol=1e-12))
+                    raise ConvergenceError("tilt search diverged")
+            return brent_root(lambda u: self.cgf_mean(u) - target, 0.0, hi, xtol=1e-12)
         lo = self.theta_lower()
-        return float(
-            optimize.brentq(lambda u: self.cgf_mean(u) - target, lo * (1.0 - 1e-12), 0.0, xtol=1e-12)
-        )
+        return brent_root(lambda u: self.cgf_mean(u) - target, lo * (1.0 - 1e-12), 0.0, xtol=1e-12)
 
     def log_tail_bound(self, threshold: float) -> float:
         """Chernoff bound on log P[X >= threshold]: the minimum over theta >= 0

@@ -363,6 +363,64 @@ class TestMain:
         )
         assert proc.returncode == 0, proc.stderr
 
+    def test_sweep_leaves_scipy_optimize_unloaded(self, tmp_path):
+        # the library and the CLI load only scipy.special of scipy; the
+        # optimizer package alone would add about 0.3 s to every process
+        cfg_path = tmp_path / "tiny.json"
+        cfg_path.write_text(
+            json.dumps(
+                asdict(
+                    _config(
+                        eps=0.3,
+                        n_grid=[8, 16],
+                        channel_draws=1,
+                        curves=["capacity", "normal_approx", "achievability", "converse"],
+                    )
+                )
+            )
+        )
+        out = tmp_path / "out.csv"
+        argv = ["sweep", "--config", str(cfg_path), "--out", str(out)]
+        script = (
+            "import sys\n"
+            "import ambc_fbl, ambc_fbl.cli\n"
+            "from ambc_fbl.cli import main\n"
+            f"code = main({argv!r})\n"
+            "assert code == 0, code\n"
+            "loaded = sorted(m for m in ('scipy.optimize', 'scipy.linalg') if m in sys.modules)\n"
+            "assert not loaded, loaded\n"
+        )
+        src = str(Path(ambc_fbl.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert len(out.read_text().strip().splitlines()) == 3
+
+    def test_high_snr_sweep_meets_the_power_budget(self, tmp_path, capsys):
+        # at P = 1e8 the allocation's budget check must allow for rounding
+        cfg = dict(
+            t=4,
+            r=4,
+            fading="rayleigh",
+            a_coeff=0.5,
+            snr_db=80.0,
+            eps=0.001,
+            n_grid=[100],
+            mc_samples=1000,
+            channel_draws=20,
+            seed=1,
+            curves=["capacity", "normal_approx"],
+        )
+        cfg_path = tmp_path / "high_snr.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        lines = out.read_text().strip().splitlines()
+        assert len(lines) == 2 and lines[1].startswith("100,")
+
     def test_package_exports_the_cli_names(self):
         from ambc_fbl import ExperimentConfig as exported_config
         from ambc_fbl import main as exported_main

@@ -3,11 +3,14 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import integrate, special, stats
+from scipy import integrate, optimize, special, stats
 
+from ambc_fbl import bounds_conv, numerics, tail
 from ambc_fbl.errors import ConvergenceError
 from ambc_fbl.numerics import (
     SeededRng,
+    brent_min,
+    brent_root,
     empirical_quantile,
     gaussian_q,
     gaussian_q_inv,
@@ -16,6 +19,7 @@ from ambc_fbl.numerics import (
     product_gamma_logpdf,
     product_gamma_pdf,
 )
+from ambc_fbl.tail import KIND_CONDITIONAL, KIND_OUTPUT, LawParams
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -252,6 +256,112 @@ class TestEmpiricalQuantile:
             empirical_quantile(sample, [0.5, 1.0])
         with pytest.raises(ValueError):
             empirical_quantile(np.array([]), 0.5)
+
+
+class TestBrentRoot:
+    @pytest.mark.parametrize("kind", [KIND_OUTPUT, KIND_CONDITIONAL])
+    def test_bit_equal_to_scipy_brentq_on_the_tilt_equation(self, kind, monkeypatch):
+        roots = []
+
+        def checked(f, a, b, xtol):
+            root = brent_root(f, a, b, xtol)
+            assert type(root) is float
+            assert root == optimize.brentq(f, a, b, xtol=xtol)
+            roots.append(root)
+            return root
+
+        # every root search of solve_tilt, on its own bracket
+        monkeypatch.setattr(tail, "brent_root", checked)
+        rng = np.random.default_rng(11)
+        for n in (8, 16, 100, 500, 2000, 4096):
+            for m in (1, 2, 3):
+                for _ in range(3):
+                    law = LawParams(kind, n, rng.exponential(2.0, m) * 10 ** rng.uniform(-1, 1.5))
+                    mean, sup = law.cgf_mean(0.0), float(law.const.sum())
+                    for frac in (0.1, 0.6, 0.99):
+                        assert law.solve_tilt(mean + frac * (sup - mean)) > 0.0
+                        assert law.solve_tilt(mean - frac * abs(mean) * 0.1) < 0.0
+        assert len(roots) == 6 * 3 * 3 * 3 * 2
+
+    def test_no_sign_change_raises(self):
+        with pytest.raises(ConvergenceError):
+            brent_root(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-12)
+
+    def test_exact_root_at_an_end_is_returned(self):
+        assert brent_root(lambda x: x - 2.0, 2.0, 5.0, xtol=1e-12) == 2.0
+        assert brent_root(lambda x: x - 5.0, 2.0, 5.0, xtol=1e-12) == 5.0
+
+    def test_unresolved_after_the_iteration_limit_raises(self):
+        # a jump at 0 leaves only bisection steps, and resolving it to 1e-300
+        # takes about a thousand of them
+        def step(x):
+            return 1.0 if x >= 0.0 else -1.0
+
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            brent_root(step, -1.0, 1.0, xtol=1e-300)
+        assert abs(brent_root(step, -1.0, 1.0, xtol=1e-12)) < 1e-12
+
+    def test_nan_raises(self):
+        with pytest.raises(ConvergenceError, match="NaN"):
+            brent_root(lambda x: math.nan if x > 0.3 else x - 0.5, 0.0, 1.0, xtol=1e-12)
+
+
+class TestBrentMin:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("n", [8, 100, 2000, 4096])
+    def test_bit_equal_to_scipy_brent_on_the_k1_objective(self, m, n, monkeypatch):
+        minima = []
+
+        def checked(f, lo, mid, hi, xtol):
+            visits = {"ours": [], "scipy": []}
+
+            def recorded(key):
+                return lambda u: visits[key].append(u) or f(u)
+
+            x, fx = brent_min(recorded("ours"), lo, mid, hi, xtol)
+            res = optimize.minimize_scalar(
+                recorded("scipy"), bracket=(lo, mid, hi), method="brent", options={"xtol": xtol}
+            )
+            assert res.success
+            assert (x, fx) == (res.x, res.fun)
+            # the same points in the same order, so the quadrature count is too
+            assert visits["ours"] == visits["scipy"]
+            minima.append(fx)
+            return x, fx
+
+        # the K1 search of the converse, on the bracket it grows
+        monkeypatch.setattr(bounds_conv, "brent_min", checked)
+        bounds_conv._unit_scale_log_sup.cache_clear()
+        try:
+            assert bounds_conv._unit_scale_log_sup(m, n) == -minima[0]
+        finally:
+            bounds_conv._unit_scale_log_sup.cache_clear()
+
+    def test_smooth_minimum(self):
+        x, fx = brent_min(lambda u: (u - 1.25) ** 2 + 3.0, -4.0, 0.0, 4.0, xtol=1e-10)
+        assert x == pytest.approx(1.25, abs=1e-8)
+        assert fx == pytest.approx(3.0, abs=1e-15)
+
+    def test_bad_brackets_raise(self):
+        def f(u):
+            return (u - 1.0) ** 2
+
+        with pytest.raises(ConvergenceError):
+            brent_min(f, 2.0, 3.0, 4.0, xtol=1e-10)  # f(mid) above f(lo)
+        with pytest.raises(ConvergenceError):
+            brent_min(f, 4.0, 1.0, -2.0, xtol=1e-10)  # not ordered
+
+    def test_unresolved_after_the_iteration_limit_raises(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_MIN_MAXITER", 3)
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            brent_min(lambda u: (u - 1.25) ** 2, -4.0, 0.0, 4.0, xtol=1e-10)
+
+    def test_nan_raises(self):
+        def f(u):
+            return math.nan if 0.5 < u < 2.0 else (u - 1.0) ** 2
+
+        with pytest.raises(ConvergenceError, match="NaN"):
+            brent_min(f, -4.0, 0.0, 4.0, xtol=1e-10)
 
 
 class TestProductGammaPdf:

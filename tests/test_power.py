@@ -66,6 +66,17 @@ class TestWaterfillProperties:
             idle = (~active) & (g > 0)
             assert np.all(alloc.water_level <= 1.0 / g[idle] + 1e-12)
 
+    @pytest.mark.parametrize("total", [1e8, 1e10])
+    def test_high_snr_budget_holds_to_relative_rounding(self, total):
+        # at P = 1e8 the rounding of p.sum() alone exceeds an absolute 1e-9
+        rng = np.random.default_rng(3)
+        for m in range(4, 9):
+            for _ in range(50):
+                g = rng.exponential(1.0, m) + 1e-3
+                alloc = waterfill(g, total)
+                assert abs(alloc.p.sum() - total) <= 1e-9 * total
+                assert np.all(alloc.p >= 0.0)
+
     def test_allocation_sorted_with_gains(self):
         rng = np.random.default_rng(1)
         for _ in range(200):
