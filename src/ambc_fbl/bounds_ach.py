@@ -72,8 +72,8 @@ def achievability_beta(
     conditional_draws: np.ndarray,
     eps: float,
     tau: float,
-    law: Optional[Tuple[int, np.ndarray]] = None,
-    rng: Optional[SeededRng] = None,
+    law: Tuple[int, np.ndarray],
+    rng: SeededRng,
     threshold: Optional[Tuple[float, float]] = None,
 ) -> BetaEstimate:
     """Estimate beta at type-I level 1 - eps + tau between the two laws.
@@ -82,9 +82,9 @@ def achievability_beta(
     conditional draws; beta is the exceedance fraction of the output draws.
     When fewer than 100 raw output draws exceed the threshold, or
     ``output_draws`` is None (no raw draws made), an exponentially tilted
-    importance sampler (tilted mean pinned at gamma_n, as many draws as the
-    conditional sample) estimates the tail; that path requires the law
-    parameters ``law`` = (blocklength, per-mode gammas) and ``rng``.
+    importance sampler estimates the tail: the output law of ``law`` =
+    (blocklength, per-mode gammas), tilted so that its mean sits at gamma_n,
+    with as many draws from ``rng`` as the conditional sample.
     ``threshold``, the (gamma_n, rho) pair that ``threshold_with_ties``
     returns for the conditional draws at this level, spares the quantile
     pass when the caller already made it for several tau at once.
@@ -93,7 +93,7 @@ def achievability_beta(
         raise ValueError("need 0 < tau < eps < 1")
     if threshold is None:
         threshold = threshold_with_ties(conditional_draws, [1.0 - eps + tau])[0]
-    params = LawParams(KIND_OUTPUT, *law) if law is not None else None
+    params = LawParams(KIND_OUTPUT, *law)
     return estimate_beta(
         threshold, conditional_draws.size, output_draws, 0.0, _MIN_RAW_EXCEEDANCES, params, rng
     )

@@ -14,13 +14,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 from scipy import special
 
 from .channel import EigenSpectrum
-from .errors import ConvergenceError, InsufficientSamplesError
+from .errors import ConvergenceError
 from .numerics import SeededRng, brent_min, product_gamma_logpdf
 from .power import PowerAllocation, waterfill
 from .tail import (
@@ -77,8 +77,8 @@ def sample_converse_density(
 def np_beta_converse(
     draws: np.ndarray,
     eps: float,
-    law: Optional[Tuple[int, np.ndarray]] = None,
-    rng: Optional[SeededRng] = None,
+    law: Tuple[int, np.ndarray],
+    rng: SeededRng,
 ) -> BetaEstimate:
     """Neyman-Pearson beta at level 1 - eps from log-likelihood-ratio draws.
 
@@ -86,59 +86,17 @@ def np_beta_converse(
     exceedance quantile eta (randomizing on atoms), and beta is estimated by
     the change-of-measure identity beta = E[exp(-S) 1{S >= eta}] over the
     conditional draws.  Deep in the tail the raw estimator starves, so when
-    the effective sample count drops below 1000 and the law parameters
-    (blocklength, per-mode gammas) plus an rng are supplied, the expectation
-    is recomputed under an exponential tilt whose mean sits at eta, with as
-    many draws as the raw sample.  Without them the result is the flagged
-    threshold-grid lower bound.
+    the effective sample count drops below 1000 the expectation is
+    recomputed under the conditional law of ``law`` = (blocklength, per-mode
+    gammas), exponentially tilted so that its mean sits at eta, with as many
+    draws from ``rng`` as the raw sample.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    params = LawParams(KIND_CONDITIONAL, *law) if law is not None else None
-    try:
-        # exp(-S) turns conditional-law mass into auxiliary-channel mass
-        threshold = threshold_with_ties(draws, [1.0 - eps])[0]
-        return estimate_beta(threshold, draws.size, draws, 1.0, _MIN_EFFECTIVE_SAMPLES, params, rng)
-    except InsufficientSamplesError:
-        if params is not None and rng is not None:
-            raise
-    # last resort without law parameters: the explicit threshold-grid lower
-    # bound beta >= max_l exp(-l) (P[S < l] - eps), valid at any l
-    best = _threshold_grid_lower_bound(draws, eps)
-    if best is None:
-        raise InsufficientSamplesError(
-            "raw change-of-measure estimate too noisy and no law/rng for tilting"
-        )
-    log_lb, lam = best
-    return BetaEstimate(
-        beta=float(np.exp(log_lb)),
-        log_beta=log_lb,
-        threshold=lam,
-        ci_rel=math.nan,
-        ess=math.nan,
-        tilted=False,
-        lower_bound_only=True,
-    )
-
-
-def _threshold_grid_lower_bound(s: np.ndarray, eps: float) -> Optional[Tuple[float, float]]:
-    """max over a threshold grid of exp(-l) (P[S < l] - eps), in log-domain,
-    with the maximizing threshold l.
-
-    A valid lower bound on beta at every threshold; the maximum over sample
-    quantiles is the tightest the draws support.  Returns None when no
-    threshold leaves positive mass above eps.
-    """
-    qs = np.quantile(s, np.linspace(eps + 1e-6, 1.0 - 1e-6, 64))
-    best = None
-    for lam in np.unique(qs):
-        frac = float((s < lam).mean()) - eps
-        if frac <= 0:
-            continue
-        cand = -float(lam) + math.log(frac)
-        if best is None or cand > best[0]:
-            best = (cand, float(lam))
-    return best
+    # exp(-S) turns conditional-law mass into auxiliary-channel mass
+    threshold = threshold_with_ties(draws, [1.0 - eps])[0]
+    params = LawParams(KIND_CONDITIONAL, *law)
+    return estimate_beta(threshold, draws.size, draws, 1.0, _MIN_EFFECTIVE_SAMPLES, params, rng)
 
 
 def ball_volume_bound(m: int, total_power: float) -> float:

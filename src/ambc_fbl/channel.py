@@ -6,7 +6,7 @@ eigen-spectrum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -110,7 +110,7 @@ def _cn_matrix(gen: np.random.Generator, shape) -> np.ndarray:
 
 
 def draw_channel(
-    rng: Union[SeededRng, np.random.Generator],
+    rng: SeededRng,
     t: int,
     r: int,
     fading: Fading,
@@ -124,7 +124,7 @@ def draw_channel(
     """
     if t < 1 or r < 1:
         raise ValueError("antenna counts must be >= 1")
-    gen = rng.generator() if isinstance(rng, SeededRng) else rng
+    gen = rng.generator()
 
     def link(shape):
         scatter = _cn_matrix(gen, shape)
@@ -148,11 +148,11 @@ def composite(ch: ChannelRealization, d: int) -> CompositePair:
     return CompositePair(h0=ch.h_sr, h1=h1, d=int(d))
 
 
-def eigen_spectrum(pair: CompositePair, clamp: float = 1e-12) -> EigenSpectrum:
+def eigen_spectrum(pair: CompositePair) -> EigenSpectrum:
     """Descending eigenvalues of (h0 + d h1)^H (h0 + d h1), m largest.
 
-    The Gram matrix is positive semidefinite, so eigenvalues in [-clamp, 0)
-    are solver noise and are clamped to zero.  Non-convergence of the
+    The Gram matrix is positive semidefinite, so negative eigenvalues are
+    solver noise and are clamped to zero.  Non-convergence of the
     Hermitian eigensolver propagates as ``numpy.linalg.LinAlgError``.
     """
     h = pair.effective()
@@ -160,5 +160,4 @@ def eigen_spectrum(pair: CompositePair, clamp: float = 1e-12) -> EigenSpectrum:
     gram = h.conj().T @ h
     ev = np.linalg.eigvalsh(gram)
     ev = np.sort(ev)[::-1][:m]
-    ev = np.where((ev < 0) & (ev >= -clamp), 0.0, ev)
     return EigenSpectrum(g=np.maximum(ev, 0.0), d=pair.d)

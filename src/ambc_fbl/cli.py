@@ -520,7 +520,8 @@ def _cmd_selftest(args) -> int:
         ok &= abs(back - eps) < 1e-12
     checks.append(("tag coupling affine round trip", ok, "10 channels"))
 
-    est = bounds_conv.np_beta_converse(np.zeros(20000), 0.1)
+    # the raw path returns on the atom before it reads the law or the rng
+    est = bounds_conv.np_beta_converse(np.zeros(20000), 0.1, (8, np.zeros(2)), SeededRng(0))
     checks.append(
         ("degenerate NP beta equals its level", abs(est.beta - 0.9) < 1e-12, f"beta {est.beta:.6f}")
     )

@@ -5,13 +5,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
 
 import numpy as np
 
 from .channel import CompositePair
 from .errors import InfeasibleTargetError
 from .numerics import SeededRng, gaussian_q
+
+# eps within this of the [0, 1] ends after inversion is rounding, not infeasibility
+_RESIDUE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -28,26 +30,18 @@ class TagErrorModel:
     h1: np.ndarray
     norm_h1: float
     cross_term: float
-    eps: Optional[float] = None
-    eps_d: Optional[float] = None
 
     @classmethod
-    def from_channels(
-        cls,
-        h0: np.ndarray,
-        h1: np.ndarray,
-        eps: Optional[float] = None,
-        eps_d: Optional[float] = None,
-    ) -> "TagErrorModel":
+    def from_channels(cls, h0: np.ndarray, h1: np.ndarray) -> "TagErrorModel":
         norm = float(np.linalg.norm(h1))
         if norm == 0.0:
             raise InfeasibleTargetError("tag link is absent (h1 = 0)")
         rho = float(np.real(np.trace(h1.conj().T @ h0))) / norm**2
-        return cls(h0=h0, h1=h1, norm_h1=norm, cross_term=rho, eps=eps, eps_d=eps_d)
+        return cls(h0=h0, h1=h1, norm_h1=norm, cross_term=rho)
 
     @classmethod
-    def from_pair(cls, pair: CompositePair, **kw) -> "TagErrorModel":
-        return cls.from_channels(pair.h0, pair.h1, **kw)
+    def from_pair(cls, pair: CompositePair) -> "TagErrorModel":
+        return cls.from_channels(pair.h0, pair.h1)
 
 
 def _endpoints(model: TagErrorModel):
@@ -73,27 +67,27 @@ def tag_error_given_eps(model: TagErrorModel, eps: float) -> float:
     return (1.0 - eps) * a + eps * b
 
 
-def eps_given_tag_error(model: TagErrorModel, eps_d: float, residue: float = 1e-12) -> float:
+def eps_given_tag_error(model: TagErrorModel, eps_d: float) -> float:
     """Invert the affine eps -> eps_d map in closed form.
 
     Raises ``InfeasibleTargetError`` when the target lies outside the
     interval spanned by the eps = 0 and eps = 1 endpoints (for example below
     the floor set by the correct-codeword mis-detection probability).
-    Numerical residue within ``residue`` of the endpoints is clamped.
+    Numerical residue within ``_RESIDUE`` of the endpoints is clamped.
     """
     if not 0.0 <= eps_d <= 1.0:
         raise ValueError("eps_d must lie in [0, 1]")
     a, b = _endpoints(model)
     if a == b:
-        if abs(eps_d - a) <= residue:
+        if abs(eps_d - a) <= _RESIDUE:
             return 0.0
         raise InfeasibleTargetError(
             f"tag error is constant at {a:.3e} for this channel"
         )
     eps = (eps_d - a) / (b - a)
-    if -residue <= eps < 0.0:
+    if -_RESIDUE <= eps < 0.0:
         eps = 0.0
-    if 1.0 < eps <= 1.0 + residue:
+    if 1.0 < eps <= 1.0 + _RESIDUE:
         eps = 1.0
     if not 0.0 <= eps <= 1.0:
         lo, hi = min(a, b), max(a, b)
@@ -106,7 +100,7 @@ def eps_given_tag_error(model: TagErrorModel, eps_d: float, residue: float = 1e-
 def simulate_tag_error(
     model: TagErrorModel,
     eps: float,
-    rng: Union[SeededRng, np.random.Generator],
+    rng: SeededRng,
     trials: int = 100_000,
 ) -> float:
     """Empirical tag error rate over Monte Carlo symbol trials.
@@ -118,7 +112,7 @@ def simulate_tag_error(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    gen = rng.generator() if isinstance(rng, SeededRng) else rng
+    gen = rng.generator()
     d = np.where(gen.random(trials) < 0.5, -1.0, 1.0)
     wrong = gen.random(trials) < eps
     w = gen.standard_normal(trials) / (math.sqrt(2.0) * model.norm_h1)

@@ -204,11 +204,11 @@ class BetaEstimate:
     """Type-II error estimate with its threshold and accuracy diagnostics.
 
     ``log_beta`` is authoritative; ``beta`` itself can underflow to zero for
-    large blocklengths.  ``ci_rel`` is the relative 95% half-width and
-    ``ess`` the effective sample size of the raw estimate (0.0 when no raw
-    draws were made; both NaN for a lower bound).  ``tilted`` marks the
-    tilted path; ``lower_bound_only`` marks a value that only bounds beta
-    from below.
+    large blocklengths.  ``ci_rel`` is the relative 95% half-width of the
+    kept estimate and ``ess`` the effective sample size of the raw estimate
+    (0.0 when no raw draws were made).  ``tilted`` marks the tilted path.
+    Nothing sets ``lower_bound_only`` any more; it stays, always False,
+    because ``perfbench/tracer.py`` reads it from every converse estimate.
     """
 
     beta: float
@@ -226,8 +226,8 @@ def estimate_beta(
     tail_draws: Optional[np.ndarray],
     weight_rate: float,
     min_ess: float,
-    law: Optional[LawParams] = None,
-    rng: Optional[SeededRng] = None,
+    law: LawParams,
+    rng: SeededRng,
 ) -> BetaEstimate:
     """beta = E[exp(-weight_rate X) (1{X > gamma} + rho 1{X = gamma})] over
     ``tail_draws``, with (gamma, rho) = ``threshold`` as ``threshold_with_ties``
@@ -237,8 +237,7 @@ def estimate_beta(
     (or the sample has atoms, which no tilt resolves) and its relative CI is
     at most 0.5.  Otherwise, or when ``tail_draws`` is None (no raw draws
     made), the tail is re-estimated by ``tilted_log_tail`` under ``law``
-    with ``size`` draws; without ``law`` or ``rng`` that raises
-    ``InsufficientSamplesError``.
+    with ``size`` draws from ``rng``.
     """
     gamma, rho = threshold
     ess = 0.0
@@ -257,10 +256,6 @@ def estimate_beta(
             if ci_rel <= 0.5:
                 return BetaEstimate(mean, math.log(mean), gamma, ci_rel, ess, tilted=False)
         del w, weights  # not held through the tilted estimate's own draws
-    if law is None or rng is None:
-        raise InsufficientSamplesError(
-            f"raw estimate has effective sample size {ess:.0f} and no law/rng for tilting"
-        )
     log_beta, ci_rel = tilted_log_tail(law, gamma, weight_rate, rng, size)
     return BetaEstimate(float(np.exp(log_beta)), log_beta, gamma, ci_rel, ess, tilted=True)
 

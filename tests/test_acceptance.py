@@ -280,13 +280,16 @@ class TestCriterion6IdentitySuite:
         p = PowerAllocation(p=np.array([1.0]), water_level=2.0, total_power=1.0)
         h_draws = sample_info_density(KIND_CONDITIONAL, 20, g, p, SeededRng(111, 1), num)
         eps, tau = 0.1, 0.02
-        est = achievability_beta(h_draws, h_draws, eps, tau)
+        law = (20, g.g * p.p)
+        est = achievability_beta(h_draws, h_draws, eps, tau, law=law, rng=SeededRng(111, 3))
         gap = abs(est.beta - (1 - eps + tau))
         ok = gap <= 2 / math.sqrt(num)
         _report("criterion 6e (beta of identical laws equals the level)", ok, f"gap {gap:.2e}")
         assert ok
 
-        degenerate = np_beta_converse(np.zeros(num), eps)
+        degenerate = np_beta_converse(
+            np.zeros(num), eps, law=(20, np.zeros(1)), rng=SeededRng(111, 4)
+        )
         gap2 = abs(degenerate.beta - (1 - eps))
         ok2 = gap2 <= 2 / math.sqrt(num)
         _report("criterion 6f (degenerate converse beta equals its level)", ok2, f"gap {gap2:.2e}")

@@ -18,10 +18,9 @@ from ambc_fbl.bounds_ach import (
     sample_info_density,
 )
 from ambc_fbl.channel import EigenSpectrum, Fading, composite, draw_channel, eigen_spectrum
-from ambc_fbl.errors import InsufficientSamplesError
 from ambc_fbl.numerics import SeededRng
 from ambc_fbl.power import PowerAllocation, waterfill
-from ambc_fbl.tail import LawParams, estimate_beta, threshold_with_ties
+from ambc_fbl.tail import LawParams
 
 
 def _setup(gains, powers, d=1):
@@ -102,9 +101,9 @@ class TestSampleInfoDensity:
 class TestAchievabilityBeta:
     def test_identical_laws_give_the_level(self):
         # feeding conditional draws as both laws must return the test level
-        _, h_draws, _ = _laws([1.0], [1.0], 20, seed=5)
+        _, h_draws, law = _laws([1.0], [1.0], 20, seed=5)
         eps, tau = 0.1, 0.02
-        est = achievability_beta(h_draws, h_draws, eps, tau)
+        est = achievability_beta(h_draws, h_draws, eps, tau, law=law, rng=SeededRng(0))
         assert est.beta == pytest.approx(1 - eps + tau, abs=2 / math.sqrt(100_000))
 
     @pytest.mark.parametrize("gamma", [0.5, 1.0, 4.0])
@@ -173,11 +172,6 @@ class TestAchievabilityBeta:
             vals.append(mx + math.log(np.exp(logw[acc] - mx).sum() / 100_000))
         assert vals[0] > vals[1] > vals[2]
 
-    def test_insufficient_without_rng(self):
-        g_draws, h_draws, law = _laws([1.0], [1.0], 400, seed=9, num=2000)
-        with pytest.raises(InsufficientSamplesError):
-            achievability_beta(g_draws, h_draws, 1e-3, 2.5e-4, law=law)
-
     def test_without_output_draws_goes_straight_to_the_tilted_path(self):
         g_draws, h_draws, law = _laws([1.0], [1.0], 400, seed=8)
         drawn = achievability_beta(g_draws, h_draws, 1e-3, 2.5e-4, law=law, rng=SeededRng(62))
@@ -185,15 +179,13 @@ class TestAchievabilityBeta:
         assert skipped.tilted and skipped.ess == 0.0
         assert skipped.log_beta == drawn.log_beta
         assert skipped.ci_rel == drawn.ci_rel
-        with pytest.raises(InsufficientSamplesError):
-            estimate_beta(threshold_with_ties(h_draws, [0.99])[0], h_draws.size, None, 0.0, 100)
 
     def test_tau_eps_validation(self):
-        g_draws, h_draws, _ = _laws([1.0], [1.0], 10, seed=10, num=2000)
+        g_draws, h_draws, law = _laws([1.0], [1.0], 10, seed=10, num=2000)
         with pytest.raises(ValueError):
-            achievability_beta(g_draws, h_draws, 0.1, 0.1)
+            achievability_beta(g_draws, h_draws, 0.1, 0.1, law=law, rng=SeededRng(0))
         with pytest.raises(ValueError):
-            achievability_beta(g_draws, h_draws, 0.1, 0.2)
+            achievability_beta(g_draws, h_draws, 0.1, 0.2, law=law, rng=SeededRng(0))
 
 
 class TestComputeC1:

@@ -56,7 +56,7 @@ class TestNpBetaConverse:
         # zero power makes the two hypotheses coincide
         draws = np.zeros(50_000)
         for eps in (0.3, 0.1, 0.01):
-            est = np_beta_converse(draws, eps)
+            est = np_beta_converse(draws, eps, law=(8, np.zeros(1)), rng=SeededRng(0))
             assert est.beta == pytest.approx(1 - eps, abs=2 / math.sqrt(50_000))
 
     @pytest.mark.parametrize("gamma", [0.5, 1.0, 4.0])
@@ -103,29 +103,6 @@ class TestNpBetaConverse:
         exact = stats.ncx2.cdf((c - est.threshold) * 2 / gamma, 2 * n, 2 * n * (1 + gamma) / gamma)
         assert est.log_beta == pytest.approx(math.log(exact), abs=3 * est.ci_rel)
         assert exact < 1e-15
-
-    def test_grid_lower_bound_without_law(self):
-        # with no law parameters the estimator falls back to the explicit
-        # threshold-grid lower bound, flagged and never above the exact value
-        g, p = _setup([1.0], [1.0])
-        draws = sample_converse_density(1000, g, p, SeededRng(6), 20_000)
-        lb = np_beta_converse(draws, 1e-3)
-        assert lb.lower_bound_only
-        exact = np_beta_converse(draws, 1e-3, law=(1000, g.g * p.p), rng=SeededRng(60))
-        assert lb.log_beta <= exact.log_beta + 3 * exact.ci_rel
-
-    def test_lower_bound_below_the_effective_sample_floor_without_law(self):
-        # an effective sample size of about 560 gives a raw mean with a
-        # relative CI near 0.08, yet below the 1000 the raw path needs; with
-        # no law to tilt, the flagged lower bound is reported instead
-        g, p = _setup([1.0], [1.0])
-        draws = sample_converse_density(20, g, p, SeededRng(7), 20_000)
-        lb = np_beta_converse(draws, 0.01)
-        assert lb.lower_bound_only
-        assert math.isnan(lb.ci_rel)
-        exact = np_beta_converse(draws, 0.01, law=(20, g.g * p.p), rng=SeededRng(70))
-        assert exact.tilted and 100 < exact.ess < 1000
-        assert lb.log_beta <= exact.log_beta + 3 * exact.ci_rel
 
 
 class TestConverseConstants:
