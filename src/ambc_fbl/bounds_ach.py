@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Tuple
 
 import numpy as np
@@ -30,6 +31,7 @@ from .tail import (
     estimate_beta,
     mix_tag_symbols,
     mode_gammas,
+    run_calls,
     sample_law,
     threshold_with_ties,
 )
@@ -240,11 +242,13 @@ def achievability_rate(
     cannot be used), search tau over {eps/2, eps/4, eps/8, eps/16} for the
     largest log(kappa/beta)/n.
     Both symbols reuse the same substreams (common random numbers), so equal
-    spectra produce identical rates.
+    spectra produce identical rates.  The two symbols are evaluated at the
+    same time by ``tail.run_calls``; each reads only its own substreams, so
+    the result does not depend on the CPU count.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    return mix_tag_symbols(
-        _fixed_d_rate(n, g_minus, total_power, eps, rng, num_samples),
-        _fixed_d_rate(n, g_plus, total_power, eps, rng, num_samples),
-    )
+    return mix_tag_symbols(*run_calls([
+        partial(_fixed_d_rate, n, g, total_power, eps, rng, num_samples)
+        for g in (g_minus, g_plus)
+    ]))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Tuple
 
 import numpy as np
@@ -31,6 +31,7 @@ from .tail import (
     estimate_beta,
     mix_tag_symbols,
     mode_gammas,
+    run_calls,
     sample_law,
     threshold_with_ties,
 )
@@ -203,11 +204,15 @@ def converse_rate(
     """Converse upper bound mixed over the equiprobable tag symbol.
 
     Substreams are shared between the two symbols (common random numbers),
-    matching the achievability side.
+    matching the achievability side.  The two symbols are evaluated at the
+    same time by ``tail.run_calls``, after the K1 supremum of their common
+    (m, n) is cached, so a cold (m, n) is searched once; the result does not
+    depend on the CPU count.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    return mix_tag_symbols(
-        _fixed_d_rate(n, g_minus, total_power, eps, rng, num_samples),
-        _fixed_d_rate(n, g_plus, total_power, eps, rng, num_samples),
-    )
+    _unit_scale_log_sup(g_minus.m, n)  # both symbols then read it from the cache
+    return mix_tag_symbols(*run_calls([
+        partial(_fixed_d_rate, n, g, total_power, eps, rng, num_samples)
+        for g in (g_minus, g_plus)
+    ]))

@@ -9,14 +9,12 @@ import json
 import math
 import numbers
 import operator
-import os
 import subprocess
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -32,6 +30,7 @@ from .errors import (
 )
 from .numerics import MAX_GAMMA_COPIES, MAX_GAMMA_SHAPE, SeededRng
 from .power import waterfill
+from .tail import run_calls
 
 CURVES = ("capacity", "normal_approx", "achievability", "converse")
 AGGREGATES = ("mean", "median", "single")
@@ -246,28 +245,6 @@ def _set_up_draw(config: ExperimentConfig, rng: SeededRng):
     return out, items
 
 
-def _worker_count() -> int:
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _run_items(calls: Sequence[Callable]) -> list:
-    """Results of ``calls``, in order, evaluated on a thread pool.
-
-    Raises the exception of the first failing call in list order; calls
-    still queued behind it are cancelled.
-    """
-    pool = ThreadPoolExecutor(max_workers=min(_worker_count(), len(calls)))
-    try:
-        futures = [pool.submit(call) for call in calls]
-        return [future.result() for future in futures]
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
 def _aggregate(values: np.ndarray, cis: np.ndarray, how: str) -> Tuple[float, float]:
     k = values.size
     if how == "single":
@@ -287,13 +264,14 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
 
     Every draw is set up on the calling thread first: channel, spectra, eps,
     capacity, dispersion and the normal approximation.  The Monte Carlo
-    bounds then run on a thread pool with one worker per CPU this process
-    may run on, as a fixed list of (draw, n, bound) items in serial order;
-    each item reads only its own random substream, so the rows do not
-    depend on the worker count or the scheduling.  A failure is raised as
-    in a serial run: the first failing item in that order wins, a set-up
-    failure of a later draw counts as coming after the earlier draws'
-    items, and the items still queued are cancelled.
+    bounds then run through ``tail.run_calls`` as a fixed list of
+    (draw, n, bound) items in serial order, each bound splitting its two
+    tag symbols over the same pool, so at most one thread per usable CPU
+    computes.  Each item reads only its own random substream, so the rows
+    do not depend on the CPU count or the scheduling.  A failure is raised
+    as in a serial run: the first failing item in that order wins, a
+    set-up failure of a later draw counts as coming after the earlier
+    draws' items, and no item after a failing one starts.
     """
     root = SeededRng(config.seed)
     n_draws = config.channel_draws if config.aggregate != "single" else 1
@@ -314,7 +292,7 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
         per_draw.append(out)
         items += [(out, curve, n, call) for curve, n, call in draw_items]
     if items:
-        results = _run_items([call for _, _, _, call in items])
+        results = run_calls([call for _, _, _, call in items])
         for (out, curve, n, _), res in zip(items, results):
             out[curve][n] = (res.rate_bits, res.ci_rate_bits)
     if setup_failure is not None:

@@ -6,7 +6,9 @@ achievability bound and 1 - eps for the meta-converse.  This module owns the
 exponential-family law of that density, the tie-aware threshold of the
 level-``level`` test, the one beta estimator (a raw change-of-measure mean,
 replaced by an exponentially tilted estimate of the deep tail that raw Monte
-Carlo cannot reach), and the equiprobable mixture of the per-symbol rates.
+Carlo cannot reach), the equiprobable mixture of the per-symbol rates, and
+``run_calls``, which evaluates the two symbols (and a sweep's bounds) at the
+same time on one shared thread pool.
 
 Per active mode j with y = g_j p_j > 0, the per-block contribution is
   n (log(1+y) + 1) - s * (X + Y),   X ~ ncx2(n, lam),  Y ~ chi2(n)
@@ -20,8 +22,11 @@ Zero-power modes contribute exactly zero.
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -190,8 +195,10 @@ def tilted_log_tail(
         raise InsufficientSamplesError("no tilted draw reached the threshold")
     mx = float(log_w[accepted].max())
     log_w -= mx
+    # rejected draws weigh 0; their log weights can lie far above mx, and
+    # exp would overflow on them
+    log_w[~accepted] = -np.inf
     shifted = np.exp(log_w, out=log_w)
-    shifted[~accepted] = 0.0
     mean = float(shifted.mean())
     ci_rel = 1.96 * float(shifted.std() / math.sqrt(size)) / mean
     if ci_rel > 0.5:
@@ -277,3 +284,76 @@ def mix_tag_symbols(res_minus: Any, res_plus: Any) -> MixedRate:
     rate = 0.5 * (res_minus.rate_nats + res_plus.rate_nats)
     ci = 0.5 * math.hypot(res_minus.ci_rate_bits, res_plus.ci_rate_bits)
     return MixedRate(rate, rate / math.log(2), ci, (res_minus, res_plus))
+
+
+# the process-wide pool of run_calls, created at first use
+_POOL: Optional[ThreadPoolExecutor] = None
+_POOL_LOCK = threading.Lock()
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _shared_pool() -> Optional[ThreadPoolExecutor]:
+    """The pool of (usable CPUs - 1) workers, or None with one usable CPU."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            cpus = _usable_cpus()
+            if cpus < 2:
+                return None
+            _POOL = ThreadPoolExecutor(max_workers=cpus - 1, thread_name_prefix="ambc-fbl")
+        return _POOL
+
+
+def run_calls(calls: Sequence[Callable[[], Any]]) -> list:
+    """Results of ``calls``, in list order, evaluated at the same time.
+
+    Idle workers of one process-wide pool take calls from the queue; the
+    calling thread runs every call that no worker has started yet itself,
+    going on to later calls before it waits for any running one.  A call
+    therefore never waits for queued work, so calls may nest (a sweep's
+    bounds, each splitting its two tag symbols) without deadlock, and at
+    most one thread per usable CPU computes.  With one usable CPU every
+    call runs inline, in order, and no pool is created.
+
+    A failing call stops every call after it in list order from starting;
+    calls already running are waited for, and the exception of the first
+    failing call in list order is raised, as in a serial run.
+    """
+    pool = _shared_pool() if len(calls) > 1 else None
+    if pool is None:
+        return [call() for call in calls]
+    results: list = [None] * len(calls)
+    errors = {}
+    stop = len(calls)  # no call after this index starts
+    lock = threading.Lock()
+
+    def run(i: int) -> None:
+        nonlocal stop
+        if i > stop:
+            return
+        try:
+            results[i] = calls[i]()
+        except BaseException as exc:  # re-raised below, on the calling thread
+            with lock:
+                errors[i] = exc
+                stop = min(stop, i)
+
+    futures = [pool.submit(run, i) for i in range(len(calls))]
+    started = []
+    for i, future in enumerate(futures):
+        if future.cancel():
+            run(i)
+        else:
+            started.append(future)
+    # a cancelled future counts as done only once a worker dequeues it
+    wait(started)
+    if errors:
+        raise errors[min(errors)]
+    return results

@@ -142,7 +142,7 @@ class TestBoundPool:
     # 3 draws x 4 blocklengths x 2 bounds
     GRID = dict(n_grid=[16, 32, 64, 128], channel_draws=3)
 
-    def _stub_bounds(self, monkeypatch, fail_rng=None):
+    def _stub_bounds(self, monkeypatch, pin_cpus, fail_rng=None):
         """Cheap stand-ins for both bounds that record their calls; the
         converse item whose substream is ``fail_rng`` raises."""
         calls = []
@@ -161,7 +161,7 @@ class TestBoundPool:
 
         monkeypatch.setattr(bounds_ach, "achievability_rate", stub("achievability"))
         monkeypatch.setattr(bounds_conv, "converse_rate", stub("converse"))
-        monkeypatch.setattr(cli, "_worker_count", lambda: 2)
+        pin_cpus(2)
         return calls
 
     @staticmethod
@@ -169,28 +169,33 @@ class TestBoundPool:
         # run_sweep keys each item by (seed, draw, n, bound)
         return SeededRng(cfg.seed).split(draw).split(2 * n + (bound == "converse"))
 
-    def test_rows_do_not_depend_on_the_worker_count(self, monkeypatch):
+    def test_rows_do_not_depend_on_the_worker_count(self, pin_cpus):
         # both bounds, four draws of which the tag target skips two
         cfg = _config(eps=None, eps_d=0.1, channel_draws=4, seed=1)
         results = []
         for workers in (1, 4):
-            monkeypatch.setattr(cli, "_worker_count", lambda workers=workers: workers)
+            pin_cpus(workers)
             results.append(run_sweep(cfg))
         assert results[0].skipped_realizations == results[1].skipped_realizations == 2
         assert results[0].rows == results[1].rows
         rows = results[0].rows
         assert all(math.isfinite(row.ach_bits) and math.isfinite(row.conv_bits) for row in rows)
 
-    def test_failing_item_exits_3_and_cancels_the_queue(self, monkeypatch, tmp_path, capsys):
+    def test_failing_item_exits_3_and_cancels_the_queue(
+        self, monkeypatch, pin_cpus, tmp_path, capsys
+    ):
         cfg = _config(**self.GRID)
-        calls = self._stub_bounds(monkeypatch, fail_rng=self._substream(cfg, 0, 16, "converse"))
+        fail_rng = self._substream(cfg, 0, 16, "converse")
+        calls = self._stub_bounds(monkeypatch, pin_cpus, fail_rng=fail_rng)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(asdict(cfg)))
         assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv")]) == 3
         assert "stub converse failed at n = 16" in capsys.readouterr().err
         assert len(calls) < 3 * 4 * 2
 
-    def test_later_set_up_failure_does_not_mask_an_earlier_item_failure(self, monkeypatch):
+    def test_later_set_up_failure_does_not_mask_an_earlier_item_failure(
+        self, monkeypatch, pin_cpus
+    ):
         cfg = _config(**self.GRID)
         draw = cli.draw_channel
         third = SeededRng(cfg.seed).split(2).split(0)
@@ -202,13 +207,13 @@ class TestBoundPool:
 
         monkeypatch.setattr(cli, "draw_channel", failing_draw)
         # alone, the set-up failure is raised after the first two draws' items
-        calls = self._stub_bounds(monkeypatch)
+        calls = self._stub_bounds(monkeypatch, pin_cpus)
         with pytest.raises(ZeroSpectrumError, match="draw 2"):
             run_sweep(cfg)
         per_draw = [(curve, n) for curve in ("achievability", "converse") for n in cfg.n_grid]
         assert sorted((curve, n) for curve, n, _ in calls) == sorted(2 * per_draw)
         # an item of draw 1 fails first in serial order
-        self._stub_bounds(monkeypatch, fail_rng=self._substream(cfg, 1, 64, "converse"))
+        self._stub_bounds(monkeypatch, pin_cpus, fail_rng=self._substream(cfg, 1, 64, "converse"))
         with pytest.raises(ConvergenceError, match="n = 64"):
             run_sweep(cfg)
 

@@ -1,0 +1,170 @@
+"""The shared pool: ``tail.run_calls`` and the bounds that split their two tag
+symbols over it."""
+
+import sys
+import threading
+import time
+from functools import partial
+from types import SimpleNamespace
+
+import pytest
+
+from ambc_fbl import bounds_ach, bounds_conv, tail
+from ambc_fbl.bounds_ach import achievability_rate
+from ambc_fbl.bounds_conv import converse_rate
+from ambc_fbl.channel import Fading, composite, draw_channel, eigen_spectrum
+from ambc_fbl.cli import ExperimentConfig, run_sweep
+from ambc_fbl.numerics import SeededRng
+from ambc_fbl.power import waterfill
+from ambc_fbl.tail import run_calls
+
+
+class _Leaves:
+    """Calls that sleep briefly and count how many of them run at once."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.active = 0
+        self.most = 0
+        self.started = []
+
+    def __call__(self, value, delay=0.01):
+        with self.lock:
+            self.active += 1
+            self.most = max(self.most, self.active)
+            self.started.append(value)
+        time.sleep(delay)
+        with self.lock:
+            self.active -= 1
+        return value
+
+
+class TestRunCalls:
+    def test_results_come_back_in_list_order(self, pin_cpus):
+        pin_cpus(3)
+        leaves = _Leaves()
+        # later calls finish first
+        calls = [partial(leaves, i, 0.002 * (8 - i)) for i in range(8)]
+        assert run_calls(calls) == list(range(8))
+        assert sorted(leaves.started) == list(range(8))
+
+    def test_first_failure_in_list_order_is_raised_and_stops_later_calls(self, pin_cpus):
+        pin_cpus(2)
+        leaves = _Leaves()
+        failed = threading.Event()
+        after_failure = []
+
+        def fail(i, delay):
+            time.sleep(delay)
+            failed.set()
+            raise ValueError(f"call {i} failed")
+
+        def call(i):
+            if failed.is_set():
+                after_failure.append(i)
+            return leaves(i)
+
+        calls = [partial(call, i) for i in range(12)]
+        calls[3] = partial(fail, 3, 0.0)
+        with pytest.raises(ValueError, match="call 3 failed"):
+            run_calls(calls)
+        assert all(i < 3 for i in after_failure)
+        assert len(leaves.started) < 11
+
+        # a later call that fails sooner does not mask an earlier failure
+        failed.clear()
+        with pytest.raises(ValueError, match="call 0 failed"):
+            run_calls([partial(fail, 0, 0.05), partial(fail, 1, 0.0)])
+
+    def test_one_cpu_runs_every_call_inline_without_a_pool(self, pin_cpus):
+        pin_cpus(1)
+        threads = run_calls([threading.get_ident] * 4)
+        assert threads == [threading.get_ident()] * 4
+        assert tail._POOL is None
+
+    def test_nested_calls_finish_with_one_computing_thread_per_cpu(self, pin_cpus):
+        # more workers than cores and a short switch interval: a lost update
+        # of the stop index or a wait on queued work would show here
+        pin_cpus(4)
+        leaves = _Leaves()
+
+        def outer(i):
+            return run_calls([partial(leaves, (i, j), 0.001) for j in range(3)])
+
+        out = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            runner = threading.Thread(target=lambda: out.append(run_calls(
+                [partial(outer, i) for i in range(16)])), daemon=True)
+            runner.start()
+            runner.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert out == [[[(i, j) for j in range(3)] for i in range(16)]]
+        assert len(leaves.started) == len(set(leaves.started)) == 48
+        assert 1 <= leaves.most <= 4
+
+    def test_sweep_runs_at_most_one_leaf_per_cpu(self, pin_cpus, monkeypatch):
+        pin_cpus(2)
+        leaves = _Leaves()
+
+        def leaf(n, g, total_power, eps, rng, num_samples):
+            leaves((n, g.d), 0.01)
+            return SimpleNamespace(rate_nats=1.0, ci_rate_bits=0.0)
+
+        monkeypatch.setattr(bounds_ach, "_fixed_d_rate", leaf)
+        monkeypatch.setattr(bounds_conv, "_fixed_d_rate", leaf)
+        cfg = ExperimentConfig(
+            t=2, r=3, fading="rayleigh", a_coeff=0.5, snr_db=0.0, eps=1e-3,
+            n_grid=[16, 32], mc_samples=2000, channel_draws=3, seed=5,
+        )
+        run_sweep(cfg)
+        # 3 draws x 2 blocklengths x 2 bounds x 2 tag symbols
+        assert len(leaves.started) == 24
+        assert leaves.most == 2
+
+
+class TestSymbolsAtOnce:
+    """Both bounds evaluate their two tag symbols through ``run_calls``."""
+
+    @staticmethod
+    def _spectra():
+        # both tag symbols have two active modes at P = 1
+        ch = draw_channel(SeededRng(12), 2, 3, Fading.rayleigh(), 0.5)
+        spectra = eigen_spectrum(composite(ch, +1)), eigen_spectrum(composite(ch, -1))
+        assert all((waterfill(s, 1.0).p > 0).sum() == 2 for s in spectra)
+        return spectra
+
+    @pytest.mark.parametrize("bound", [achievability_rate, converse_rate])
+    def test_per_symbol_results_do_not_depend_on_the_cpu_count(self, bound, pin_cpus):
+        sp, sm = self._spectra()
+        results = []
+        for cpus in (1, 2):
+            pin_cpus(cpus)
+            results.append(bound(100, sp, sm, 1.0, 1e-3, SeededRng(7), 20_000))
+        one, two = results
+        # rates, tau, kappa, K and every BetaEstimate field, bit for bit
+        assert one.per_d == two.per_d
+        assert [sub.d for sub in two.per_d] == [-1, 1]
+        assert (one.rate_bits, one.ci_rate_bits) == (two.rate_bits, two.ci_rate_bits)
+
+    def test_cold_converse_searches_k1_once(self, pin_cpus, monkeypatch):
+        sp, sm = self._spectra()
+        calls = []
+        pdf = bounds_conv.product_gamma_logpdf
+
+        def counted(*args):
+            calls.append(args)
+            return pdf(*args)
+
+        monkeypatch.setattr(bounds_conv, "product_gamma_logpdf", counted)
+        counts = []
+        for cpus in (1, 2):
+            pin_cpus(cpus)
+            bounds_conv._unit_scale_log_sup.cache_clear()
+            calls.clear()
+            converse_rate(300, sp, sm, 1.0, 1e-3, SeededRng(7), 2000)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
