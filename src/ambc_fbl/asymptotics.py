@@ -9,6 +9,7 @@ from typing import Union
 import numpy as np
 
 from .channel import EigenSpectrum
+from .errors import OverflowRegimeError, at_row
 from .numerics import gaussian_q_inv
 from .power import PowerAllocation
 
@@ -23,34 +24,54 @@ def _as_gammas(g: _ArrayLike, p: Union[PowerAllocation, np.ndarray]) -> np.ndarr
     return gv * pv
 
 
-def capacity(g: _ArrayLike, p) -> float:
-    """Capacity sum_j log(1 + g_j p_j), in nats per channel use."""
-    return float(np.log1p(_as_gammas(g, p)).sum())
+def _scalar(x: np.ndarray):
+    return float(x) if x.ndim == 0 else x
 
 
-def dispersion(g: _ArrayLike, p) -> float:
+def capacity(g: _ArrayLike, p):
+    """Capacity sum_j log(1 + g_j p_j), in nats per channel use.
+
+    Sums over the last axis: one value per draw for a spectrum with a
+    leading draw axis, a float for a single one.
+    """
+    return _scalar(np.log1p(_as_gammas(g, p)).sum(axis=-1))
+
+
+def dispersion(g: _ArrayLike, p):
     """Channel dispersion in squared nats per channel use.
 
     Computed as sum_j y(y+2)/(1+y)^2 and cross-checked against the equivalent
-    m - sum_j 1/(1+y)^2 form.
+    m - sum_j 1/(1+y)^2 form.  Sums over the last axis, like ``capacity``.
+    Raises ``OverflowRegimeError`` when the two forms disagree beyond
+    rounding, which happens only when (1 + y)^2 overflows (y above about
+    1e154) and the forms turn to NaN; its ``row`` is the first such draw.
     """
     y = _as_gammas(g, p)
-    first = float((y * (y + 2.0) / (1.0 + y) ** 2).sum())
-    second = float(y.size - (1.0 / (1.0 + y) ** 2).sum())
-    if abs(first - second) > 1e-12 * max(1.0, abs(first)):
-        raise AssertionError("dispersion forms disagree beyond rounding")
-    return first
+    with np.errstate(over="ignore", invalid="ignore"):
+        first = (y * (y + 2.0) / (1.0 + y) ** 2).sum(axis=-1)
+        second = y.shape[-1] - (1.0 / (1.0 + y) ** 2).sum(axis=-1)
+    agree = (np.abs(first - second) <= 1e-12 * np.maximum(1.0, np.abs(first))).reshape(-1)
+    if not agree.all():
+        row = int(np.argmin(agree))
+        raise at_row(OverflowRegimeError("dispersion forms disagree beyond rounding"), row)
+    return _scalar(first)
 
 
-def normal_approximation(capacity_nats: float, dispersion_v: float, n: int, eps: float) -> float:
-    """C - sqrt(V/n) Qinv(eps), in nats; may be negative and is never clamped."""
-    if n < 1:
+def normal_approximation(capacity_nats, dispersion_v, n, eps):
+    """C - sqrt(V/n) Qinv(eps), in nats; may be negative and is never clamped.
+
+    Broadcasts over arrays of its arguments; one ``gaussian_q_inv`` call
+    serves every eps.  Returns a float when every argument is a scalar.
+    """
+    n = np.asarray(n)
+    dispersion_v = np.asarray(dispersion_v, dtype=float)
+    if np.any(n < 1):
         raise ValueError("blocklength must be >= 1")
-    if dispersion_v < 0:
+    if np.any(dispersion_v < 0):
         raise ValueError("dispersion must be nonnegative")
-    if dispersion_v == 0:
-        return capacity_nats
-    return capacity_nats - math.sqrt(dispersion_v / n) * gaussian_q_inv(eps)
+    q = gaussian_q_inv(eps)
+    na = np.where(dispersion_v == 0, capacity_nats, capacity_nats - np.sqrt(dispersion_v / n) * q)
+    return _scalar(na)
 
 
 def verify_sigma_maximizer(g_j: float, p_j: float, tol: float = 1e-9) -> float:

@@ -1,12 +1,17 @@
 """Channel generation for the backscatter link: the direct source-receiver
 matrix, the two tag hops, the composite channel per tag symbol, and its
 eigen-spectrum.
+
+Realizations, composite pairs and spectra may carry a leading draw axis
+(``ChannelRealization.stack``); ``composite`` and ``eigen_spectrum`` then
+work row by row, and a single draw is the batch-of-one case of the same
+code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -40,30 +45,46 @@ class Fading:
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """One draw of the three fading matrices plus the tag scattering efficiency."""
+    """One draw of the three fading matrices plus the tag scattering efficiency,
+    or a batch of draws stacked along a leading axis."""
 
-    h_sr: np.ndarray  # t x r
-    h_sg: np.ndarray  # t x 1
-    h_gr: np.ndarray  # 1 x r
+    h_sr: np.ndarray  # [draws x] t x r
+    h_sg: np.ndarray  # [draws x] t x 1
+    h_gr: np.ndarray  # [draws x] 1 x r
     a_coeff: float
     fading: Fading
 
     def __post_init__(self) -> None:
-        t, r = self.h_sr.shape
-        if self.h_sg.shape != (t, 1):
+        *batch, t, r = self.h_sr.shape
+        if self.h_sg.shape != (*batch, t, 1):
             raise ValueError(f"h_sg must be {t}x1, got {self.h_sg.shape}")
-        if self.h_gr.shape != (1, r):
+        if self.h_gr.shape != (*batch, 1, r):
             raise ValueError(f"h_gr must be 1x{r}, got {self.h_gr.shape}")
         if not 0.0 <= self.a_coeff <= 1.0:
             raise ValueError("a_coeff must lie in [0, 1]")
 
     @property
     def t(self) -> int:
-        return self.h_sr.shape[0]
+        return self.h_sr.shape[-2]
 
     @property
     def r(self) -> int:
-        return self.h_sr.shape[1]
+        return self.h_sr.shape[-1]
+
+    @classmethod
+    def stack(cls, draws: Sequence["ChannelRealization"]) -> "ChannelRealization":
+        """The draws as one batch, in order along a leading axis; they must
+        share their shapes, ``a_coeff`` and fading."""
+        first = draws[0]
+        if any((ch.a_coeff, ch.fading) != (first.a_coeff, first.fading) for ch in draws):
+            raise ValueError("stacked draws must share a_coeff and fading")
+        return cls(
+            h_sr=np.stack([ch.h_sr for ch in draws]),
+            h_sg=np.stack([ch.h_sg for ch in draws]),
+            h_gr=np.stack([ch.h_gr for ch in draws]),
+            a_coeff=first.a_coeff,
+            fading=first.fading,
+        )
 
 
 @dataclass(frozen=True)
@@ -86,7 +107,8 @@ class CompositePair:
 
 @dataclass(frozen=True)
 class EigenSpectrum:
-    """The m = min(t, r) largest eigenvalues of the composite Gram matrix."""
+    """The m = min(t, r) largest eigenvalues of the composite Gram matrix,
+    one row per draw when ``g`` has a leading draw axis."""
 
     g: np.ndarray
     d: int
@@ -101,12 +123,7 @@ class EigenSpectrum:
 
     @property
     def m(self) -> int:
-        return self.g.size
-
-
-def _cn_matrix(gen: np.random.Generator, shape) -> np.ndarray:
-    # circularly symmetric complex Gaussian, unit variance per entry
-    return (gen.standard_normal(shape) + 1j * gen.standard_normal(shape)) / np.sqrt(2.0)
+        return self.g.shape[-1]
 
 
 def draw_channel(
@@ -124,19 +141,23 @@ def draw_channel(
     """
     if t < 1 or r < 1:
         raise ValueError("antenna counts must be >= 1")
-    gen = rng.generator()
-
-    def link(shape):
-        scatter = _cn_matrix(gen, shape)
-        if fading.kind == RAYLEIGH:
-            return scatter
+    # one call reads the stream in the order of six separate draws: the real
+    # then the imaginary parts of h_sr, of h_sg and of h_gr
+    normals = rng.generator().standard_normal(2 * (t * r + t + r))
+    parts = [
+        normals[start : start + 2 * size].reshape(2, size)
+        for start, size in ((0, t * r), (2 * t * r, t), (2 * (t * r + t), r))
+    ]
+    re, im = np.concatenate(parts, axis=1)
+    # circularly symmetric complex Gaussian, unit variance per entry
+    entries = (re + 1j * im) / np.sqrt(2.0)
+    if fading.kind == RICIAN:
         k = 10.0 ** (fading.k_factor_db / 10.0)
-        return np.sqrt(k / (k + 1.0)) + np.sqrt(1.0 / (k + 1.0)) * scatter
-
+        entries = np.sqrt(k / (k + 1.0)) + np.sqrt(1.0 / (k + 1.0)) * entries
     return ChannelRealization(
-        h_sr=link((t, r)),
-        h_sg=link((t, 1)),
-        h_gr=link((1, r)),
+        h_sr=entries[: t * r].reshape(t, r),
+        h_sg=entries[t * r : t * r + t].reshape(t, 1),
+        h_gr=entries[t * r + t :].reshape(1, r),
         a_coeff=float(a_coeff),
         fading=fading,
     )
@@ -151,13 +172,15 @@ def composite(ch: ChannelRealization, d: int) -> CompositePair:
 def eigen_spectrum(pair: CompositePair) -> EigenSpectrum:
     """Descending eigenvalues of (h0 + d h1)^H (h0 + d h1), m largest.
 
+    Every leading axis of the pair is a draw axis: the Gram matrices are
+    decomposed in one stacked ``eigvalsh`` call, each exactly as on its own.
     The Gram matrix is positive semidefinite, so negative eigenvalues are
     solver noise and are clamped to zero.  Non-convergence of the
     Hermitian eigensolver propagates as ``numpy.linalg.LinAlgError``.
     """
     h = pair.effective()
-    m = min(h.shape)
-    gram = h.conj().T @ h
+    m = min(h.shape[-2:])
+    gram = np.swapaxes(h.conj(), -1, -2) @ h
     ev = np.linalg.eigvalsh(gram)
-    ev = np.sort(ev)[::-1][:m]
+    ev = np.sort(ev, axis=-1)[..., ::-1][..., :m]
     return EigenSpectrum(g=np.maximum(ev, 0.0), d=pair.d)

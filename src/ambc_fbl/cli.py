@@ -19,7 +19,14 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import asymptotics, bounds_ach, bounds_conv, tag
-from .channel import Fading, composite, draw_channel, eigen_spectrum
+from .channel import (
+    ChannelRealization,
+    EigenSpectrum,
+    Fading,
+    composite,
+    draw_channel,
+    eigen_spectrum,
+)
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -35,6 +42,12 @@ from .tail import run_calls
 CURVES = ("capacity", "normal_approx", "achievability", "converse")
 AGGREGATES = ("mean", "median", "single")
 CSV_HEADER = "n,capacity_bits,na_bits,ach_bits,conv_bits,ach_ci,conv_ci,draws"
+
+# the accepted transmit SNR in dB, P from 1e-10 to 1e10 in unit-noise units.
+# Inside it, waterfilling resolves P against 1/g_max for every g_max above
+# about 1e-6 (at g_max = 1, P + 1/g_max == 1/g_max below about -160 dB), and
+# (1 + g p)^2 in the dispersion stays far from its overflow at g p ~ 1e154.
+SNR_DB_RANGE = (-100.0, 100.0)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -89,6 +102,8 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None or name in ("snr_db", "a_coeff"):
                 _check_real(name, value)
+        if not SNR_DB_RANGE[0] <= self.snr_db <= SNR_DB_RANGE[1]:
+            raise ConfigError(f"snr_db must lie in [{SNR_DB_RANGE[0]:g}, {SNR_DB_RANGE[1]:g}]")
         if self.t < 1 or self.r < 1:
             raise ConfigError("antenna counts must be >= 1")
         if self.fading not in ("rayleigh", "rician"):
@@ -186,63 +201,87 @@ class SweepResult:
     nan_reasons: Dict[str, str] = field(default_factory=dict)
 
 
-def _set_up_draw(config: ExperimentConfig, rng: SeededRng):
-    """Set up one channel realization: its closed-form curves and its bounds.
+@dataclass
+class _SetUp:
+    """The set-up pass over a sweep's draws: the kept draws' indices, their
+    eps and spectra (one batch per tag symbol), capacity and the normal
+    approximation in bits as (n, draw) arrays, the skip count, and the
+    first set-up failure, which stopped the pass at its draw."""
 
-    Returns ``(out, items)``.  ``out`` maps each requested curve to
-    {n: (rate_bits, ci_bits)}, filled for capacity and the normal
-    approximation; ``items`` lists one ``(curve, n, call)`` per requested
-    Monte Carlo bound and blocklength, where ``call()`` evaluates the bound
-    on its own random substream.  Raises ``InfeasibleTargetError`` when the
-    realization cannot meet a requested tag error target.
-    """
-    ch = draw_channel(rng.split(0), config.t, config.r, config.fading_spec, config.a_coeff)
-    pair_minus = composite(ch, -1)
-    pair_plus = composite(ch, +1)
-    spec_minus = eigen_spectrum(pair_minus)
-    spec_plus = eigen_spectrum(pair_plus)
-    power = config.total_power
+    draws: List[int]
+    eps: List[float]
+    spectra: Dict[int, EigenSpectrum]
+    curves: Dict[str, np.ndarray]
+    skipped: int
+    failure: Optional[Exception]
 
-    if config.eps is not None:
-        eps = config.eps
-    else:
-        model = tag.TagErrorModel.from_pair(pair_plus)
-        eps = tag.eps_given_tag_error(model, config.eps_d)
-        # endpoint targets map to 0 or 1 exactly; keep the bounds well defined
-        eps = min(max(eps, 1e-12), 1.0 - 1e-12)
 
-    cv = []
-    for spec in (spec_minus, spec_plus):
-        alloc = waterfill(spec, power)
+def _closed_form(config: ExperimentConfig, channels, eps: List[float]):
+    """Spectra, capacity and the normal approximation of every draw at once:
+    one call of each layer per tag symbol, on arrays with a leading draw axis."""
+    batch = ChannelRealization.stack(channels)
+    n = np.array(config.n_grid)[:, None]
+    spectra, cap, na = {}, [], []
+    for d in (-1, +1):
+        spec = eigen_spectrum(composite(batch, d))
+        alloc = waterfill(spec, config.total_power)
         c = asymptotics.capacity(spec, alloc)
         v = asymptotics.dispersion(spec, alloc)
-        cv.append((c, v))
-
-    out: Dict[str, Dict[int, Tuple[float, float]]] = {name: {} for name in config.curves}
-    items = []
+        spectra[d] = spec
+        cap.append(c)
+        if "normal_approx" in config.curves:
+            na.append(asymptotics.normal_approximation(c, v, n, np.array(eps)))
     ln2 = math.log(2)
-    for n in config.n_grid:
-        if "capacity" in out:
-            cap = 0.5 * (cv[0][0] + cv[1][0])
-            out["capacity"][n] = (cap / ln2, 0.0)
-        if "normal_approx" in out:
-            na = 0.5 * sum(
-                asymptotics.normal_approximation(c, v, n, eps) for c, v in cv
+    curves = {}
+    if "capacity" in config.curves:
+        cap_bits = 0.5 * (cap[0] + cap[1]) / ln2
+        curves["capacity"] = np.repeat(cap_bits[None, :], n.size, axis=0)
+    if na:
+        curves["normal_approx"] = 0.5 * (na[0] + na[1]) / ln2
+    return spectra, curves
+
+
+def _set_up(config: ExperimentConfig, root: SeededRng, n_draws: int) -> _SetUp:
+    """Set up every draw of a sweep in one pass.
+
+    Draw k draws its channel on the stream ``root.split(k).split(0)`` and,
+    with ``eps_d``, converts the tag target to its eps; a draw that cannot
+    reach the target is skipped.  The rest runs batched (``_closed_form``).
+    A numeric failure of draw k stops the pass at that draw, as in a serial
+    run: when a batched layer fails, its error's ``row`` cuts the batch
+    before the failing draw, and the cut batch is set up again.
+    """
+    draws, channels, eps = [], [], []
+    skipped, failure = 0, None
+    for k in range(n_draws):
+        try:
+            ch = draw_channel(
+                root.split(k).split(0), config.t, config.r, config.fading_spec, config.a_coeff
             )
-            out["normal_approx"][n] = (na / ln2, 0.0)
-        if "achievability" in out:
-            call = partial(
-                bounds_ach.achievability_rate,
-                n, spec_plus, spec_minus, power, eps, rng.split(2 * n), config.mc_samples,
-            )
-            items.append(("achievability", n, call))
-        if "converse" in out:
-            call = partial(
-                bounds_conv.converse_rate,
-                n, spec_plus, spec_minus, power, eps, rng.split(2 * n + 1), config.mc_samples,
-            )
-            items.append(("converse", n, call))
-    return out, items
+            eps_k = config.eps
+            if eps_k is None:
+                model = tag.TagErrorModel.from_pair(composite(ch, +1))
+                # endpoint targets map to 0 or 1 exactly; keep the bounds well defined
+                eps_k = min(max(tag.eps_given_tag_error(model, config.eps_d), 1e-12), 1.0 - 1e-12)
+        except InfeasibleTargetError:
+            skipped += 1
+            continue
+        except _NUMERIC_FAILURES as exc:
+            failure = exc
+            break
+        draws.append(k)
+        channels.append(ch)
+        eps.append(eps_k)
+    spectra, curves = {}, {}
+    while draws:
+        try:
+            spectra, curves = _closed_form(config, channels, eps)
+            break
+        except _NUMERIC_FAILURES as exc:
+            cut = getattr(exc, "row", 0)
+            del draws[cut:], channels[cut:], eps[cut:]
+            failure = exc
+    return _SetUp(draws, eps, spectra, curves, skipped, failure)
 
 
 def _aggregate(values: np.ndarray, cis: np.ndarray, how: str) -> Tuple[float, float]:
@@ -262,11 +301,12 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     skipped and counted.  All randomness descends from (seed, draw index) so
     repeated runs are bit-identical.
 
-    Every draw is set up on the calling thread first: channel, spectra, eps,
-    capacity, dispersion and the normal approximation.  The Monte Carlo
-    bounds then run through ``tail.run_calls`` as a fixed list of
-    (draw, n, bound) items in serial order, each bound splitting its two
-    tag symbols over the same pool, so at most one thread per usable CPU
+    Every draw is set up first, in one pass on the calling thread (see
+    ``_set_up``): channel, eps, spectra, capacity, dispersion and the
+    normal approximation.  The Monte Carlo bounds then run through
+    ``tail.run_calls`` as a fixed list of (draw, n, bound) items in serial
+    order, each on its draw's spectra, each bound splitting its two tag
+    symbols over the same pool, so at most one thread per usable CPU
     computes.  Each item reads only its own random substream, so the rows
     do not depend on the CPU count or the scheduling.  A failure is raised
     as in a serial run: the first failing item in that order wins, a
@@ -275,45 +315,54 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     """
     root = SeededRng(config.seed)
     n_draws = config.channel_draws if config.aggregate != "single" else 1
-    per_draw = []
+    setup = _set_up(config, root, n_draws)
+    bounds = [
+        (curve, bound, offset)
+        for curve, bound, offset in (
+            ("achievability", bounds_ach.achievability_rate, 0),
+            ("converse", bounds_conv.converse_rate, 1),
+        )
+        if curve in config.curves
+    ]
+    shape = (len(config.n_grid), len(setup.draws))
+    rates = dict(setup.curves, **{curve: np.empty(shape) for curve, _, _ in bounds})
+    cis = {curve: np.zeros(shape) for curve in config.curves}
     items = []
-    skipped = 0
-    setup_failure = None
-    for k in range(n_draws):
-        try:
-            out, draw_items = _set_up_draw(config, root.split(k))
-        except InfeasibleTargetError:
-            skipped += 1
-            continue
-        except _NUMERIC_FAILURES as exc:
-            # raised once the earlier draws' items have run, as in a serial run
-            setup_failure = exc
-            break
-        per_draw.append(out)
-        items += [(out, curve, n, call) for curve, n, call in draw_items]
+    if bounds:
+        for i, (k, eps) in enumerate(zip(setup.draws, setup.eps)):
+            g_plus = EigenSpectrum(setup.spectra[+1].g[i], +1)
+            g_minus = EigenSpectrum(setup.spectra[-1].g[i], -1)
+            rng = root.split(k)
+            for j, n in enumerate(config.n_grid):
+                for curve, bound, offset in bounds:
+                    call = partial(
+                        bound, n, g_plus, g_minus, config.total_power, eps,
+                        rng.split(2 * n + offset), config.mc_samples,
+                    )
+                    items.append((curve, j, i, call))
     if items:
-        results = run_calls([call for _, _, _, call in items])
-        for (out, curve, n, _), res in zip(items, results):
-            out[curve][n] = (res.rate_bits, res.ci_rate_bits)
-    if setup_failure is not None:
-        raise setup_failure
+        results = run_calls([call for *_, call in items])
+        for (curve, j, i, _), res in zip(items, results):
+            rates[curve][j, i] = res.rate_bits
+            cis[curve][j, i] = res.ci_rate_bits
+    if setup.failure is not None:
+        raise setup.failure
     nan_reasons = {c: "curve not requested" for c in CURVES if c not in config.curves}
-    if not per_draw:
+    if not setup.draws:
         rows = [
             SweepRow(n, math.nan, math.nan, math.nan, math.nan, math.nan, math.nan, 0)
             for n in config.n_grid
         ]
         for c in config.curves:
             nan_reasons[c] = "all realizations infeasible for the tag error target"
-        return SweepResult(rows, config, skipped, nan_reasons)
+        return SweepResult(rows, config, setup.skipped, nan_reasons)
 
     rows = []
-    for n in config.n_grid:
-        agg: Dict[str, Tuple[float, float]] = {}
-        for curve in config.curves:
-            vals = np.array([d[curve][n][0] for d in per_draw])
-            cis = np.array([d[curve][n][1] for d in per_draw])
-            agg[curve] = _aggregate(vals, cis, config.aggregate)
+    for j, n in enumerate(config.n_grid):
+        agg = {
+            curve: _aggregate(rates[curve][j], cis[curve][j], config.aggregate)
+            for curve in config.curves
+        }
         rows.append(
             SweepRow(
                 n=n,
@@ -323,10 +372,10 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
                 conv_bits=agg.get("converse", (math.nan,))[0],
                 ach_ci=agg.get("achievability", (math.nan, math.nan))[1],
                 conv_ci=agg.get("converse", (math.nan, math.nan))[1],
-                draws=len(per_draw),
+                draws=len(setup.draws),
             )
         )
-    return SweepResult(rows, config, skipped, nan_reasons)
+    return SweepResult(rows, config, setup.skipped, nan_reasons)
 
 
 def _fmt(x: float) -> str:

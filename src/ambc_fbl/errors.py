@@ -18,8 +18,15 @@ class ZeroSpectrumError(ValueError):
 
 
 class OverflowRegimeError(ArithmeticError):
-    """A log-domain quantity left the range where the bound is meaningful."""
+    """A quantity left the floating-point range where the result is meaningful."""
 
 
 class ConfigError(ValueError):
     """An experiment configuration failed validation."""
+
+
+def at_row(exc: Exception, row: int) -> Exception:
+    """Record on ``exc`` the first row of a batch (the index along its
+    leading draw axes, flattened) that raised it, as ``exc.row``."""
+    exc.row = row
+    return exc

@@ -244,11 +244,13 @@ def gaussian_q(x):
     return float(out) if out.ndim == 0 else out
 
 
-def gaussian_q_inv(p: float) -> float:
-    """Inverse of ``gaussian_q`` on (0, 1)."""
-    if not 0.0 < p < 1.0:
+def gaussian_q_inv(p):
+    """Inverse of ``gaussian_q`` on (0, 1), elementwise over an array."""
+    p = np.asarray(p, dtype=float)
+    if not np.all((0.0 < p) & (p < 1.0)):
         raise ValueError(f"gaussian_q_inv requires p in (0, 1), got {p}")
-    return float(-special.ndtri(p))
+    out = -special.ndtri(p)
+    return float(out) if out.ndim == 0 else out
 
 
 def log_gamma(x):

@@ -8,15 +8,19 @@ from typing import Union
 import numpy as np
 
 from .channel import EigenSpectrum
-from .errors import ZeroSpectrumError
+from .errors import OverflowRegimeError, ZeroSpectrumError, at_row
 
 
 @dataclass(frozen=True)
 class PowerAllocation:
-    """Per-mode powers p_j = max(water_level - 1/g_j, 0) summing to total_power."""
+    """Per-mode powers p_j = max(water_level - 1/g_j, 0) summing to total_power.
+
+    With a leading draw axis, ``p`` holds one allocation per row and
+    ``water_level`` one level per row; each row meets the budget.
+    """
 
     p: np.ndarray
-    water_level: float
+    water_level: Union[float, np.ndarray]
     total_power: float
 
     def __post_init__(self) -> None:
@@ -25,7 +29,7 @@ class PowerAllocation:
             raise ValueError("allocated powers must be nonnegative")
         # relative to the budget above 1: at P = 1e8 the rounding of p.sum()
         # alone exceeds an absolute 1e-9
-        if abs(p.sum() - self.total_power) > 1e-9 * max(1.0, self.total_power):
+        if np.any(np.abs(p.sum(axis=-1) - self.total_power) > 1e-9 * max(1.0, self.total_power)):
             raise ValueError("allocation does not meet the power budget")
         object.__setattr__(self, "p", p)
 
@@ -36,29 +40,51 @@ def waterfill(g: Union[EigenSpectrum, np.ndarray], total_power: float) -> PowerA
     Closed form over sorted prefixes: with 1/g ascending, the k-mode water
     level is (P + sum of the k smallest 1/g_j) / k, and the active set is the
     largest k whose level clears its own inverse gain.
+
+    Every leading axis of ``g`` is a draw axis, solved row by row with the
+    arithmetic of a single row.  Raises ``ZeroSpectrumError`` when every gain
+    of a row is zero, and ``OverflowRegimeError`` when P is below the
+    rounding of a row's smallest inverse gain (P + 1/g_max == 1/g_max), so
+    that no mode can take power; either error's ``row`` is the first such
+    row (0 for a single spectrum).
     """
     gv = np.asarray(g.g if isinstance(g, EigenSpectrum) else g, dtype=float)
     if total_power <= 0:
         raise ValueError("total power must be positive")
     positive = gv > 0
-    if not positive.any():
-        raise ZeroSpectrumError("all eigenvalues are zero")
-
-    inv = np.sort(1.0 / gv[positive])
-    prefix = np.cumsum(inv)
-    lam = None
-    for k in range(inv.size, 0, -1):
-        cand = (total_power + prefix[k - 1]) / k
-        if cand > inv[k - 1]:
-            lam = cand
-            break
-    assert lam is not None  # k = 1 always qualifies: P + 1/g_max > 1/g_max
+    nonzero = positive.any(axis=-1).reshape(-1)
+    if not nonzero.all():
+        row = int(np.argmin(nonzero))
+        raise at_row(ZeroSpectrumError("all eigenvalues are zero"), row)
 
     with np.errstate(divide="ignore"):
-        p = np.where(positive, np.maximum(lam - 1.0 / np.where(positive, gv, 1.0), 0.0), 0.0)
+        inv_all = 1.0 / gv
+    # zero gains sort last as +inf and never join the active set
+    inv = np.sort(np.where(positive, inv_all, np.inf), axis=-1)
+    prefix = np.cumsum(inv, axis=-1)
+    k = np.arange(1, gv.shape[-1] + 1)
+    levels = (total_power + prefix) / k
+    qualifies = levels > inv
+    feasible = qualifies.any(axis=-1).reshape(-1)
+    if not feasible.all():
+        row = int(np.argmin(feasible))
+        raise at_row(
+            OverflowRegimeError(
+                f"total power {total_power:.3e} is below the rounding of the smallest inverse gain"
+            ),
+            row,
+        )
+    # the active set is the largest qualifying k
+    last = gv.shape[-1] - 1 - np.argmax(qualifies[..., ::-1], axis=-1)
+    lam = np.take_along_axis(levels, last[..., None], axis=-1)
+
+    p = np.where(positive, np.maximum(lam - np.where(positive, inv_all, 1.0), 0.0), 0.0)
     # remove the accumulated rounding so the budget holds to 1e-9 relative;
     # a mode active by less than one ulp could be pushed below zero, so clamp
     active = p > 0
-    p[active] += (total_power - p.sum()) / active.sum()
-    p = np.maximum(p, 0.0)
-    return PowerAllocation(p=p, water_level=float(lam), total_power=float(total_power))
+    shift = (total_power - p.sum(axis=-1, keepdims=True)) / active.sum(axis=-1, keepdims=True)
+    p = np.maximum(np.where(active, p + shift, p), 0.0)
+    lam = lam[..., 0]
+    return PowerAllocation(
+        p=p, water_level=lam if lam.ndim else float(lam), total_power=float(total_power)
+    )

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from ambc_fbl.asymptotics import (
     normal_approximation,
     verify_sigma_maximizer,
 )
+from ambc_fbl.errors import OverflowRegimeError
 from ambc_fbl.numerics import SeededRng, gaussian_q_inv
 from ambc_fbl.tail import KIND_CONDITIONAL, LawParams
 
@@ -47,6 +49,22 @@ class TestDispersion:
             second = float(m - (1.0 / (1.0 + y) ** 2).sum())
             assert abs(first - second) <= 1e-12 * max(1.0, abs(first))
 
+    def test_overflow_is_a_documented_error_without_warnings(self):
+        # (1 + y)^2 overflows above y ~ 1e154 and both forms turn to NaN
+        g = np.array([[1.0, 0.5], [1e200, 1.0]])
+        p = np.ones((2, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowRegimeError) as info:
+                dispersion(g, p)
+        assert info.value.row == 1
+
+    def test_rows_are_single_spectra(self):
+        rng = np.random.default_rng(5)
+        g, p = rng.uniform(0, 10, (50, 4)), rng.uniform(0, 3, (50, 4))
+        assert list(dispersion(g, p)) == [dispersion(gi, pi) for gi, pi in zip(g, p)]
+        assert list(capacity(g, p)) == [capacity(gi, pi) for gi, pi in zip(g, p)]
+
     def test_below_mode_count(self):
         g = np.array([5.0, 1.0, 0.1])
         p = np.array([1.0, 1.0, 1.0])
@@ -74,6 +92,14 @@ class TestNormalApproximation:
     def test_monotone_in_error_rate(self):
         vals = [normal_approximation(1.0, 1.0, 100, e) for e in (1e-4, 1e-3, 1e-2, 1e-1)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
+
+    def test_broadcasts_over_draws_and_blocklengths(self):
+        c, v, eps = np.array([1.0, 2.0, 0.5]), np.array([0.8, 0.0, 0.3]), np.array([1e-3, 0.1, 0.4])
+        n = np.array([10, 300])[:, None]
+        na = normal_approximation(c, v, n, eps)
+        assert na.shape == (2, 3)
+        for j, nj in enumerate((10, 300)):
+            assert list(na[j]) == [normal_approximation(*args, nj, e) for *args, e in zip(c, v, eps)]
 
     def test_negative_values_returned_as_is(self):
         val = normal_approximation(0.01, 0.02, 8, 1e-3)

@@ -37,6 +37,25 @@ class TestDrawChannel:
         n = scatter.size
         assert abs((np.abs(scatter) ** 2).mean() - 1.0 / 11.0) < 3 / math.sqrt(n)
 
+    @pytest.mark.parametrize("fading", [Fading.rayleigh(), Fading.rician(10.0)])
+    @pytest.mark.parametrize("t, r", [(1, 1), (2, 3), (4, 1), (8, 8)])
+    def test_one_normal_call_reads_the_stream_like_six(self, t, r, fading):
+        # the reference: one standard_normal call per real or imaginary
+        # block, in the order h_sr, h_sg, h_gr
+        for seed in range(10):
+            gen = SeededRng(seed).generator()
+            links = []
+            for shape in ((t, r), (t, 1), (1, r)):
+                scatter = (gen.standard_normal(shape) + 1j * gen.standard_normal(shape)) / np.sqrt(2.0)
+                if fading.kind == "rician":
+                    k = 10.0 ** (fading.k_factor_db / 10.0)
+                    scatter = np.sqrt(k / (k + 1.0)) + np.sqrt(1.0 / (k + 1.0)) * scatter
+                links.append(scatter)
+            ch = draw_channel(SeededRng(seed), t, r, fading, 0.5)
+            for got, want in zip((ch.h_sr, ch.h_sg, ch.h_gr), links):
+                assert got.shape == want.shape
+                assert np.array_equal(got, want)
+
     def test_shapes_and_validation(self):
         ch = _draw(3)
         assert ch.h_sr.shape == (2, 3)
@@ -48,6 +67,23 @@ class TestDrawChannel:
             Fading("rician")
         with pytest.raises(ValueError):
             ChannelRealization(ch.h_sr, ch.h_sg, ch.h_gr, 1.5, ch.fading)
+
+
+class TestStack:
+    def test_batch_rows_are_the_draws(self):
+        draws = [_draw(seed) for seed in range(4)]
+        batch = ChannelRealization.stack(draws)
+        assert batch.h_sr.shape == (4, 2, 3)
+        assert (batch.t, batch.r) == (2, 3)
+        for i, ch in enumerate(draws):
+            for d in (-1, +1):
+                assert np.array_equal(composite(batch, d).h1[i], composite(ch, d).h1)
+
+    def test_draws_must_share_a_and_fading(self):
+        with pytest.raises(ValueError):
+            ChannelRealization.stack([_draw(0), _draw(1, a=0.3)])
+        with pytest.raises(ValueError):
+            ChannelRealization.stack([_draw(0), _draw(1, fading=Fading.rician(3.0))])
 
 
 class TestComposite:

@@ -6,7 +6,7 @@ import subprocess
 import sys
 import threading
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -217,6 +217,33 @@ class TestBoundPool:
         with pytest.raises(ConvergenceError, match="n = 64"):
             run_sweep(cfg)
 
+    def test_zero_channel_fails_after_the_earlier_draws_items(self, monkeypatch, pin_cpus):
+        # with fixed eps no tag target skips the all-zero draw 2, so the
+        # batched waterfilling fails on it; the items of draws 0 and 1 run
+        # first, and no item of a later draw runs
+        cfg = _config(**self.GRID)
+        draw = cli.draw_channel
+        third = SeededRng(cfg.seed).split(2).split(0)
+
+        def zero_draw(rng, *args):
+            ch = draw(rng, *args)
+            if rng == third:
+                ch = replace(ch, h_sr=0 * ch.h_sr, h_sg=0 * ch.h_sg, h_gr=0 * ch.h_gr)
+            return ch
+
+        monkeypatch.setattr(cli, "draw_channel", zero_draw)
+        calls = self._stub_bounds(monkeypatch, pin_cpus)
+        with pytest.raises(ZeroSpectrumError, match="all eigenvalues are zero"):
+            run_sweep(cfg)
+        expected = {
+            self._substream(cfg, k, n, curve)
+            for k in (0, 1)
+            for n in cfg.n_grid
+            for curve in ("achievability", "converse")
+        }
+        assert len(calls) == len(expected)
+        assert {rng for _, _, rng in calls} == expected
+
 
 class TestEmitCsv:
     def test_header_only_for_empty_rows(self, tmp_path):
@@ -263,19 +290,24 @@ class TestDeterminism:
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    # CSV text of two small sweeps; a change that keeps every random stream
-    # reproduces it byte for byte.  At -20 dB and eps = 0.3 both estimators
-    # take the raw path (the converse also the tilted one); at 0 dB and
-    # eps = 1e-3 both take the tilted path.
+    # CSV text of small sweeps (two draws unless a case says otherwise); a
+    # change that keeps every random stream reproduces it byte for byte.  At
+    # -20 dB and eps = 0.3 both estimators take the raw path (the converse
+    # also the tilted one); at 0 dB and eps = 1e-3 both take the tilted path.
+    # The two closed-form cases pin the set-up pass over many draws: the tag
+    # target skips 114 of its 300 draws, and the Rician draws at -10 dB
+    # leave some eigenmodes without power.
     PINNED = {
         "raw": (dict(snr_db=-20.0, eps=0.3, n_grid=[8, 16]), 'n,capacity_bits,na_bits,ach_bits,conv_bits,ach_ci,conv_ci,draws\n8,0.0932227,0.0036593,-0.211465,0.407001,0.0588339,0.0749506,2\n16,0.0932227,0.0298918,-0.0730538,0.278172,0.0540741,0.0656164,2\n'),
         "tilted": (dict(snr_db=0.0, eps=1e-3, n_grid=[16, 32]), 'n,capacity_bits,na_bits,ach_bits,conv_bits,ach_ci,conv_ci,draws\n16,2.98626,1.72366,1.34415,2.26555,0.966398,0.865685,2\n32,2.98626,2.09347,1.93217,2.40188,1.01976,1.08875,2\n'),
+        "closed_form_tag_target": (dict(eps=None, eps_d=0.1, channel_draws=300, n_grid=[100, 500, 2000], seed=20260808, curves=["capacity", "normal_approx"]), 'n,capacity_bits,na_bits,ach_bits,conv_bits,ach_ci,conv_ci,draws\n100,2.96406,2.72528,nan,nan,nan,nan,186\n500,2.96406,2.85728,nan,nan,nan,nan,186\n2000,2.96406,2.91067,nan,nan,nan,nan,186\n'),
+        "closed_form_rician": (dict(fading="rician", k_factor_db=10.0, t=3, r=2, snr_db=-10.0, channel_draws=50, n_grid=[100, 500, 2000], curves=["capacity", "normal_approx"]), 'n,capacity_bits,na_bits,ach_bits,conv_bits,ach_ci,conv_ci,draws\n100,0.714686,0.392822,nan,nan,nan,nan,50\n500,0.714686,0.570744,nan,nan,nan,nan,50\n2000,0.714686,0.642715,nan,nan,nan,nan,50\n'),
     }
 
     @pytest.mark.parametrize("name", sorted(PINNED))
     def test_matches_recorded_csv(self, name):
         overrides, text = self.PINNED[name]
-        assert format_rows(run_sweep(_config(channel_draws=2, **overrides)).rows) == text
+        assert format_rows(run_sweep(_config(**{"channel_draws": 2, **overrides})).rows) == text
 
     def test_raw_case_still_draws_the_output_sample(self, monkeypatch):
         from ambc_fbl import bounds_ach
@@ -425,6 +457,28 @@ class TestMain:
         capsys.readouterr()
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 2 and lines[1].startswith("100,")
+
+    @pytest.mark.parametrize("snr_db", [-170.0, 2000.0, 3100.0])
+    def test_snr_outside_the_range_exits_2(self, tmp_path, capsys, snr_db):
+        # without the range: -170 dB fails inside waterfilling, 2000 dB
+        # overflows (1 + y)^2 in the dispersion, and 3100 dB overflows the
+        # power conversion
+        cfg_path = tmp_path / "snr.json"
+        cfg_path.write_text(json.dumps(dict(asdict(_config()), snr_db=snr_db)))
+        argv = ["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv")]
+        assert main(argv + ["--curves", "capacity,normal_approx"]) == 2
+        assert "snr_db must lie in [-100, 100]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("snr_db", [-100.0, 100.0])
+    def test_snr_range_ends_give_rows(self, tmp_path, capsys, snr_db):
+        cfg = _config(snr_db=snr_db, n_grid=[16], channel_draws=1)
+        cfg_path = tmp_path / "snr.json"
+        cfg_path.write_text(json.dumps(asdict(cfg)))
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        cells = out.read_text().strip().splitlines()[1].split(",")
+        assert all(math.isfinite(float(x)) for x in cells)
 
     def test_package_exports_the_cli_names(self):
         from ambc_fbl import ExperimentConfig as exported_config

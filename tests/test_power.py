@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ambc_fbl.errors import ZeroSpectrumError
+from ambc_fbl.errors import OverflowRegimeError, ZeroSpectrumError
 from ambc_fbl.power import PowerAllocation, waterfill
 
 
@@ -44,6 +44,30 @@ class TestWaterfillExamples:
             waterfill(np.array([1.0]), 0.0)
         with pytest.raises(ValueError):
             PowerAllocation(p=np.array([-0.1, 1.1]), water_level=1.0, total_power=1.0)
+
+
+class TestWaterfillBatch:
+    def test_rows_solved_independently(self):
+        g = np.array([[4.0, 1.0], [1.0, 1.0], [10.0, 0.01], [3.0, 0.0]])
+        alloc = waterfill(g, 1.0)
+        for row, gains in zip(alloc.p, g):
+            assert np.array_equal(row, waterfill(gains, 1.0).p)
+        assert alloc.water_level.shape == (4,)
+
+    def test_power_below_the_rounding_of_the_inverse_gain(self):
+        # at -170 dB, P + 1/g_max == 1/g_max: no mode can take power
+        with pytest.raises(OverflowRegimeError) as info:
+            waterfill(np.array([1.0, 0.5]), 1e-17)
+        assert info.value.row == 0
+        with pytest.raises(OverflowRegimeError) as info:
+            waterfill(np.array([[1e-3], [1e-20], [1.0]]), 1e-12)
+        assert info.value.row == 1
+
+    def test_first_zero_row_is_named(self):
+        g = np.array([[1.0, 0.5], [0.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(ZeroSpectrumError) as info:
+            waterfill(g, 1.0)
+        assert info.value.row == 1
 
 
 class TestWaterfillProperties:
