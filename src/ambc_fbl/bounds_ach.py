@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional, Tuple
 
 import numpy as np
@@ -29,9 +28,8 @@ from .tail import (
     LawParams,
     MixedRate,
     estimate_beta,
-    mix_tag_symbols,
+    mixed_rate,
     mode_gammas,
-    run_calls,
     sample_law,
     threshold_with_ties,
 )
@@ -95,7 +93,7 @@ def achievability_beta(
         raise ValueError("need 0 < tau < eps < 1")
     if threshold is None:
         threshold = threshold_with_ties(conditional_draws, [1.0 - eps + tau])[0]
-    params = LawParams(KIND_OUTPUT, *law)
+    params = LawParams(*law)
     return estimate_beta(
         threshold, conditional_draws.size, output_draws, 0.0, _MIN_RAW_EXCEEDANCES, params, rng
     )
@@ -196,7 +194,7 @@ def _fixed_d_rate(
     # skipped and every tau takes the tilted path, which reads no raw draws.
     lowest = thresholds[0][0]  # that of taus[0] = eps/2, the largest tau
     g_draws = None
-    if math.log(num_samples) + LawParams(KIND_OUTPUT, n, gammas).log_tail_bound(lowest) >= 0.0:
+    if math.log(num_samples) + LawParams(n, gammas).log_tail_bound(lowest) >= 0.0:
         g_draws = sample_info_density(KIND_OUTPUT, n, g, p, rng.split(0), num_samples)
 
     log_c1 = 0.0
@@ -240,15 +238,7 @@ def achievability_rate(
     Per symbol: waterfill, sample the conditional information-density law
     (and the output law unless a Chernoff bound shows the raw tail estimate
     cannot be used), search tau over {eps/2, eps/4, eps/8, eps/16} for the
-    largest log(kappa/beta)/n.
-    Both symbols reuse the same substreams (common random numbers), so equal
-    spectra produce identical rates.  The two symbols are evaluated at the
-    same time by ``tail.run_calls``; each reads only its own substreams, so
-    the result does not depend on the CPU count.
+    largest log(kappa/beta)/n.  ``tail.mixed_rate`` evaluates the two
+    symbols at the same time, on common random numbers.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
-    return mix_tag_symbols(*run_calls([
-        partial(_fixed_d_rate, n, g, total_power, eps, rng, num_samples)
-        for g in (g_minus, g_plus)
-    ]))
+    return mixed_rate(_fixed_d_rate, n, g_plus, g_minus, total_power, eps, rng, num_samples)

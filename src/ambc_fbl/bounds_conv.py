@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
@@ -29,9 +29,8 @@ from .tail import (
     LawParams,
     MixedRate,
     estimate_beta,
-    mix_tag_symbols,
+    mixed_rate,
     mode_gammas,
-    run_calls,
     sample_law,
     threshold_with_ties,
 )
@@ -86,17 +85,17 @@ def np_beta_converse(
     The optimal test thresholds the statistic at its empirical (1-eps)
     exceedance quantile eta (randomizing on atoms), and beta is estimated by
     the change-of-measure identity beta = E[exp(-S) 1{S >= eta}] over the
-    conditional draws.  Deep in the tail the raw estimator starves, so when
-    the effective sample count drops below 1000 the expectation is
-    recomputed under the conditional law of ``law`` = (blocklength, per-mode
-    gammas), exponentially tilted so that its mean sits at eta, with as many
-    draws from ``rng`` as the raw sample.
+    conditional draws, the output law's tilt by 1.  Deep in the tail the raw
+    estimator starves, so when the effective sample count drops below 1000,
+    beta is recomputed as the upper tail at eta of the output law of
+    ``law`` = (blocklength, per-mode gammas), tilted so that its mean sits
+    at eta, with as many draws from ``rng`` as the raw sample.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
     # exp(-S) turns conditional-law mass into auxiliary-channel mass
     threshold = threshold_with_ties(draws, [1.0 - eps])[0]
-    params = LawParams(KIND_CONDITIONAL, *law)
+    params = LawParams(*law)
     return estimate_beta(threshold, draws.size, draws, 1.0, _MIN_EFFECTIVE_SAMPLES, params, rng)
 
 
@@ -203,16 +202,9 @@ def converse_rate(
 ) -> MixedRate:
     """Converse upper bound mixed over the equiprobable tag symbol.
 
-    Substreams are shared between the two symbols (common random numbers),
-    matching the achievability side.  The two symbols are evaluated at the
-    same time by ``tail.run_calls``, after the K1 supremum of their common
-    (m, n) is cached, so a cold (m, n) is searched once; the result does not
-    depend on the CPU count.
+    ``tail.mixed_rate`` evaluates the two symbols at the same time, on
+    common random numbers, after the K1 supremum of their common (m, n) is
+    cached, so a cold (m, n) is searched once.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
     _unit_scale_log_sup(g_minus.m, n)  # both symbols then read it from the cache
-    return mix_tag_symbols(*run_calls([
-        partial(_fixed_d_rate, n, g, total_power, eps, rng, num_samples)
-        for g in (g_minus, g_plus)
-    ]))
+    return mixed_rate(_fixed_d_rate, n, g_plus, g_minus, total_power, eps, rng, num_samples)

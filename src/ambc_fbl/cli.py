@@ -48,6 +48,12 @@ CSV_HEADER = "n,capacity_bits,na_bits,ach_bits,conv_bits,ach_ci,conv_ci,draws"
 # about 1e-6 (at g_max = 1, P + 1/g_max == 1/g_max below about -160 dB), and
 # (1 + g p)^2 in the dispersion stays far from its overflow at g p ~ 1e154.
 SNR_DB_RANGE = (-100.0, 100.0)
+# the accepted Rician K-factor in dB, K from 1e-10 to 1e10; the conversion
+# 10^(K/10) overflows a double above about 3083 dB
+K_FACTOR_DB_RANGE = (-100.0, 100.0)
+# the smallest eps, also the clamp of converted eps_d values: below about
+# 1e-16, 1 - eps rounds to 1, where the bounds' quantiles do not exist
+MIN_EPS = 1e-12
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -78,6 +84,11 @@ def _check_real(name: str, value) -> None:
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
 
 
+def _check_range(name: str, value: float, bounds: Tuple[float, float]) -> None:
+    if not bounds[0] <= value <= bounds[1]:
+        raise ConfigError(f"{name} must lie in [{bounds[0]:g}, {bounds[1]:g}]")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     t: int
@@ -102,8 +113,9 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None or name in ("snr_db", "a_coeff"):
                 _check_real(name, value)
-        if not SNR_DB_RANGE[0] <= self.snr_db <= SNR_DB_RANGE[1]:
-            raise ConfigError(f"snr_db must lie in [{SNR_DB_RANGE[0]:g}, {SNR_DB_RANGE[1]:g}]")
+        _check_range("snr_db", self.snr_db, SNR_DB_RANGE)
+        if self.k_factor_db is not None:
+            _check_range("k_factor_db", self.k_factor_db, K_FACTOR_DB_RANGE)
         if self.t < 1 or self.r < 1:
             raise ConfigError("antenna counts must be >= 1")
         if self.fading not in ("rayleigh", "rician"):
@@ -117,6 +129,8 @@ class ExperimentConfig:
         for name, value in (("eps", self.eps), ("eps_d", self.eps_d)):
             if value is not None and not 0.0 < value < 1.0:
                 raise ConfigError(f"{name} must lie in (0, 1)")
+        if self.eps is not None and self.eps < MIN_EPS:
+            raise ConfigError(f"eps must be at least {MIN_EPS:g}")
         grid = tuple(_integer("n_grid entries", n) for n in self.n_grid)
         if not grid or any(n < 8 for n in grid):
             raise ConfigError("n_grid entries must be >= 8")
@@ -262,7 +276,7 @@ def _set_up(config: ExperimentConfig, root: SeededRng, n_draws: int) -> _SetUp:
             if eps_k is None:
                 model = tag.TagErrorModel.from_pair(composite(ch, +1))
                 # endpoint targets map to 0 or 1 exactly; keep the bounds well defined
-                eps_k = min(max(tag.eps_given_tag_error(model, config.eps_d), 1e-12), 1.0 - 1e-12)
+                eps_k = min(max(tag.eps_given_tag_error(model, config.eps_d), MIN_EPS), 1.0 - MIN_EPS)
         except InfeasibleTargetError:
             skipped += 1
             continue
@@ -378,27 +392,11 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     return SweepResult(rows, config, setup.skipped, nan_reasons)
 
 
-def _fmt(x: float) -> str:
-    return "%.6g" % x
-
-
 def format_rows(rows: Sequence[SweepRow]) -> str:
     lines = [CSV_HEADER]
     for row in rows:
-        lines.append(
-            ",".join(
-                [
-                    str(row.n),
-                    _fmt(row.capacity_bits),
-                    _fmt(row.na_bits),
-                    _fmt(row.ach_bits),
-                    _fmt(row.conv_bits),
-                    _fmt(row.ach_ci),
-                    _fmt(row.conv_ci),
-                    str(row.draws),
-                ]
-            )
-        )
+        cells = (row.capacity_bits, row.na_bits, row.ach_bits, row.conv_bits, row.ach_ci, row.conv_ci)
+        lines.append(",".join([str(row.n), *("%.6g" % x for x in cells), str(row.draws)]))
     return "\n".join(lines) + "\n"
 
 

@@ -1,5 +1,5 @@
 """Deterministic special functions, splittable RNG streams, empirical
-distribution helpers, and Brent's scalar root and minimum searches.
+distribution helpers, and Brent's scalar minimum search.
 
 Everything here is evaluated in log-domain wherever intermediate quantities can
 overflow double precision (Bessel functions of large order, gamma functions of
@@ -27,11 +27,9 @@ MAX_GAMMA_SHAPE = 4096
 # relative to the integrand at t = 0, at which that contour is truncated
 _CONTOUR_OFFSET = 0.5
 _CONTOUR_TAIL_TOL = 1e-12
-# Brent's root and minimum searches: the relative tolerance, absolute
-# tolerance floor, golden ratio and iteration limits of scipy's brentq and
-# minimize_scalar(method="brent"), whose steps they repeat
-_EPS = float(np.finfo(float).eps)
-_ROOT_MAXITER = 100
+# Brent's minimum search: the absolute tolerance floor, golden ratio and
+# iteration limit of scipy's minimize_scalar(method="brent"), whose steps it
+# repeats
 _MIN_TOL_FLOOR = 1.0e-11
 _GOLDEN = 0.3819660
 _MIN_MAXITER = 500
@@ -93,67 +91,6 @@ def empirical_quantile(draws: np.ndarray, level):
         raise ValueError("cannot take a quantile of an empty sample")
     gamma = np.quantile(draws, 1.0 - levels)
     return float(gamma) if gamma.ndim == 0 else gamma
-
-
-def brent_root(f, a: float, b: float, xtol: float) -> float:
-    """Root of ``f`` in [a, b], where f(a) and f(b) differ in sign.
-
-    Brent's method (Brent 1973, ch. 4), step for step the one scipy's
-    ``brentq`` runs, with its relative tolerance 4 * eps and 100 iterations,
-    so the root is bit-equal to ``brentq(f, a, b, xtol=xtol)``.  Raises
-    ``ConvergenceError`` when the ends do not bracket a sign change, when
-    ``f`` returns NaN, or when 100 iterations leave the root unresolved.
-    """
-
-    def value(x: float) -> float:
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise ConvergenceError(f"root search met a NaN at x = {x}")
-        return fx
-
-    rtol = 4.0 * _EPS
-    xpre, xcur = float(a), float(b)
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise ConvergenceError("root search interval does not bracket a sign change")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(_ROOT_MAXITER):
-        if (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # secant step
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # inverse quadratic extrapolation
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = value(xcur)
-    raise ConvergenceError(f"root search did not converge in {_ROOT_MAXITER} iterations")
 
 
 def brent_min(f, lo: float, mid: float, hi: float, xtol: float) -> Tuple[float, float]:

@@ -26,8 +26,6 @@ class TagErrorModel:
     source codeword is decoded incorrectly.
     """
 
-    h0: np.ndarray
-    h1: np.ndarray
     norm_h1: float
     cross_term: float
 
@@ -37,7 +35,7 @@ class TagErrorModel:
         if norm == 0.0:
             raise InfeasibleTargetError("tag link is absent (h1 = 0)")
         rho = float(np.real(np.trace(h1.conj().T @ h0))) / norm**2
-        return cls(h0=h0, h1=h1, norm_h1=norm, cross_term=rho)
+        return cls(norm_h1=norm, cross_term=rho)
 
     @classmethod
     def from_pair(cls, pair: CompositePair) -> "TagErrorModel":

@@ -1,22 +1,25 @@
-"""What both bounds share: the tail engine and the tag-symbol mixture.
+"""What both bounds share: the tail engine and the tag-symbol driver.
 
 Both bounds need the Neyman-Pearson type-II error beta of one information
-density, read at two type-I levels: 1 - eps + tau for the kappa-beta
-achievability bound and 1 - eps for the meta-converse.  This module owns the
-exponential-family law of that density, the tie-aware threshold of the
-level-``level`` test, the one beta estimator (a raw change-of-measure mean,
-replaced by an exponentially tilted estimate of the deep tail that raw Monte
-Carlo cannot reach), the equiprobable mixture of the per-symbol rates, and
-``run_calls``, which evaluates the two symbols (and a sweep's bounds) at the
-same time on one shared thread pool.
+density X, and each beta is an upper tail of X under the output law: at
+the conditional law's level-(1 - eps + tau) quantile for the kappa-beta
+achievability bound, at its level-(1 - eps) quantile eta for the
+meta-converse.  This module owns that law, the tie-aware threshold, the one
+beta estimator (a raw change-of-measure mean, replaced by an exponentially
+tilted estimate of the deep tail that raw Monte Carlo cannot reach), and
+``mixed_rate``, which evaluates a bound's two tag symbols at the same time
+through ``run_calls`` (one thread pool, shared with the sweep) and mixes them.
 
-Per active mode j with y = g_j p_j > 0, the per-block contribution is
-  n (log(1+y) + 1) - s * (X + Y),   X ~ ncx2(n, lam),  Y ~ chi2(n)
-with (lam, s) = (2n(1+y)/y, y/2) under the output law and
-(2n/y, y/(2(1+y))) under the conditional law.  This is an exact
-distributional identity for the sum over the n per-use terms, obtained by
-splitting each complex Gaussian into its real and imaginary parts.
-Zero-power modes contribute exactly zero.
+Per active mode j with y = g_j p_j > 0, X has the per-block contribution
+  n (log(1+y) + 1) - s * W,   W ~ ncx2(2n, lam),
+with lam = 2n(1+y)/y and s = y/2 under the output law: an exact identity
+for the sum over the n per-use terms, obtained by splitting each complex
+Gaussian into its real and imaginary parts.  Zero-power modes contribute
+exactly zero.  The law tilted by theta (density times e^(theta x - K(theta)),
+K the closed-form cumulant generating function) has noncentrality lam / a
+and scale s / a, a = 1 + 2 theta s.  X is the log-likelihood ratio of the
+conditional law to the output law, so K(1) = 0 and the conditional law is
+the tilt by 1: noncentrality 2n/y and scale y/(2(1+y)).
 """
 
 from __future__ import annotations
@@ -26,44 +29,43 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .channel import EigenSpectrum
 from .errors import ConvergenceError, InsufficientSamplesError
-from .numerics import SeededRng, brent_root, empirical_quantile
+from .numerics import SeededRng, empirical_quantile
 from .power import PowerAllocation
 
 KIND_OUTPUT = "output"  # information density drawn under the output law
 KIND_CONDITIONAL = "conditional"  # drawn under the conditional law
+_KIND_TILTS = {KIND_OUTPUT: 0.0, KIND_CONDITIONAL: 1.0}  # the tilt each kind is drawn from
+# the tilt solve's iteration limit, and its step tolerance relative to 1 + |theta|
+_TILT_MAXITER = 100
+_TILT_XTOL = 1e-12
 
 
 class LawParams:
-    """Exponential family of the blocklength-n information density."""
+    """The output law of the blocklength-n information density, and its
+    exponential family of tilts."""
 
-    def __init__(self, kind: str, n: int, gammas: np.ndarray):
-        if kind not in (KIND_OUTPUT, KIND_CONDITIONAL):
-            raise ValueError(f"unknown law kind {kind!r}")
+    def __init__(self, n: int, gammas: np.ndarray):
         active = np.asarray(gammas, dtype=float)
         active = active[active > 0]
-        self.kind = kind
         self.n = int(n)
         self.gammas = active
         self.const = n * (np.log1p(active) + 1.0)
-        if kind == KIND_OUTPUT:
-            self.lam = 2.0 * n * (1.0 + active) / active
-            self.scale = active / 2.0
-        else:
-            self.lam = 2.0 * n / active
-            self.scale = active / (2.0 * (1.0 + active))
+        self.lam = 2.0 * n * (1.0 + active) / active
+        self.scale = active / 2.0
 
     @property
     def degenerate(self) -> bool:
         return self.gammas.size == 0
 
     def theta_lower(self) -> float:
-        # tilt validity: 1 + theta * scale_j > 0 for every mode
+        # tilt validity: 1 + 2 theta * scale_j > 0 for every mode
         return -1.0 / (2.0 * self.scale.max())
 
     def cgf(self, theta: float) -> float:
@@ -73,55 +75,67 @@ class LawParams:
             + (self.lam * t / (1.0 - 2.0 * t) - self.n * np.log1p(-2.0 * t)).sum()
         )
 
-    def cgf_mean(self, theta: float) -> float:
-        t = -theta * self.scale
-        return float(
-            self.const.sum()
-            - (self.scale * (self.lam / (1.0 - 2.0 * t) ** 2 + 2.0 * self.n / (1.0 - 2.0 * t))).sum()
-        )
+    def cgf_derivatives(self, theta: float) -> Tuple[float, float]:
+        """K'(theta) and K''(theta), the mean and variance of the law tilted
+        by theta, in one pass: with a = 1 + 2 theta s per mode,
+        K' = sum c - s (lam / a^2 + 2n / a) and K'' = sum 4 s^2 (lam / a^3 + n / a^2)."""
+        s = self.scale
+        a = 1.0 + 2.0 * theta * s
+        mean = self.const.sum() - (s * (self.lam / a**2 + 2.0 * self.n / a)).sum()
+        var = (4.0 * s**2 * (self.lam / a**3 + self.n / a**2)).sum()
+        return float(mean), float(var)
+
+    def tilt(self, theta: float) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-mode noncentrality lam / a and scale s / a of the tilt by theta."""
+        a = 1.0 + 2.0 * theta * self.scale
+        return self.lam / a, self.scale / a
 
     def sample(self, gen: np.random.Generator, size: int, theta: float = 0.0) -> np.ndarray:
+        """``size`` draws from the law tilted by ``theta``."""
         out = np.zeros(size)
-        t = -theta * self.scale
-        for c, lam, ti, s in zip(self.const, self.lam, t, self.scale):
-            w = gen.noncentral_chisquare(self.n, lam / (1.0 - 2.0 * ti), size)
+        for c, lam, s in zip(self.const, *self.tilt(theta)):
+            w = gen.noncentral_chisquare(self.n, lam, size)
             w += gen.chisquare(self.n, size)
-            # c - s * w / (1 - 2 t), evaluated in place in the same order
+            # c - s * w, evaluated in place
             w *= s
-            w /= 1.0 - 2.0 * ti
             np.subtract(c, w, out=w)
             out += w
         return out
 
     def solve_tilt(self, target: float) -> float:
-        """Tilt parameter whose tilted mean equals ``target``.
+        """Tilt parameter whose tilted mean K'(theta) equals ``target``.
 
-        Brent's root search (``numerics.brent_root``, to 1e-12) on the tilted
-        mean, over [0, hi] with hi doubled from 1 until it clears the target,
-        or over (theta_lower, 0] for a target below the mean.  Raises
-        ``ConvergenceError`` when hi passes 1e12 or the search fails.
+        Newton's method on K', from theta = 0, or, for a target below the
+        mean, from the first of theta_lower (1 - 2^-k), k = 1, 2, ..., whose
+        mean lies at or below it.  K' rises and is concave, so no step from
+        below the root passes it; the search stops once a step falls below
+        1e-12 (1 + |theta|).  Raises ``ValueError`` for a target at or above
+        the supremum of the law, and ``ConvergenceError`` on a NaN or when
+        100 halvings and steps leave the root unresolved.
         """
-        base = self.cgf_mean(0.0)
         if target >= float(self.const.sum()):
             raise ValueError("target above the supremum of the law")
-        if abs(target - base) < 1e-12:
-            return 0.0
-        if target > base:
-            hi = 1.0
-            while self.cgf_mean(hi) < target:
-                hi *= 2.0
-                if hi > 1e12:
-                    raise ConvergenceError("tilt search diverged")
-            return brent_root(lambda u: self.cgf_mean(u) - target, 0.0, hi, xtol=1e-12)
-        lo = self.theta_lower()
-        return brent_root(lambda u: self.cgf_mean(u) - target, lo * (1.0 - 1e-12), 0.0, xtol=1e-12)
+        theta, below = 0.0, False
+        for _ in range(_TILT_MAXITER):
+            mean, var = self.cgf_derivatives(theta)
+            below = below or not mean > target  # NaN counts as below, and fails the step
+            if not below:
+                theta = 0.5 * (theta + self.theta_lower())
+                continue
+            step = (target - mean) / var
+            if math.isnan(step):
+                raise ConvergenceError(f"tilt search met a NaN at theta = {theta}")
+            theta += step
+            if step <= _TILT_XTOL * (1.0 + abs(theta)):
+                return theta
+        raise ConvergenceError(f"tilt search did not converge in {_TILT_MAXITER} iterations")
 
     def log_tail_bound(self, threshold: float) -> float:
         """Chernoff bound on log P[X >= threshold]: the minimum over theta >= 0
         of cgf(theta) - theta * threshold, attained at the tilt whose mean is
         the threshold.  0 (the trivial bound) at or below the mean; -inf at
         or above the supremum of the law."""
-        if self.degenerate or threshold <= self.cgf_mean(0.0):
+        if self.degenerate or threshold <= self.cgf_derivatives(0.0)[0]:
             return 0.0
         if threshold >= float(self.const.sum()):
             return -math.inf
@@ -137,15 +151,18 @@ def mode_gammas(g: EigenSpectrum, p: PowerAllocation) -> np.ndarray:
 def sample_law(
     kind: str, n: int, gammas: np.ndarray, rng: SeededRng, num_samples: int
 ) -> np.ndarray:
-    """Raw draws of the blocklength-n information density under ``kind``."""
+    """Raw draws of the blocklength-n information density under ``kind``:
+    the output law, or the conditional law, its tilt by 1."""
+    if kind not in _KIND_TILTS:
+        raise ValueError(f"unknown law kind {kind!r}")
     if n < 1:
         raise ValueError("blocklength must be >= 1")
     if num_samples < 1000:
         raise ValueError("num_samples must be >= 1000")
-    law = LawParams(kind, n, gammas)
+    law = LawParams(n, gammas)
     if law.degenerate:
         return np.zeros(num_samples)
-    return law.sample(rng.generator(), num_samples)
+    return law.sample(rng.generator(), num_samples, _KIND_TILTS[kind])
 
 
 def threshold_with_ties(draws: np.ndarray, levels: Sequence[float]) -> List[Tuple[float, float]]:
@@ -160,36 +177,29 @@ def threshold_with_ties(draws: np.ndarray, levels: Sequence[float]) -> List[Tupl
         gamma = float(gamma)
         frac_gt = float((draws > gamma).mean())
         frac_eq = float((draws == gamma).mean())
-        if frac_eq > 0:
-            rho = min(max((level - frac_gt) / frac_eq, 0.0), 1.0)
-        else:
-            rho = 0.0
+        rho = min(max((level - frac_gt) / frac_eq, 0.0), 1.0) if frac_eq > 0 else 0.0
         out.append((gamma, rho))
     return out
 
 
-def tilted_log_tail(
-    law: LawParams, threshold: float, weight_rate: float, rng: SeededRng, size: int
-) -> Tuple[float, float]:
-    """log E[exp(-weight_rate X) 1{X >= threshold}] under ``law``, with its
-    relative 95% CI.
+def tilted_log_tail(law: LawParams, threshold: float, rng: SeededRng, size: int) -> Tuple[float, float]:
+    """log P[X >= threshold] under the output law ``law``, with its relative
+    95% CI.
 
     Draws ``size`` samples from the law exponentially tilted so that its mean
-    sits at the threshold and reweights them by the likelihood ratio.  The
-    achievability bound reads the output law's plain tail (``weight_rate``
-    0); the converse reads the conditional law with weight exp(-X), which
-    is the output-law tail by change of measure (``weight_rate`` 1).  Raises
-    ``InsufficientSamplesError`` when the relative CI exceeds 0.5.
+    sits at the threshold and reweights them by the likelihood ratio
+    exp(cgf(theta) - theta X).  Both bounds read this one tail: the
+    achievability bound at its threshold gamma_n, the converse at eta.
+    Raises ``InsufficientSamplesError`` when the relative CI exceeds 0.5.
     """
     if law.degenerate:
         raise InsufficientSamplesError("degenerate law cannot be tilted")
     theta = law.solve_tilt(threshold)
     draws = law.sample(rng.generator(), size, theta)
-    # cgf - theta x - weight_rate x, and below its shift and exp, in place,
-    # so concurrent estimates hold fewer sample-sized buffers
+    # cgf - theta x, and below its shift and exp, in place, so concurrent
+    # estimates hold fewer sample-sized buffers
     log_w = theta * draws
     np.subtract(law.cgf(theta), log_w, out=log_w)
-    log_w -= weight_rate * draws
     accepted = draws >= threshold
     if not accepted.any():
         raise InsufficientSamplesError("no tilted draw reached the threshold")
@@ -231,27 +241,29 @@ def estimate_beta(
     threshold: Tuple[float, float],
     size: int,
     tail_draws: Optional[np.ndarray],
-    weight_rate: float,
+    draws_tilt: float,
     min_ess: float,
     law: LawParams,
     rng: SeededRng,
 ) -> BetaEstimate:
-    """beta = E[exp(-weight_rate X) (1{X > gamma} + rho 1{X = gamma})] over
-    ``tail_draws``, with (gamma, rho) = ``threshold`` as ``threshold_with_ties``
-    returns it for a sample of ``size`` draws.
+    """beta = P[X > gamma] + rho P[X = gamma] under the output law ``law``,
+    with (gamma, rho) = ``threshold`` as ``threshold_with_ties`` returns it
+    for a sample of ``size`` draws: the raw mean of
+    exp(-t X) (1{X > gamma} + rho 1{X = gamma}) over ``tail_draws``, drawn
+    from the tilt by t = ``draws_tilt`` (0 or 1, where cgf(t) = 0).
 
     The raw mean is kept when its effective sample size reaches ``min_ess``
     (or the sample has atoms, which no tilt resolves) and its relative CI is
     at most 0.5.  Otherwise, or when ``tail_draws`` is None (no raw draws
-    made), the tail is re-estimated by ``tilted_log_tail`` under ``law``
-    with ``size`` draws from ``rng``.
+    made), the tail is re-estimated by ``tilted_log_tail`` with ``size``
+    draws from ``rng``.
     """
     gamma, rho = threshold
     ess = 0.0
     x = tail_draws
     if x is not None:
-        # a zero rate gives unit weights without a pass of exp over the draws
-        w = np.exp(-weight_rate * np.clip(x, -700, None)) if weight_rate else 1.0
+        # a zero tilt gives unit weights without a pass of exp over the draws
+        w = np.exp(-draws_tilt * np.clip(x, -700, None)) if draws_tilt else 1.0
         weights = np.where(x > gamma, w, 0.0) + rho * np.where(x == gamma, w, 0.0)
         total = float(weights.sum())
         sq = float((weights**2).sum())
@@ -263,7 +275,7 @@ def estimate_beta(
             if ci_rel <= 0.5:
                 return BetaEstimate(mean, math.log(mean), gamma, ci_rel, ess, tilted=False)
         del w, weights  # not held through the tilted estimate's own draws
-    log_beta, ci_rel = tilted_log_tail(law, gamma, weight_rate, rng, size)
+    log_beta, ci_rel = tilted_log_tail(law, gamma, rng, size)
     return BetaEstimate(float(np.exp(log_beta)), log_beta, gamma, ci_rel, ess, tilted=True)
 
 
@@ -278,9 +290,27 @@ class MixedRate:
     per_d: Tuple[Any, Any]
 
 
-def mix_tag_symbols(res_minus: Any, res_plus: Any) -> MixedRate:
-    """Equiprobable mixture of two per-symbol results, read through their
-    ``rate_nats`` and ``ci_rate_bits``."""
+def mixed_rate(
+    fixed_d_rate: Callable[..., Any],
+    n: int,
+    g_plus: EigenSpectrum,
+    g_minus: EigenSpectrum,
+    total_power: float,
+    eps: float,
+    rng: SeededRng,
+    num_samples: int,
+) -> MixedRate:
+    """``fixed_d_rate(n, g, total_power, eps, rng, num_samples)`` for both
+    tag symbols, evaluated at the same time by ``run_calls`` and mixed with
+    equal weight through ``rate_nats`` and ``ci_rate_bits``.  Both read the
+    same substreams of ``rng`` (common random numbers), so equal spectra
+    give equal rates, and the result does not depend on the CPU count.
+    """
+    if not 0.0 < eps < 1.0:
+        raise ValueError("eps must lie in (0, 1)")
+    res_minus, res_plus = run_calls(
+        [partial(fixed_d_rate, n, g, total_power, eps, rng, num_samples) for g in (g_minus, g_plus)]
+    )
     rate = 0.5 * (res_minus.rate_nats + res_plus.rate_nats)
     ci = 0.5 * math.hypot(res_minus.ci_rate_bits, res_plus.ci_rate_bits)
     return MixedRate(rate, rate / math.log(2), ci, (res_minus, res_plus))

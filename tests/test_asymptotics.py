@@ -12,7 +12,7 @@ from ambc_fbl.asymptotics import (
 )
 from ambc_fbl.errors import OverflowRegimeError
 from ambc_fbl.numerics import SeededRng, gaussian_q_inv
-from ambc_fbl.tail import KIND_CONDITIONAL, LawParams
+from ambc_fbl.tail import LawParams
 
 
 class TestCapacity:
@@ -112,8 +112,8 @@ class TestBerryEsseen:
     def test_lyapunov_ordering(self):
         g = np.array([2.0, 0.7])
         p = np.array([0.6, 0.4])
-        params = LawParams(KIND_CONDITIONAL, 1, g * p)
-        j = params.sample(SeededRng(2).generator(), 100_000) - capacity(g, p)
+        params = LawParams(1, g * p)
+        j = params.sample(SeededRng(2).generator(), 100_000, theta=1.0) - capacity(g, p)
         m2 = float((j**2).mean())
         m3 = float((np.abs(j) ** 3).mean())
         assert m2**0.5 <= m3 ** (1.0 / 3.0)

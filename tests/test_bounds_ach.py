@@ -163,7 +163,7 @@ class TestAchievabilityBeta:
         rate = -1.0  # above the per-use mean log(2) - 2 of the output law
         vals = []
         for n in (50, 100, 200):
-            params = LawParams(KIND_OUTPUT, n, np.array([gamma]))
+            params = LawParams(n, np.array([gamma]))
             theta = params.solve_tilt(rate * n)
             gen = SeededRng(63, n).generator()
             draws = params.sample(gen, 100_000, theta)
@@ -333,7 +333,7 @@ class TestOutputDrawSkip:
     def test_chernoff_bound_dominates_exact_tail(self, gamma, n):
         # one mode: the information density is c - (gamma/2)(X + Y) with
         # X + Y ~ ncx2(2n, 2n(1+gamma)/gamma) under the output law
-        law = LawParams(KIND_OUTPUT, n, np.array([gamma]))
+        law = LawParams(n, np.array([gamma]))
         c = n * (math.log1p(gamma) + 1.0)
         for per_use in (-2.0, -1.0, 0.0, 0.5):
             bound = law.log_tail_bound(per_use * n)
@@ -344,7 +344,7 @@ class TestOutputDrawSkip:
             if math.isfinite(exact):
                 # a Chernoff bound is loose by a subexponential factor only
                 assert bound <= exact + 5.0
-        assert law.log_tail_bound(law.cgf_mean(0.0) - 1.0) == 0.0
+        assert law.log_tail_bound(law.cgf_derivatives(0.0)[0] - 1.0) == 0.0
         assert law.log_tail_bound(c) == -math.inf
 
     def _spectra(self, seed):

@@ -82,6 +82,8 @@ class TestConfig:
             dict(snr_db=float("inf")),
             dict(fading="rician", k_factor_db="abc"),
             dict(fading="rician", k_factor_db="10"),
+            dict(fading="rician", k_factor_db=4000.0),
+            dict(eps=1e-17),
         ],
     )
     def test_rejects_bad_configs(self, overrides):
@@ -473,6 +475,44 @@ class TestMain:
     def test_snr_range_ends_give_rows(self, tmp_path, capsys, snr_db):
         cfg = _config(snr_db=snr_db, n_grid=[16], channel_draws=1)
         cfg_path = tmp_path / "snr.json"
+        cfg_path.write_text(json.dumps(asdict(cfg)))
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        cells = out.read_text().strip().splitlines()[1].split(",")
+        assert all(math.isfinite(float(x)) for x in cells)
+
+    @pytest.mark.parametrize("k_factor_db", [-100.0, 100.0])
+    def test_k_factor_range_ends_give_rows(self, tmp_path, capsys, k_factor_db):
+        cfg = _config(fading="rician", k_factor_db=k_factor_db, n_grid=[16], channel_draws=1)
+        cfg_path = tmp_path / "rician.json"
+        cfg_path.write_text(json.dumps(asdict(cfg)))
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        cells = out.read_text().strip().splitlines()[1].split(",")
+        assert all(math.isfinite(float(x)) for x in cells)
+
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            # without the range, 10^(K/10) overflows in the channel draw
+            (dict(fading="rician", k_factor_db=4000.0), "k_factor_db must lie in [-100, 100]"),
+            # without the floor, 1 - eps rounds to 1 and no quantile exists
+            (dict(eps=1e-17), "eps must be at least 1e-12"),
+        ],
+    )
+    @pytest.mark.parametrize("curves", [None, "converse"])
+    def test_config_outside_the_ranges_exits_2(self, tmp_path, capsys, overrides, message, curves):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(dict(asdict(_config()), **overrides)))
+        argv = ["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv")]
+        assert main(argv + (["--curves", curves] if curves else [])) == 2
+        assert message in capsys.readouterr().err
+
+    def test_eps_floor_gives_rows(self, tmp_path, capsys):
+        cfg = _config(eps=1e-12, n_grid=[16], channel_draws=1)
+        cfg_path = tmp_path / "eps.json"
         cfg_path.write_text(json.dumps(asdict(cfg)))
         out = tmp_path / "out.csv"
         assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0

@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 from scipy import integrate, optimize, special, stats
 
-from ambc_fbl import bounds_conv, numerics, tail
+from ambc_fbl import bounds_conv, numerics
 from ambc_fbl.errors import ConvergenceError
 from ambc_fbl.numerics import (
     SeededRng,
     brent_min,
-    brent_root,
     empirical_quantile,
     gaussian_q,
     gaussian_q_inv,
@@ -19,7 +18,6 @@ from ambc_fbl.numerics import (
     product_gamma_logpdf,
     product_gamma_pdf,
 )
-from ambc_fbl.tail import KIND_CONDITIONAL, KIND_OUTPUT, LawParams
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -256,54 +254,6 @@ class TestEmpiricalQuantile:
             empirical_quantile(sample, [0.5, 1.0])
         with pytest.raises(ValueError):
             empirical_quantile(np.array([]), 0.5)
-
-
-class TestBrentRoot:
-    @pytest.mark.parametrize("kind", [KIND_OUTPUT, KIND_CONDITIONAL])
-    def test_bit_equal_to_scipy_brentq_on_the_tilt_equation(self, kind, monkeypatch):
-        roots = []
-
-        def checked(f, a, b, xtol):
-            root = brent_root(f, a, b, xtol)
-            assert type(root) is float
-            assert root == optimize.brentq(f, a, b, xtol=xtol)
-            roots.append(root)
-            return root
-
-        # every root search of solve_tilt, on its own bracket
-        monkeypatch.setattr(tail, "brent_root", checked)
-        rng = np.random.default_rng(11)
-        for n in (8, 16, 100, 500, 2000, 4096):
-            for m in (1, 2, 3):
-                for _ in range(3):
-                    law = LawParams(kind, n, rng.exponential(2.0, m) * 10 ** rng.uniform(-1, 1.5))
-                    mean, sup = law.cgf_mean(0.0), float(law.const.sum())
-                    for frac in (0.1, 0.6, 0.99):
-                        assert law.solve_tilt(mean + frac * (sup - mean)) > 0.0
-                        assert law.solve_tilt(mean - frac * abs(mean) * 0.1) < 0.0
-        assert len(roots) == 6 * 3 * 3 * 3 * 2
-
-    def test_no_sign_change_raises(self):
-        with pytest.raises(ConvergenceError):
-            brent_root(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-12)
-
-    def test_exact_root_at_an_end_is_returned(self):
-        assert brent_root(lambda x: x - 2.0, 2.0, 5.0, xtol=1e-12) == 2.0
-        assert brent_root(lambda x: x - 5.0, 2.0, 5.0, xtol=1e-12) == 5.0
-
-    def test_unresolved_after_the_iteration_limit_raises(self):
-        # a jump at 0 leaves only bisection steps, and resolving it to 1e-300
-        # takes about a thousand of them
-        def step(x):
-            return 1.0 if x >= 0.0 else -1.0
-
-        with pytest.raises(ConvergenceError, match="did not converge"):
-            brent_root(step, -1.0, 1.0, xtol=1e-300)
-        assert abs(brent_root(step, -1.0, 1.0, xtol=1e-12)) < 1e-12
-
-    def test_nan_raises(self):
-        with pytest.raises(ConvergenceError, match="NaN"):
-            brent_root(lambda x: math.nan if x > 0.3 else x - 0.5, 0.0, 1.0, xtol=1e-12)
 
 
 class TestBrentMin:

@@ -1,22 +1,97 @@
-"""The shared pool: ``tail.run_calls`` and the bounds that split their two tag
-symbols over it."""
+"""The tail engine's one law and its tilt solve, and the shared pool:
+``tail.run_calls`` and the bounds that split their two tag symbols over it."""
 
+import math
 import sys
 import threading
 import time
 from functools import partial
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from scipy import optimize
 
 from ambc_fbl import bounds_ach, bounds_conv, tail
 from ambc_fbl.bounds_ach import achievability_rate
 from ambc_fbl.bounds_conv import converse_rate
 from ambc_fbl.channel import Fading, composite, draw_channel, eigen_spectrum
 from ambc_fbl.cli import ExperimentConfig, run_sweep
+from ambc_fbl.errors import ConvergenceError
 from ambc_fbl.numerics import SeededRng
 from ambc_fbl.power import waterfill
-from ambc_fbl.tail import run_calls
+from ambc_fbl.tail import LawParams, run_calls
+
+_NS = (8, 100, 2000, 20_000)
+
+
+def _laws(m):
+    """Output laws with ``m`` modes of random received SNR, one per n."""
+    rng = np.random.default_rng(11 + m)
+    for n in _NS:
+        yield LawParams(n, rng.exponential(2.0, m) * 10 ** rng.uniform(-1, 1.5))
+
+
+class TestOneLaw:
+    @pytest.mark.parametrize("m", [1, 2, 3, 8])
+    @pytest.mark.parametrize("theta", [0.0, 1.0])
+    def test_derivatives_match_finite_differences_of_the_cgf(self, m, theta):
+        # a factor-2 slip in the n term of K'' moves K'' by a third or more
+        for law in _laws(m):
+            mean, var = law.cgf_derivatives(theta)
+            # steps that balance rounding against truncation, in units of
+            # the tilt scale 1 / max(s)
+            h = 1e-5 / law.scale.max()
+            slope = (law.cgf(theta + h) - law.cgf(theta - h)) / (2 * h)
+            assert mean == pytest.approx(slope, rel=1e-8, abs=1e-8 * law.n)
+            h = 1e-3 / law.scale.max()
+            k = [law.cgf(theta + j * h) for j in (-1, 0, 1)]
+            assert var == pytest.approx((k[2] - 2 * k[1] + k[0]) / h**2, rel=1e-4)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 8])
+    def test_conditional_law_is_the_tilt_by_one(self, m):
+        for law in _laws(m):
+            assert abs(law.cgf(1.0)) <= 1e-12 * law.n * m
+            y = law.gammas
+            lam, scale = law.tilt(1.0)
+            np.testing.assert_allclose(lam, 2 * law.n / y, rtol=1e-15, atol=0)
+            np.testing.assert_allclose(scale, y / (2 * (1 + y)), rtol=1e-15, atol=0)
+
+
+class TestSolveTilt:
+    @pytest.mark.parametrize("m", [1, 2, 3, 8])
+    def test_matches_brentq(self, m):
+        for law in _laws(m):
+            mean, sup = law.cgf_derivatives(0.0)[0], float(law.const.sum())
+
+            def excess(u):
+                return law.cgf_derivatives(u)[0] - target
+
+            for frac in (0.1, 0.6, 0.99):
+                target = mean + frac * (sup - mean)
+                hi = 1.0
+                while excess(hi) < 0:
+                    hi *= 2.0
+                theta = law.solve_tilt(target)
+                oracle = optimize.brentq(excess, 0.0, hi, xtol=1e-14)
+                assert theta > 0.0
+                assert abs(theta - oracle) <= 1e-11 * (1 + abs(theta))
+
+                target = mean - frac * abs(mean) * 0.1
+                theta = law.solve_tilt(target)
+                oracle = optimize.brentq(excess, law.theta_lower() * (1 - 1e-12), 0.0, xtol=1e-14)
+                assert theta < 0.0
+                assert abs(theta - oracle) <= 1e-11 * (1 + abs(theta))
+
+    def test_nan_raises(self):
+        law = LawParams(100, np.array([1.0, 0.5]))
+        with pytest.raises(ConvergenceError, match="NaN"):
+            law.solve_tilt(math.nan)
+
+    def test_target_at_the_supremum_raises(self):
+        law = LawParams(100, np.array([1.0]))
+        with pytest.raises(ValueError, match="supremum"):
+            law.solve_tilt(float(law.const.sum()))
 
 
 class _Leaves:
