@@ -17,7 +17,6 @@ from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
-from scipy import special
 
 from .channel import EigenSpectrum
 from .errors import ConvergenceError
@@ -107,7 +106,7 @@ def ball_volume_bound(m: int, total_power: float) -> float:
     if total_power <= 0:
         raise ValueError("total power must be positive")
     return float(
-        np.pi ** (m / 2.0) / special.gamma(m / 2.0 + 1.0) * (total_power + 0.5) ** m
+        np.pi ** (m / 2.0) / math.gamma(m / 2.0 + 1.0) * (total_power + 0.5) ** m
     )
 
 

@@ -9,7 +9,6 @@ import json
 import math
 import numbers
 import operator
-import subprocess
 import sys
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
@@ -401,6 +400,8 @@ def format_rows(rows: Sequence[SweepRow]) -> str:
 
 
 def _git_describe() -> str:
+    import subprocess
+
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
@@ -500,7 +501,6 @@ def _cmd_selftest(args) -> int:
     rng = np.random.default_rng(0)
 
     from .numerics import gaussian_q, gaussian_q_inv, product_gamma_pdf
-    from scipy import stats
 
     # below x ~ -5.2 one ulp of the probability already moves the inverse
     # past 1e-9, so the tight check stops there
@@ -552,7 +552,7 @@ def _cmd_selftest(args) -> int:
     )
 
     v = product_gamma_pdf(3.0, 1, 3, 1.0)
-    ref = float(stats.gamma.pdf(3.0, a=3, scale=1.0))
+    ref = 4.5 * math.exp(-3.0)  # the Gamma(3, 1) density x^2 e^-x / 2 at x = 3
     checks.append(("product-gamma single-factor reduction", abs(v - ref) < 1e-8 * ref, f"{v:.8f}"))
 
     h0 = (rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))) / np.sqrt(2)

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Tuple
 
 import numpy as np
-from scipy import special
 
 from .errors import ConvergenceError
 
@@ -175,23 +175,26 @@ def brent_min(f, lo: float, mid: float, hi: float, xtol: float) -> Tuple[float, 
 
 
 def gaussian_q(x):
-    """Upper tail of the standard normal, Q(x) = P[N(0,1) >= x]."""
-    x = np.asarray(x, dtype=float)
-    out = 0.5 * special.erfc(x / np.sqrt(2.0))
+    """Upper tail of the standard normal, Q(x) = P[N(0,1) >= x], by ``math.erfc``."""
+    if isinstance(x, float):
+        return 0.5 * math.erfc(x / math.sqrt(2.0))
+    out = np.vectorize(gaussian_q, otypes=[float])(np.asarray(x, dtype=float))
     return float(out) if out.ndim == 0 else out
 
 
 def gaussian_q_inv(p):
-    """Inverse of ``gaussian_q`` on (0, 1), elementwise over an array."""
+    """Inverse of ``gaussian_q`` on (0, 1) by ``NormalDist.inv_cdf``, elementwise over an array."""
     p = np.asarray(p, dtype=float)
     if not np.all((0.0 < p) & (p < 1.0)):
         raise ValueError(f"gaussian_q_inv requires p in (0, 1), got {p}")
-    out = -special.ndtri(p)
+    out = -np.vectorize(NormalDist().inv_cdf, otypes=[float])(p)
     return float(out) if out.ndim == 0 else out
 
 
 def log_gamma(x):
     """ln Gamma(x) for x > 0."""
+    from scipy import special
+
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise ValueError("log_gamma requires x > 0")
@@ -244,6 +247,8 @@ def _log_ive_hankel(order: float, x: np.ndarray) -> np.ndarray:
 
 def _log_i_series(order: float, x: np.ndarray) -> np.ndarray:
     # Ascending series in log-domain; converges fast for x below ~50.
+    from scipy import special
+
     k = np.arange(0, 200, dtype=float)[:, None]
     xs = np.atleast_1d(x)[None, :]
     terms = (
@@ -263,6 +268,8 @@ def log_bessel_i(order: float, x):
     uniform large-order expansion otherwise, so the result stays accurate up
     to order, x ~ 1e6 and beyond x ~ 1e9.
     """
+    from scipy import special
+
     if order < 0:
         raise ValueError("log_bessel_i requires order >= 0")
     x_arr = np.asarray(x, dtype=float)
@@ -302,6 +309,8 @@ def product_gamma_logpdf(z: float, copies: int, shape: int, scale: float) -> flo
     until two passes agree to 1e-10; each halving evaluates only the new
     nodes.  All gamma factors stay in log-domain.
     """
+    from scipy import special
+
     if not 1 <= copies <= MAX_GAMMA_COPIES:
         raise ValueError(f"copies must be between 1 and {MAX_GAMMA_COPIES}")
     if not 1 <= shape <= MAX_GAMMA_SHAPE:

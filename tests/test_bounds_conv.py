@@ -111,6 +111,17 @@ class TestConverseConstants:
         assert ball_volume_bound(2, 0.5) == pytest.approx(math.pi)
         assert ball_volume_bound(3, 0.5) == pytest.approx(4 * math.pi / 3)
 
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_ball_volume_matches_scipy_gamma_form(self, m):
+        # math.gamma is exact at the integers of even m and within a few
+        # ulp of scipy's gamma at the half-integers of odd m
+        for p in (0.5, 1.0, 31.6):
+            ref = np.pi ** (m / 2.0) / special.gamma(m / 2.0 + 1.0) * (p + 0.5) ** m
+            assert abs(ball_volume_bound(m, p) - ref) <= 4 * np.finfo(float).eps * ref
+            if m % 2 == 0:
+                assert ball_volume_bound(m, p) == ref
+        assert type(ball_volume_bound(m, 1.0)) is float
+
     @pytest.mark.parametrize("m", [2, 4, 8])
     def test_ball_volume_versus_stirling_form(self, m):
         # the Stirling-style closed form under-estimates Gamma(m/2 + 1), so

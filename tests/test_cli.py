@@ -28,6 +28,18 @@ from ambc_fbl.errors import ConfigError, ConvergenceError, ZeroSpectrumError
 from ambc_fbl.numerics import SeededRng
 
 
+def _run_fresh(script):
+    """Run ``script`` in a new interpreter that imports this tree's package."""
+    src = str(Path(ambc_fbl.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def _config(**overrides):
     base = dict(
         t=2,
@@ -403,7 +415,7 @@ class TestMain:
         assert proc.returncode == 0, proc.stderr
 
     def test_sweep_leaves_scipy_optimize_unloaded(self, tmp_path):
-        # the library and the CLI load only scipy.special of scipy; the
+        # an all-curves sweep loads only scipy.special of scipy; the
         # optimizer package alone would add about 0.3 s to every process
         cfg_path = tmp_path / "tiny.json"
         cfg_path.write_text(
@@ -420,7 +432,7 @@ class TestMain:
         )
         out = tmp_path / "out.csv"
         argv = ["sweep", "--config", str(cfg_path), "--out", str(out)]
-        script = (
+        _run_fresh(
             "import sys\n"
             "import ambc_fbl, ambc_fbl.cli\n"
             "from ambc_fbl.cli import main\n"
@@ -429,13 +441,57 @@ class TestMain:
             "loaded = sorted(m for m in ('scipy.optimize', 'scipy.linalg') if m in sys.modules)\n"
             "assert not loaded, loaded\n"
         )
-        src = str(Path(ambc_fbl.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True
-        )
-        assert proc.returncode == 0, proc.stderr
         assert len(out.read_text().strip().splitlines()) == 3
+
+    CLOSED_FORM = ["--curves", "capacity,normal_approx"]
+
+    @pytest.mark.parametrize(
+        "argv, overrides",
+        [
+            (None, {}),
+            (["sweep", "--out", "out.csv", *CLOSED_FORM], {}),
+            (["sweep", "--out", "out.csv", *CLOSED_FORM], {"eps": None, "eps_d": 0.1}),
+            (["point", "--n", "100", *CLOSED_FORM], {}),
+            (["tag-convert"], {}),
+        ],
+        ids=["import", "sweep_eps", "sweep_eps_d", "point", "tag_convert"],
+    )
+    def test_closed_form_commands_leave_scipy_unloaded(self, tmp_path, argv, overrides):
+        # Q and its inverse come from the standard library, so only the
+        # Monte Carlo bounds load scipy.special
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(asdict(_config(channel_draws=20, **overrides))))
+        script = "import os, sys\nimport ambc_fbl\n"
+        if argv is not None:
+            argv = [argv[0], "--config", str(cfg_path), *argv[1:]]
+            script += (
+                f"os.chdir({str(tmp_path)!r})\n"
+                "from ambc_fbl.cli import main\n"
+                f"assert main({argv!r}) == 0\n"
+            )
+        script += (
+            "loaded = sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')\n"
+            "assert not loaded, loaded\n"
+        )
+        _run_fresh(script)
+
+    def test_cold_all_curves_sweep_writes_the_recorded_csv(self, tmp_path):
+        # the in-process pinned sweeps run after the tests imported scipy;
+        # here the bounds import scipy.special themselves, with two usable
+        # CPUs possibly first on a pool worker thread
+        overrides, text = TestDeterminism.PINNED["raw"]
+        cfg_path = tmp_path / "raw.json"
+        cfg_path.write_text(json.dumps(asdict(_config(channel_draws=2, **overrides))))
+        out = tmp_path / "out.csv"
+        argv = ["sweep", "--config", str(cfg_path), "--out", str(out)]
+        _run_fresh(
+            "import sys\n"
+            "from ambc_fbl.cli import main\n"
+            "assert 'scipy.special' not in sys.modules\n"
+            f"assert main({argv!r}) == 0\n"
+            "assert 'scipy.special' in sys.modules\n"
+        )
+        assert out.read_text() == text
 
     def test_high_snr_sweep_meets_the_power_budget(self, tmp_path, capsys):
         # at P = 1e8 the allocation's budget check must allow for rounding

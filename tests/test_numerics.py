@@ -6,6 +6,7 @@ import pytest
 from scipy import integrate, optimize, special, stats
 
 from ambc_fbl import bounds_conv, numerics
+from ambc_fbl.cli import MIN_EPS
 from ambc_fbl.errors import ConvergenceError
 from ambc_fbl.numerics import (
     SeededRng,
@@ -80,6 +81,7 @@ class TestSeededRng:
 class TestGaussianQ:
     def test_symmetry_at_zero(self):
         assert gaussian_q(0.0) == pytest.approx(0.5, abs=1e-15)
+        assert gaussian_q(0) == 0.5 and type(gaussian_q(0)) is float
 
     def test_far_tail_decay(self):
         assert gaussian_q(10.0) < 1e-20
@@ -100,9 +102,10 @@ class TestGaussianQ:
             assert gaussian_q_inv(float(gaussian_q(x))) == pytest.approx(x, abs=5e-8)
 
     def test_forward_round_trip_relative(self):
-        # p -> x -> p holds to 1e-10 relative across the whole range
+        # p -> x -> p holds to 1e-10 relative across the whole range; abs=0
+        # drops pytest's default 1e-12 absolute slack, which covers p itself
         for p in np.logspace(-12, -0.001, 60):
-            assert gaussian_q(gaussian_q_inv(float(p))) == pytest.approx(p, rel=1e-10)
+            assert gaussian_q(gaussian_q_inv(float(p))) == pytest.approx(p, rel=1e-10, abs=0)
 
     def test_inverse_antisymmetry(self):
         eps = 1e-3
@@ -123,6 +126,42 @@ class TestGaussianQ:
     def test_inverse_domain(self, p):
         with pytest.raises(ValueError):
             gaussian_q_inv(p)
+
+    def test_matches_scipy_erfc(self):
+        # Q has relative condition number about x^2, so the two erfc codes
+        # may differ by that many ulp; below the smallest normal double
+        # they are compared absolutely
+        x = np.linspace(-38.0, 38.0, 7601)
+        ref = 0.5 * special.erfc(x / np.sqrt(2.0))
+        gap = np.abs(gaussian_q(x) - ref)
+        tiny, ulp = np.finfo(float).tiny, np.finfo(float).eps
+        normal = ref >= tiny
+        assert np.all(gap[normal] <= 4 * ulp * (1.0 + x[normal] ** 2) * ref[normal])
+        assert np.all(gap[~normal] <= tiny)
+
+    def test_matches_high_precision_tail(self):
+        # math.erfc keeps two ulp of its argument's exact value even where
+        # scipy's erfc is off by hundreds
+        for x in np.linspace(-38.0, 37.5, 303):
+            exact = mpmath.erfc(mpmath.mpf(float(x / np.sqrt(2.0)))) / 2
+            assert abs(gaussian_q(float(x)) - exact) <= 2 * np.finfo(float).eps * exact
+
+    def test_inverse_matches_scipy_ndtri(self):
+        p = np.logspace(np.log10(MIN_EPS), np.log10(1.0 - MIN_EPS), 4001)
+        p = np.concatenate([p, 1.0 - p])
+        ref = -special.ndtri(p)
+        ulp = np.finfo(float).eps
+        assert np.all(np.abs(gaussian_q_inv(p) - ref) <= 8 * ulp * np.maximum(np.abs(ref), 1.0))
+
+    @pytest.mark.parametrize("f", [gaussian_q, gaussian_q_inv])
+    def test_float_in_float_out_and_shapes_kept(self, f):
+        for scalar in (0.3, np.float64(0.3), np.asarray(0.3)):
+            assert type(f(scalar)) is float
+        grid = np.full((2, 3), 0.3)
+        out = f(grid)
+        assert out.shape == (2, 3) and out.dtype == float
+        assert np.all(out == f(0.3))
+        assert f(np.empty(0)).shape == (0,)
 
 
 class TestLogBesselI:
