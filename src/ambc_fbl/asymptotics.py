@@ -9,7 +9,7 @@ from typing import Union
 import numpy as np
 
 from .channel import EigenSpectrum
-from .errors import OverflowRegimeError, at_row
+from .errors import OverflowRegimeError
 from .numerics import gaussian_q_inv
 from .power import PowerAllocation
 
@@ -44,16 +44,14 @@ def dispersion(g: _ArrayLike, p):
     m - sum_j 1/(1+y)^2 form.  Sums over the last axis, like ``capacity``.
     Raises ``OverflowRegimeError`` when the two forms disagree beyond
     rounding, which happens only when (1 + y)^2 overflows (y above about
-    1e154) and the forms turn to NaN; its ``row`` is the first such draw.
+    1e154) and the forms turn to NaN.
     """
     y = _as_gammas(g, p)
     with np.errstate(over="ignore", invalid="ignore"):
         first = (y * (y + 2.0) / (1.0 + y) ** 2).sum(axis=-1)
         second = y.shape[-1] - (1.0 / (1.0 + y) ** 2).sum(axis=-1)
-    agree = (np.abs(first - second) <= 1e-12 * np.maximum(1.0, np.abs(first))).reshape(-1)
-    if not agree.all():
-        row = int(np.argmin(agree))
-        raise at_row(OverflowRegimeError("dispersion forms disagree beyond rounding"), row)
+    if not (np.abs(first - second) <= 1e-12 * np.maximum(1.0, np.abs(first))).all():
+        raise OverflowRegimeError("dispersion forms disagree beyond rounding")
     return _scalar(first)
 
 

@@ -218,15 +218,13 @@ class SweepResult:
 class _SetUp:
     """The set-up pass over a sweep's draws: the kept draws' indices, their
     eps and spectra (one batch per tag symbol), capacity and the normal
-    approximation in bits as (n, draw) arrays, the skip count, and the
-    first set-up failure, which stopped the pass at its draw."""
+    approximation in bits as (n, draw) arrays, and the skip count."""
 
     draws: List[int]
     eps: List[float]
     spectra: Dict[int, EigenSpectrum]
     curves: Dict[str, np.ndarray]
     skipped: int
-    failure: Optional[Exception]
 
 
 def _closed_form(config: ExperimentConfig, channels, eps: List[float]):
@@ -260,12 +258,10 @@ def _set_up(config: ExperimentConfig, root: SeededRng, n_draws: int) -> _SetUp:
     Draw k draws its channel on the stream ``root.split(k).split(0)`` and,
     with ``eps_d``, converts the tag target to its eps; a draw that cannot
     reach the target is skipped.  The rest runs batched (``_closed_form``).
-    A numeric failure of draw k stops the pass at that draw, as in a serial
-    run: when a batched layer fails, its error's ``row`` cuts the batch
-    before the failing draw, and the cut batch is set up again.
+    Any other numeric failure propagates at once.
     """
     draws, channels, eps = [], [], []
-    skipped, failure = 0, None
+    skipped = 0
     for k in range(n_draws):
         try:
             ch = draw_channel(
@@ -279,28 +275,15 @@ def _set_up(config: ExperimentConfig, root: SeededRng, n_draws: int) -> _SetUp:
         except InfeasibleTargetError:
             skipped += 1
             continue
-        except _NUMERIC_FAILURES as exc:
-            failure = exc
-            break
         draws.append(k)
         channels.append(ch)
         eps.append(eps_k)
-    spectra, curves = {}, {}
-    while draws:
-        try:
-            spectra, curves = _closed_form(config, channels, eps)
-            break
-        except _NUMERIC_FAILURES as exc:
-            cut = getattr(exc, "row", 0)
-            del draws[cut:], channels[cut:], eps[cut:]
-            failure = exc
-    return _SetUp(draws, eps, spectra, curves, skipped, failure)
+    spectra, curves = _closed_form(config, channels, eps) if draws else ({}, {})
+    return _SetUp(draws, eps, spectra, curves, skipped)
 
 
 def _aggregate(values: np.ndarray, cis: np.ndarray, how: str) -> Tuple[float, float]:
     k = values.size
-    if how == "single":
-        return float(values[0]), float(cis[0])
     center = float(np.mean(values)) if how == "mean" else float(np.median(values))
     between = 1.96 * float(values.std()) / math.sqrt(k) if k > 1 else 0.0
     mc = float(np.sqrt((cis**2).sum())) / k
@@ -322,9 +305,9 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     symbols over the same pool, so at most one thread per usable CPU
     computes.  Each item reads only its own random substream, so the rows
     do not depend on the CPU count or the scheduling.  A failure is raised
-    as in a serial run: the first failing item in that order wins, a
-    set-up failure of a later draw counts as coming after the earlier
-    draws' items, and no item after a failing one starts.
+    as in a serial run of these two passes: a set-up failure before any
+    item starts, else the first failing item in that order, after which no
+    later item starts.
     """
     root = SeededRng(config.seed)
     n_draws = config.channel_draws if config.aggregate != "single" else 1
@@ -358,8 +341,6 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
         for (curve, j, i, _), res in zip(items, results):
             rates[curve][j, i] = res.rate_bits
             cis[curve][j, i] = res.ci_rate_bits
-    if setup.failure is not None:
-        raise setup.failure
     nan_reasons = {c: "curve not requested" for c in CURVES if c not in config.curves}
     if not setup.draws:
         rows = [
@@ -458,8 +439,14 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
 
 def _cmd_sweep(args) -> int:
     config = _apply_overrides(ExperimentConfig.from_json_file(args.config), args)
+    out_dir = Path(args.out).parent
+    if not out_dir.is_dir():
+        raise ConfigError(f"--out {args.out}: {out_dir} is not a directory")
     result = run_sweep(config)
-    emit_csv(result, args.out)
+    try:
+        emit_csv(result, args.out)
+    except OSError as exc:
+        raise ConfigError(str(exc)) from exc
     print(f"wrote {len(result.rows)} rows to {args.out} "
           f"(skipped {result.skipped_realizations} realizations)")
     return EXIT_OK
@@ -475,6 +462,16 @@ def _cmd_point(args) -> int:
 
 def _cmd_tag_convert(args) -> int:
     config = ExperimentConfig.from_json_file(args.config)
+    if args.grid:
+        try:
+            targets = [float(x) for x in args.grid.split(",")]
+        except ValueError:
+            raise ConfigError(f"--grid must be comma separated numbers, got {args.grid!r}") from None
+        # NaN fails the comparison too
+        if not all(0.0 <= x <= 1.0 for x in targets):
+            raise ConfigError("--grid targets must be finite and lie in [0, 1]")
+    else:
+        targets = list(np.logspace(-6, -0.5, 12))
     rng = SeededRng(config.seed).split(0)
     ch = draw_channel(rng.split(0), config.t, config.r, config.fading_spec, config.a_coeff)
     model = tag.TagErrorModel.from_pair(composite(ch, +1))
@@ -482,10 +479,6 @@ def _cmd_tag_convert(args) -> int:
     ceil = tag.tag_error_given_eps(model, 1.0)
     print(f"# attainable tag error interval: [{min(floor, ceil):.6g}, {max(floor, ceil):.6g}]")
     print("eps_d,eps,feasible")
-    if args.grid:
-        targets = [float(x) for x in args.grid.split(",")]
-    else:
-        targets = list(np.logspace(-6, -0.5, 12))
     for eps_d in targets:
         try:
             eps = tag.eps_given_tag_error(model, eps_d)

@@ -23,10 +23,3 @@ class OverflowRegimeError(ArithmeticError):
 
 class ConfigError(ValueError):
     """An experiment configuration failed validation."""
-
-
-def at_row(exc: Exception, row: int) -> Exception:
-    """Record on ``exc`` the first row of a batch (the index along its
-    leading draw axes, flattened) that raised it, as ``exc.row``."""
-    exc.row = row
-    return exc

@@ -8,7 +8,7 @@ from typing import Union
 import numpy as np
 
 from .channel import EigenSpectrum
-from .errors import OverflowRegimeError, ZeroSpectrumError, at_row
+from .errors import OverflowRegimeError, ZeroSpectrumError
 
 
 @dataclass(frozen=True)
@@ -45,17 +45,14 @@ def waterfill(g: Union[EigenSpectrum, np.ndarray], total_power: float) -> PowerA
     arithmetic of a single row.  Raises ``ZeroSpectrumError`` when every gain
     of a row is zero, and ``OverflowRegimeError`` when P is below the
     rounding of a row's smallest inverse gain (P + 1/g_max == 1/g_max), so
-    that no mode can take power; either error's ``row`` is the first such
-    row (0 for a single spectrum).
+    that no mode can take power.
     """
     gv = np.asarray(g.g if isinstance(g, EigenSpectrum) else g, dtype=float)
     if total_power <= 0:
         raise ValueError("total power must be positive")
     positive = gv > 0
-    nonzero = positive.any(axis=-1).reshape(-1)
-    if not nonzero.all():
-        row = int(np.argmin(nonzero))
-        raise at_row(ZeroSpectrumError("all eigenvalues are zero"), row)
+    if not positive.any(axis=-1).all():
+        raise ZeroSpectrumError("all eigenvalues are zero")
 
     with np.errstate(divide="ignore"):
         inv_all = 1.0 / gv
@@ -65,14 +62,9 @@ def waterfill(g: Union[EigenSpectrum, np.ndarray], total_power: float) -> PowerA
     k = np.arange(1, gv.shape[-1] + 1)
     levels = (total_power + prefix) / k
     qualifies = levels > inv
-    feasible = qualifies.any(axis=-1).reshape(-1)
-    if not feasible.all():
-        row = int(np.argmin(feasible))
-        raise at_row(
-            OverflowRegimeError(
-                f"total power {total_power:.3e} is below the rounding of the smallest inverse gain"
-            ),
-            row,
+    if not qualifies.any(axis=-1).all():
+        raise OverflowRegimeError(
+            f"total power {total_power:.3e} is below the rounding of the smallest inverse gain"
         )
     # the active set is the largest qualifying k
     last = gv.shape[-1] - 1 - np.argmax(qualifies[..., ::-1], axis=-1)

@@ -159,10 +159,7 @@ def sample_law(
         raise ValueError("blocklength must be >= 1")
     if num_samples < 1000:
         raise ValueError("num_samples must be >= 1000")
-    law = LawParams(n, gammas)
-    if law.degenerate:
-        return np.zeros(num_samples)
-    return law.sample(rng.generator(), num_samples, _KIND_TILTS[kind])
+    return LawParams(n, gammas).sample(rng.generator(), num_samples, _KIND_TILTS[kind])
 
 
 def threshold_with_ties(draws: np.ndarray, levels: Sequence[float]) -> List[Tuple[float, float]]:

@@ -55,9 +55,8 @@ class TestDispersion:
         p = np.ones((2, 2))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(OverflowRegimeError) as info:
+            with pytest.raises(OverflowRegimeError):
                 dispersion(g, p)
-        assert info.value.row == 1
 
     def test_rows_are_single_spectra(self):
         rng = np.random.default_rng(5)

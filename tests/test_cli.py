@@ -149,6 +149,12 @@ class TestRunSweep:
         result = run_sweep(_config(aggregate="single", curves=["capacity"]))
         assert all(row.draws == 1 for row in result.rows)
 
+    def test_single_aggregate_is_the_mean_over_the_first_draw(self):
+        single = run_sweep(_config(aggregate="single", channel_draws=7))
+        mean = run_sweep(_config(aggregate="mean", channel_draws=1))
+        assert all(math.isfinite(row.ach_ci) and row.ach_ci > 0 for row in single.rows)
+        assert single.rows == mean.rows
+
 
 class TestBoundPool:
     """The (draw, n, bound) items of a sweep run on a thread pool."""
@@ -207,9 +213,7 @@ class TestBoundPool:
         assert "stub converse failed at n = 16" in capsys.readouterr().err
         assert len(calls) < 3 * 4 * 2
 
-    def test_later_set_up_failure_does_not_mask_an_earlier_item_failure(
-        self, monkeypatch, pin_cpus
-    ):
+    def test_set_up_failure_raises_before_any_item(self, monkeypatch, pin_cpus):
         cfg = _config(**self.GRID)
         draw = cli.draw_channel
         third = SeededRng(cfg.seed).split(2).split(0)
@@ -220,21 +224,17 @@ class TestBoundPool:
             return draw(rng, *args)
 
         monkeypatch.setattr(cli, "draw_channel", failing_draw)
-        # alone, the set-up failure is raised after the first two draws' items
-        calls = self._stub_bounds(monkeypatch, pin_cpus)
-        with pytest.raises(ZeroSpectrumError, match="draw 2"):
-            run_sweep(cfg)
-        per_draw = [(curve, n) for curve in ("achievability", "converse") for n in cfg.n_grid]
-        assert sorted((curve, n) for curve, n, _ in calls) == sorted(2 * per_draw)
-        # an item of draw 1 fails first in serial order
-        self._stub_bounds(monkeypatch, pin_cpus, fail_rng=self._substream(cfg, 1, 64, "converse"))
-        with pytest.raises(ConvergenceError, match="n = 64"):
-            run_sweep(cfg)
+        # the set-up pass runs first, so its failure wins even over an item
+        # of draw 1 that would fail
+        for fail_rng in (None, self._substream(cfg, 1, 64, "converse")):
+            calls = self._stub_bounds(monkeypatch, pin_cpus, fail_rng=fail_rng)
+            with pytest.raises(ZeroSpectrumError, match="draw 2"):
+                run_sweep(cfg)
+            assert calls == []
 
-    def test_zero_channel_fails_after_the_earlier_draws_items(self, monkeypatch, pin_cpus):
+    def test_zero_channel_fails_before_any_item(self, monkeypatch, pin_cpus):
         # with fixed eps no tag target skips the all-zero draw 2, so the
-        # batched waterfilling fails on it; the items of draws 0 and 1 run
-        # first, and no item of a later draw runs
+        # batched waterfilling fails on it before any item starts
         cfg = _config(**self.GRID)
         draw = cli.draw_channel
         third = SeededRng(cfg.seed).split(2).split(0)
@@ -249,14 +249,7 @@ class TestBoundPool:
         calls = self._stub_bounds(monkeypatch, pin_cpus)
         with pytest.raises(ZeroSpectrumError, match="all eigenvalues are zero"):
             run_sweep(cfg)
-        expected = {
-            self._substream(cfg, k, n, curve)
-            for k in (0, 1)
-            for n in cfg.n_grid
-            for curve in ("achievability", "converse")
-        }
-        assert len(calls) == len(expected)
-        assert {rng for _, _, rng in calls} == expected
+        assert calls == []
 
 
 class TestEmitCsv:
@@ -377,6 +370,35 @@ class TestMain:
             ) == 0
             outs.append(out.read_text())
         assert outs[0] != outs[1]
+
+    # argv after the command's --config, and the expected stderr message
+    USAGE_ERRORS = {
+        "grid_text": (["tag-convert", "--grid", "abc"], "--grid must be comma separated numbers"),
+        "grid_empty_entry": (["tag-convert", "--grid", "0.1,,0.2"], "--grid must be comma separated"),
+        "grid_above_1": (["tag-convert", "--grid", "1.5"], "--grid targets must be finite"),
+        "grid_nan": (["tag-convert", "--grid", "nan"], "--grid targets must be finite"),
+        "grid_minus_inf": (["tag-convert", "--grid", "0.1,-inf"], "--grid targets must be finite"),
+        "out_dir_missing": (["sweep", "--out", "{tmp}/missing/x.csv"], "missing is not a directory"),
+        "out_parent_is_a_file": (["sweep", "--out", "{tmp}/cfg.json/x.csv"], "cfg.json is not a directory"),
+        "out_is_a_directory": (["sweep", "--out", "{tmp}"], "cannot write results to"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+    def test_usage_errors_exit_2_with_a_message(self, tmp_path, capsys, monkeypatch, case):
+        argv, message = self.USAGE_ERRORS[case]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(asdict(_config(curves=["capacity"]))))
+        sweeps = []
+        monkeypatch.setattr(cli, "run_sweep", lambda cfg: sweeps.append(cfg) or run_sweep(cfg))
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        assert main([argv[0], "--config", str(cfg_path), *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+        assert "eps_d,eps,feasible" not in captured.out
+        # a --out whose directory is missing is rejected before the sweep runs
+        if "not a directory" in message:
+            assert sweeps == []
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["sweep", "--config", str(tmp_path / "nope.json"), "--out", "x.csv"]) == 2

@@ -56,18 +56,15 @@ class TestWaterfillBatch:
 
     def test_power_below_the_rounding_of_the_inverse_gain(self):
         # at -170 dB, P + 1/g_max == 1/g_max: no mode can take power
-        with pytest.raises(OverflowRegimeError) as info:
+        with pytest.raises(OverflowRegimeError):
             waterfill(np.array([1.0, 0.5]), 1e-17)
-        assert info.value.row == 0
-        with pytest.raises(OverflowRegimeError) as info:
+        with pytest.raises(OverflowRegimeError):
             waterfill(np.array([[1e-3], [1e-20], [1.0]]), 1e-12)
-        assert info.value.row == 1
 
-    def test_first_zero_row_is_named(self):
+    def test_batch_with_any_all_zero_row_raises_zero_spectrum_error(self):
         g = np.array([[1.0, 0.5], [0.0, 0.0], [0.0, 0.0]])
-        with pytest.raises(ZeroSpectrumError) as info:
+        with pytest.raises(ZeroSpectrumError):
             waterfill(g, 1.0)
-        assert info.value.row == 1
 
 
 class TestWaterfillProperties:

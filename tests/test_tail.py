@@ -57,6 +57,11 @@ class TestOneLaw:
             np.testing.assert_allclose(lam, 2 * law.n / y, rtol=1e-15, atol=0)
             np.testing.assert_allclose(scale, y / (2 * (1 + y)), rtol=1e-15, atol=0)
 
+    @pytest.mark.parametrize("kind", [tail.KIND_OUTPUT, tail.KIND_CONDITIONAL])
+    def test_law_without_active_modes_samples_zeros(self, kind):
+        draws = tail.sample_law(kind, 16, np.zeros(2), SeededRng(3), 1000)
+        assert np.array_equal(draws, np.zeros(1000))
+
 
 class TestSolveTilt:
     @pytest.mark.parametrize("m", [1, 2, 3, 8])
