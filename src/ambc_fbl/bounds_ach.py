@@ -19,7 +19,7 @@ import numpy as np
 
 from .channel import EigenSpectrum
 from .errors import OverflowRegimeError
-from .numerics import SeededRng, log_bessel_i, log_gamma
+from .numerics import SeededRng, empirical_quantile, log_bessel_i, log_gamma
 from .power import PowerAllocation, waterfill
 from .tail import (
     KIND_CONDITIONAL,
@@ -31,7 +31,6 @@ from .tail import (
     mixed_rate,
     mode_gammas,
     sample_law,
-    threshold_with_ties,
 )
 
 _TAU_GRID_DIVISORS = (2, 4, 8, 16)
@@ -74,7 +73,7 @@ def achievability_beta(
     tau: float,
     law: Tuple[int, np.ndarray],
     rng: SeededRng,
-    threshold: Optional[Tuple[float, float]] = None,
+    threshold: Optional[float] = None,
 ) -> BetaEstimate:
     """Estimate beta at type-I level 1 - eps + tau between the two laws.
 
@@ -85,17 +84,19 @@ def achievability_beta(
     importance sampler estimates the tail: the output law of ``law`` =
     (blocklength, per-mode gammas), tilted so that its mean sits at gamma_n,
     with as many draws from ``rng`` as the conditional sample.
-    ``threshold``, the (gamma_n, rho) pair that ``threshold_with_ties``
-    returns for the conditional draws at this level, spares the quantile
-    pass when the caller already made it for several tau at once.
+    ``threshold``, the gamma_n that ``empirical_quantile`` returns for the
+    conditional draws at this level, spares the quantile pass when the
+    caller already made it for several tau at once.
     """
     if not 0.0 < tau < eps < 1.0:
         raise ValueError("need 0 < tau < eps < 1")
+    level = 1.0 - eps + tau
     if threshold is None:
-        threshold = threshold_with_ties(conditional_draws, [1.0 - eps + tau])[0]
+        threshold = empirical_quantile(conditional_draws, level)
     params = LawParams(*law)
     return estimate_beta(
-        threshold, conditional_draws.size, output_draws, 0.0, _MIN_RAW_EXCEEDANCES, params, rng
+        level, threshold, conditional_draws.size, output_draws, 0.0, _MIN_RAW_EXCEEDANCES,
+        params, rng,
     )
 
 
@@ -185,14 +186,13 @@ def _fixed_d_rate(
     taus = [eps / k for k in _TAU_GRID_DIVISORS]
     h_draws = sample_info_density(KIND_CONDITIONAL, n, g, p, rng.split(1), num_samples)
     # one quantile pass over the conditional draws serves every tau
-    thresholds = threshold_with_ties(h_draws, [1.0 - eps + tau for tau in taus])
-    # The raw output-law estimate needs 100 exceedances (16 when the threshold
-    # is an atom; with fewer its relative CI is above 0.5).  When the Chernoff
+    thresholds = empirical_quantile(h_draws, [1.0 - eps + tau for tau in taus]).tolist()
+    # The raw output-law estimate needs 100 exceedances.  When the Chernoff
     # bound leaves less than one expected exceedance at the lowest threshold,
     # that of the largest tau, the raw estimate would be kept at any tau with
-    # probability below 1/16! (1/100! without atoms), so the output draws are
-    # skipped and every tau takes the tilted path, which reads no raw draws.
-    lowest = thresholds[0][0]  # that of taus[0] = eps/2, the largest tau
+    # probability below 1/100!, so the output draws are skipped and every tau
+    # takes the tilted path, which reads no raw draws.
+    lowest = thresholds[0]  # that of taus[0] = eps/2, the largest tau
     g_draws = None
     if math.log(num_samples) + LawParams(n, gammas).log_tail_bound(lowest) >= 0.0:
         g_draws = sample_info_density(KIND_OUTPUT, n, g, p, rng.split(0), num_samples)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .channel import EigenSpectrum
 from .errors import ConvergenceError
-from .numerics import SeededRng, brent_min, product_gamma_logpdf
+from .numerics import SeededRng, brent_min, empirical_quantile, product_gamma_logpdf
 from .power import PowerAllocation, waterfill
 from .tail import (
     KIND_CONDITIONAL,
@@ -31,7 +31,6 @@ from .tail import (
     mixed_rate,
     mode_gammas,
     sample_law,
-    threshold_with_ties,
 )
 
 _MIN_EFFECTIVE_SAMPLES = 1000.0
@@ -82,20 +81,22 @@ def np_beta_converse(
     """Neyman-Pearson beta at level 1 - eps from log-likelihood-ratio draws.
 
     The optimal test thresholds the statistic at its empirical (1-eps)
-    exceedance quantile eta (randomizing on atoms), and beta is estimated by
-    the change-of-measure identity beta = E[exp(-S) 1{S >= eta}] over the
-    conditional draws, the output law's tilt by 1.  Deep in the tail the raw
-    estimator starves, so when the effective sample count drops below 1000,
-    beta is recomputed as the upper tail at eta of the output law of
-    ``law`` = (blocklength, per-mode gammas), tilted so that its mean sits
-    at eta, with as many draws from ``rng`` as the raw sample.
+    exceedance quantile eta, and beta is estimated by the change-of-measure
+    identity beta = E[exp(-S) 1{S > eta}] over the conditional draws, the
+    output law's tilt by 1.  Deep in the tail the raw estimator starves, so
+    when the effective sample count drops below 1000, beta is recomputed as
+    the upper tail at eta of the output law of ``law`` = (blocklength,
+    per-mode gammas), tilted so that its mean sits at eta, with as many
+    draws from ``rng`` as the raw sample.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
     # exp(-S) turns conditional-law mass into auxiliary-channel mass
-    threshold = threshold_with_ties(draws, [1.0 - eps])[0]
+    eta = empirical_quantile(draws, 1.0 - eps)
     params = LawParams(*law)
-    return estimate_beta(threshold, draws.size, draws, 1.0, _MIN_EFFECTIVE_SAMPLES, params, rng)
+    return estimate_beta(
+        1.0 - eps, eta, draws.size, draws, 1.0, _MIN_EFFECTIVE_SAMPLES, params, rng
+    )
 
 
 def ball_volume_bound(m: int, total_power: float) -> float:

@@ -4,11 +4,11 @@ Both bounds need the Neyman-Pearson type-II error beta of one information
 density X, and each beta is an upper tail of X under the output law: at
 the conditional law's level-(1 - eps + tau) quantile for the kappa-beta
 achievability bound, at its level-(1 - eps) quantile eta for the
-meta-converse.  This module owns that law, the tie-aware threshold, the one
-beta estimator (a raw change-of-measure mean, replaced by an exponentially
-tilted estimate of the deep tail that raw Monte Carlo cannot reach), and
-``mixed_rate``, which evaluates a bound's two tag symbols at the same time
-through ``run_calls`` (one thread pool, shared with the sweep) and mixes them.
+meta-converse.  This module owns that law, the one beta estimator (a raw
+change-of-measure mean, replaced by an exponentially tilted estimate of the
+deep tail that raw Monte Carlo cannot reach), and ``mixed_rate``, which
+evaluates a bound's two tag symbols at the same time through ``run_calls``
+(one thread pool, shared with the sweep) and mixes them.
 
 Per active mode j with y = g_j p_j > 0, X has the per-block contribution
   n (log(1+y) + 1) - s * W,   W ~ ncx2(2n, lam),
@@ -30,13 +30,13 @@ import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .channel import EigenSpectrum
 from .errors import ConvergenceError, InsufficientSamplesError
-from .numerics import SeededRng, empirical_quantile
+from .numerics import SeededRng
 from .power import PowerAllocation
 
 KIND_OUTPUT = "output"  # information density drawn under the output law
@@ -135,7 +135,7 @@ class LawParams:
         of cgf(theta) - theta * threshold, attained at the tilt whose mean is
         the threshold.  0 (the trivial bound) at or below the mean; -inf at
         or above the supremum of the law."""
-        if self.degenerate or threshold <= self.cgf_derivatives(0.0)[0]:
+        if threshold <= self.cgf_derivatives(0.0)[0]:
             return 0.0
         if threshold >= float(self.const.sum()):
             return -math.inf
@@ -162,23 +162,6 @@ def sample_law(
     return LawParams(n, gammas).sample(rng.generator(), num_samples, _KIND_TILTS[kind])
 
 
-def threshold_with_ties(draws: np.ndarray, levels: Sequence[float]) -> List[Tuple[float, float]]:
-    """Thresholds and randomization weights of the level-``level`` exceedance
-    tests, one per entry of ``levels``, from one quantile pass over ``draws``.
-
-    Each (gamma, rho) has P[X > gamma] + rho P[X = gamma] = level on the
-    empirical law; rho only matters when the sample has atoms.
-    """
-    out = []
-    for level, gamma in zip(levels, empirical_quantile(draws, levels)):
-        gamma = float(gamma)
-        frac_gt = float((draws > gamma).mean())
-        frac_eq = float((draws == gamma).mean())
-        rho = min(max((level - frac_gt) / frac_eq, 0.0), 1.0) if frac_eq > 0 else 0.0
-        out.append((gamma, rho))
-    return out
-
-
 def tilted_log_tail(law: LawParams, threshold: float, rng: SeededRng, size: int) -> Tuple[float, float]:
     """log P[X >= threshold] under the output law ``law``, with its relative
     95% CI.
@@ -189,8 +172,6 @@ def tilted_log_tail(law: LawParams, threshold: float, rng: SeededRng, size: int)
     achievability bound at its threshold gamma_n, the converse at eta.
     Raises ``InsufficientSamplesError`` when the relative CI exceeds 0.5.
     """
-    if law.degenerate:
-        raise InsufficientSamplesError("degenerate law cannot be tilted")
     theta = law.solve_tilt(threshold)
     draws = law.sample(rng.generator(), size, theta)
     # cgf - theta x, and below its shift and exp, in place, so concurrent
@@ -235,7 +216,8 @@ class BetaEstimate:
 
 
 def estimate_beta(
-    threshold: Tuple[float, float],
+    level: float,
+    threshold: float,
     size: int,
     tail_draws: Optional[np.ndarray],
     draws_tilt: float,
@@ -243,37 +225,38 @@ def estimate_beta(
     law: LawParams,
     rng: SeededRng,
 ) -> BetaEstimate:
-    """beta = P[X > gamma] + rho P[X = gamma] under the output law ``law``,
-    with (gamma, rho) = ``threshold`` as ``threshold_with_ties`` returns it
-    for a sample of ``size`` draws: the raw mean of
-    exp(-t X) (1{X > gamma} + rho 1{X = gamma}) over ``tail_draws``, drawn
-    from the tilt by t = ``draws_tilt`` (0 or 1, where cgf(t) = 0).
+    """beta = P[X > ``threshold``] under the output law ``law``, for the test
+    of exceedance level ``level`` with a sample of ``size`` draws: the raw
+    mean of exp(-t X) 1{X > threshold} over ``tail_draws``, drawn from the
+    tilt by t = ``draws_tilt`` (0 or 1, where cgf(t) = 0).
 
     The raw mean is kept when its effective sample size reaches ``min_ess``
-    (or the sample has atoms, which no tilt resolves) and its relative CI is
-    at most 0.5.  Otherwise, or when ``tail_draws`` is None (no raw draws
-    made), the tail is re-estimated by ``tilted_log_tail`` with ``size``
-    draws from ``rng``.
+    and its relative CI is at most 0.5.  Otherwise, or when ``tail_draws``
+    is None (no raw draws made), the tail is re-estimated by
+    ``tilted_log_tail`` with ``size`` draws from ``rng``.  A law without
+    active modes has X = 0 under both hypotheses, so the test rejects at
+    random and beta is ``level`` exactly, before any draw is read.
     """
-    gamma, rho = threshold
+    if law.degenerate:
+        return BetaEstimate(level, math.log(level), threshold, 0.0, 0.0, tilted=False)
     ess = 0.0
     x = tail_draws
     if x is not None:
         # a zero tilt gives unit weights without a pass of exp over the draws
         w = np.exp(-draws_tilt * np.clip(x, -700, None)) if draws_tilt else 1.0
-        weights = np.where(x > gamma, w, 0.0) + rho * np.where(x == gamma, w, 0.0)
+        weights = np.where(x > threshold, w, 0.0)
         total = float(weights.sum())
         sq = float((weights**2).sum())
         # subnormal weights can square to exactly zero; treat that as starvation
         ess = total**2 / sq if sq > 0 else 0.0
-        if (ess >= min_ess or rho > 0) and sq > 0:
+        if ess >= min_ess:
             mean = total / x.size
             ci_rel = 1.96 * float(weights.std() / math.sqrt(x.size)) / mean
             if ci_rel <= 0.5:
-                return BetaEstimate(mean, math.log(mean), gamma, ci_rel, ess, tilted=False)
+                return BetaEstimate(mean, math.log(mean), threshold, ci_rel, ess, tilted=False)
         del w, weights  # not held through the tilted estimate's own draws
-    log_beta, ci_rel = tilted_log_tail(law, gamma, rng, size)
-    return BetaEstimate(float(np.exp(log_beta)), log_beta, gamma, ci_rel, ess, tilted=True)
+    log_beta, ci_rel = tilted_log_tail(law, threshold, rng, size)
+    return BetaEstimate(float(np.exp(log_beta)), log_beta, threshold, ci_rel, ess, tilted=True)
 
 
 @dataclass(frozen=True)

@@ -90,7 +90,7 @@ class TestBatchEqualsScalar:
                  curves=["capacity", "normal_approx"])
         )
         root = SeededRng(config.seed)
-        setup = cli._set_up(config, root, config.channel_draws)
+        setup = cli._set_up(config, root)
         kept, eps = [], []
         for k in range(config.channel_draws):
             ch = draw_channel(root.split(k).split(0), 2, 3, Fading.rayleigh(), 0.5)

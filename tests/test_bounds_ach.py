@@ -107,6 +107,13 @@ class TestAchievabilityBeta:
         est = achievability_beta(h_draws, h_draws, eps, tau, law=law, rng=SeededRng(0))
         assert est.beta == pytest.approx(1 - eps + tau, abs=2 / math.sqrt(100_000))
 
+    def test_law_without_active_modes_returns_the_level_exactly(self):
+        # X = 0 under both hypotheses: the test rejects at random
+        zeros = np.zeros(20_000)
+        est = achievability_beta(zeros, zeros, 0.1, 0.02, law=(8, np.zeros(1)), rng=SeededRng(0))
+        assert est.beta == 0.92
+        assert not est.tilted
+
     @pytest.mark.parametrize("gamma", [0.5, 1.0, 4.0])
     def test_single_use_matches_quadrature_oracle(self, gamma):
         # exact laws at n = 1: shifted and scaled noncentral chi-squares

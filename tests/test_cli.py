@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from dataclasses import asdict, replace
@@ -11,6 +12,8 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ambc_fbl
 from ambc_fbl import bounds_ach, bounds_conv, cli
@@ -80,6 +83,7 @@ class TestConfig:
             dict(curves=["capacity", "bogus"]),
             dict(mc_samples=10),
             dict(aggregate="geomean"),
+            dict(aggregate="single"),
             dict(a_coeff=1.5),
             dict(snr_db="0"),
             dict(snr_db=None),
@@ -144,16 +148,6 @@ class TestRunSweep:
         assert math.isfinite(row.ach_bits)
         assert math.isfinite(row.conv_bits)
         assert row.ach_bits <= row.conv_bits + row.ach_ci + row.conv_ci
-
-    def test_single_aggregate_uses_one_draw(self):
-        result = run_sweep(_config(aggregate="single", curves=["capacity"]))
-        assert all(row.draws == 1 for row in result.rows)
-
-    def test_single_aggregate_is_the_mean_over_the_first_draw(self):
-        single = run_sweep(_config(aggregate="single", channel_draws=7))
-        mean = run_sweep(_config(aggregate="mean", channel_draws=1))
-        assert all(math.isfinite(row.ach_ci) and row.ach_ci > 0 for row in single.rows)
-        assert single.rows == mean.rows
 
 
 class TestBoundPool:
@@ -614,3 +608,43 @@ class TestMain:
         out = capsys.readouterr().out
         assert "eps_d,eps,feasible" in out
         assert ",no" in out  # 1e-9 is below any realistic floor
+
+
+@st.composite
+def _envelope_configs(draw):
+    """Configs from the documented envelope: 1-4 antennas a side, Rayleigh or
+    Rician fading, an SNR from -10 to 30 dB, exactly one of eps / eps_d, and
+    one or two blocklengths from 8 to 2000, with every curve."""
+    cfg = dict(
+        t=draw(st.integers(1, 4)),
+        r=draw(st.integers(1, 4)),
+        fading="rayleigh",
+        a_coeff=draw(st.floats(0.0, 1.0)),
+        snr_db=draw(st.floats(-10.0, 30.0)),
+        n_grid=sorted(draw(st.sets(st.integers(8, 2000), min_size=1, max_size=2))),
+        mc_samples=1000,
+        channel_draws=draw(st.integers(1, 2)),
+        seed=draw(st.integers(0, 2**32)),
+    )
+    if draw(st.booleans()):
+        cfg.update(fading="rician", k_factor_db=draw(st.floats(-10.0, 20.0)))
+    if draw(st.booleans()):
+        cfg["eps"] = 10 ** draw(st.floats(-6.0, math.log10(0.3)))
+    else:
+        cfg["eps_d"] = draw(st.floats(1e-4, 0.5))
+    return cfg
+
+
+class TestEnvelope:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(cfg=_envelope_configs())
+    def test_sweep_gives_rows_or_a_documented_exit(self, cfg):
+        # an escaping exception fails the example
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg_path, out = Path(tmp) / "cfg.json", Path(tmp) / "out.csv"
+            cfg_path.write_text(json.dumps(cfg))
+            code = main(["sweep", "--config", str(cfg_path), "--out", str(out)])
+            assert code in (0, 2, 3)
+            if code == 0:
+                rows = list(csv.DictReader(out.read_text().splitlines()))
+                assert [int(row["n"]) for row in rows] == cfg["n_grid"]

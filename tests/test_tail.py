@@ -15,10 +15,10 @@ from scipy import optimize
 from ambc_fbl import bounds_ach, bounds_conv, tail
 from ambc_fbl.bounds_ach import achievability_rate
 from ambc_fbl.bounds_conv import converse_rate
-from ambc_fbl.channel import Fading, composite, draw_channel, eigen_spectrum
+from ambc_fbl.channel import EigenSpectrum, Fading, composite, draw_channel, eigen_spectrum
 from ambc_fbl.cli import ExperimentConfig, run_sweep
 from ambc_fbl.errors import ConvergenceError
-from ambc_fbl.numerics import SeededRng
+from ambc_fbl.numerics import SeededRng, empirical_quantile
 from ambc_fbl.power import waterfill
 from ambc_fbl.tail import LawParams, run_calls
 
@@ -61,6 +61,35 @@ class TestOneLaw:
     def test_law_without_active_modes_samples_zeros(self, kind):
         draws = tail.sample_law(kind, 16, np.zeros(2), SeededRng(3), 1000)
         assert np.array_equal(draws, np.zeros(1000))
+
+
+class TestKeepRule:
+    """A raw beta is kept only when its effective sample size reaches the
+    bound's floor, also when the threshold falls exactly on a draw: with
+    100_001 draws and these levels, (N - 1)(1 - level) is an integer up to
+    rounding, and the interpolated quantile comes out as an order statistic."""
+
+    G = EigenSpectrum(np.array([1.0, 0.3]), 1)
+
+    @pytest.mark.parametrize(
+        "bound,n,eps,seed",
+        [(bounds_conv, 600, 0.01, 0), (bounds_conv, 600, 0.01, 4),
+         (bounds_ach, 128, 0.1, 4), (bounds_ach, 128, 0.1, 9)],
+    )
+    def test_threshold_on_a_draw_keeps_no_starved_raw_estimate(self, bound, n, eps, seed):
+        num, power = 100_001, 0.1
+        if bound is bounds_conv:
+            stream, level, min_ess = 0, 1 - eps, bounds_conv._MIN_EFFECTIVE_SAMPLES
+        else:  # the level of the largest tau, eps / 2, as the bound computes it
+            stream, level, min_ess = 1, 1 - eps + eps / 2, bounds_ach._MIN_RAW_EXCEEDANCES
+        # the conditional sample that sets the thresholds
+        gammas = tail.mode_gammas(self.G, waterfill(self.G, power))
+        draws = tail.sample_law(
+            tail.KIND_CONDITIONAL, n, gammas, SeededRng(seed).split(stream), num
+        )
+        assert np.isin(empirical_quantile(draws, level), draws)
+        est = bound._fixed_d_rate(n, self.G, power, eps, SeededRng(seed), num).estimate
+        assert est.tilted or est.ess >= min_ess
 
 
 class TestSolveTilt:
