@@ -2,20 +2,20 @@
 matrix, the two tag hops, the composite channel per tag symbol, and its
 eigen-spectrum.
 
-Realizations, composite pairs and spectra may carry a leading draw axis
-(``ChannelRealization.stack``); ``composite`` and ``eigen_spectrum`` then
-work row by row, and a single draw is the batch-of-one case of the same
-code.
+Realizations, composite pairs and spectra may carry a leading draw axis:
+``draw_channel`` on a sequence of streams draws a whole batch from one
+re-keyed generator, ``composite`` and ``eigen_spectrum`` then work row by
+row, and a single draw is the batch-of-one case of the same code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .numerics import SeededRng
+from .numerics import SeededRng, standard_normals
 
 RAYLEIGH = "rayleigh"
 RICIAN = "rician"
@@ -71,21 +71,6 @@ class ChannelRealization:
     def r(self) -> int:
         return self.h_sr.shape[-1]
 
-    @classmethod
-    def stack(cls, draws: Sequence["ChannelRealization"]) -> "ChannelRealization":
-        """The draws as one batch, in order along a leading axis; they must
-        share their shapes, ``a_coeff`` and fading."""
-        first = draws[0]
-        if any((ch.a_coeff, ch.fading) != (first.a_coeff, first.fading) for ch in draws):
-            raise ValueError("stacked draws must share a_coeff and fading")
-        return cls(
-            h_sr=np.stack([ch.h_sr for ch in draws]),
-            h_sg=np.stack([ch.h_sg for ch in draws]),
-            h_gr=np.stack([ch.h_gr for ch in draws]),
-            a_coeff=first.a_coeff,
-            fading=first.fading,
-        )
-
 
 @dataclass(frozen=True)
 class CompositePair:
@@ -127,7 +112,7 @@ class EigenSpectrum:
 
 
 def draw_channel(
-    rng: SeededRng,
+    rng: Union[SeededRng, Sequence[SeededRng]],
     t: int,
     r: int,
     fading: Fading,
@@ -138,26 +123,36 @@ def draw_channel(
     Rayleigh entries are CN(0, 1).  Rician entries keep unit total variance:
     a deterministic phase-0 line-of-sight part of power K/(K+1) plus CN(0, 1)
     scatter of power 1/(K+1), with K the linear K-factor.
+
+    ``rng`` is one stream, or a sequence of streams for a batch with a
+    leading draw axis: row k is, bit for bit, the single draw on stream k.
+    All of a batch's normals come from one re-keyed generator
+    (``numerics.standard_normals``).
     """
     if t < 1 or r < 1:
         raise ValueError("antenna counts must be >= 1")
-    # one call reads the stream in the order of six separate draws: the real
-    # then the imaginary parts of h_sr, of h_sg and of h_gr
-    normals = rng.generator().standard_normal(2 * (t * r + t + r))
+    single = isinstance(rng, SeededRng)
+    # one row per stream reads it in the order of six separate draws: the
+    # real then the imaginary parts of h_sr, of h_sg and of h_gr
+    normals = standard_normals([rng] if single else rng, 2 * (t * r + t + r))
+    if single:
+        normals = normals[0]
+    batch = normals.shape[:-1]
     parts = [
-        normals[start : start + 2 * size].reshape(2, size)
+        normals[..., start : start + 2 * size].reshape(*batch, 2, size)
         for start, size in ((0, t * r), (2 * t * r, t), (2 * (t * r + t), r))
     ]
-    re, im = np.concatenate(parts, axis=1)
+    blocks = np.concatenate(parts, axis=-1)
+    re, im = blocks[..., 0, :], blocks[..., 1, :]
     # circularly symmetric complex Gaussian, unit variance per entry
     entries = (re + 1j * im) / np.sqrt(2.0)
     if fading.kind == RICIAN:
         k = 10.0 ** (fading.k_factor_db / 10.0)
         entries = np.sqrt(k / (k + 1.0)) + np.sqrt(1.0 / (k + 1.0)) * entries
     return ChannelRealization(
-        h_sr=entries[: t * r].reshape(t, r),
-        h_sg=entries[t * r : t * r + t].reshape(t, 1),
-        h_gr=entries[t * r + t :].reshape(1, r),
+        h_sr=entries[..., : t * r].reshape(*batch, t, r),
+        h_sg=entries[..., t * r : t * r + t].reshape(*batch, t, 1),
+        h_gr=entries[..., t * r + t :].reshape(*batch, 1, r),
         a_coeff=float(a_coeff),
         fading=fading,
     )

@@ -227,10 +227,10 @@ class _SetUp:
     skipped: int
 
 
-def _closed_form(config: ExperimentConfig, channels, eps: List[float]):
-    """Spectra, capacity and the normal approximation of every draw at once:
-    one call of each layer per tag symbol, on arrays with a leading draw axis."""
-    batch = ChannelRealization.stack(channels)
+def _closed_form(config: ExperimentConfig, batch: ChannelRealization, eps: List[float]):
+    """Spectra, capacity and the normal approximation of every draw of the
+    batch at once: one call of each layer per tag symbol, on arrays with a
+    leading draw axis."""
     n = np.array(config.n_grid)[:, None]
     spectra, cap, na = {}, [], []
     for d in (-1, +1):
@@ -253,32 +253,35 @@ def _closed_form(config: ExperimentConfig, channels, eps: List[float]):
 
 
 def _set_up(config: ExperimentConfig, root: SeededRng) -> _SetUp:
-    """Set up every draw of a sweep in one pass.
+    """Set up every draw of a sweep in one batched pass.
 
-    Draw k draws its channel on the stream ``root.split(k).split(0)`` and,
-    with ``eps_d``, converts the tag target to its eps; a draw that cannot
-    reach the target is skipped.  The rest runs batched (``_closed_form``).
-    Any other numeric failure propagates at once.
+    Draw k is row k of one batched ``draw_channel`` call, on the stream
+    ``root.split(k).split(0)``.  With ``eps_d``, the tag models of all draws
+    come from one batched ``TagErrorModel.from_pair``, and each draw converts
+    its target to its eps on its own; a draw that cannot reach the target,
+    or has no tag link, is skipped.  The kept rows then run batched
+    (``_closed_form``).  Any other numeric failure propagates at once.
     """
-    draws, channels, eps = [], [], []
-    skipped = 0
-    for k in range(config.channel_draws):
-        try:
-            ch = draw_channel(
-                root.split(k).split(0), config.t, config.r, config.fading_spec, config.a_coeff
-            )
-            eps_k = config.eps
-            if eps_k is None:
-                model = tag.TagErrorModel.from_pair(composite(ch, +1))
-                # endpoint targets map to 0 or 1 exactly; keep the bounds well defined
-                eps_k = min(max(tag.eps_given_tag_error(model, config.eps_d), MIN_EPS), 1.0 - MIN_EPS)
-        except InfeasibleTargetError:
-            skipped += 1
-            continue
-        draws.append(k)
-        channels.append(ch)
-        eps.append(eps_k)
-    spectra, curves = _closed_form(config, channels, eps) if draws else ({}, {})
+    streams = [root.split(k).split(0) for k in range(config.channel_draws)]
+    batch = draw_channel(streams, config.t, config.r, config.fading_spec, config.a_coeff)
+    if config.eps is not None:
+        draws, eps = list(range(config.channel_draws)), [config.eps] * config.channel_draws
+    else:
+        draws, eps = [], []
+        models = tag.TagErrorModel.from_pair(composite(batch, +1))
+        for k, (norm, rho) in enumerate(zip(models.norm_h1.tolist(), models.cross_term.tolist())):
+            try:
+                eps_k = tag.eps_given_tag_error(tag.TagErrorModel(norm, rho), config.eps_d)
+            except InfeasibleTargetError:
+                continue
+            draws.append(k)
+            # endpoint targets map to 0 or 1 exactly; keep the bounds well defined
+            eps.append(min(max(eps_k, MIN_EPS), 1.0 - MIN_EPS))
+    skipped = config.channel_draws - len(draws)
+    if not draws:
+        return _SetUp(draws, eps, {}, {}, skipped)
+    kept = replace(batch, h_sr=batch.h_sr[draws], h_sg=batch.h_sg[draws], h_gr=batch.h_gr[draws])
+    spectra, curves = _closed_form(config, kept, eps)
     return _SetUp(draws, eps, spectra, curves, skipped)
 
 
@@ -297,9 +300,10 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     skipped and counted.  All randomness descends from (seed, draw index) so
     repeated runs are bit-identical.
 
-    Every draw is set up first, in one pass on the calling thread (see
-    ``_set_up``): channel, eps, spectra, capacity, dispersion and the
-    normal approximation.  The Monte Carlo bounds then run through
+    Every draw is set up first, in one batched pass on the calling thread
+    (see ``_set_up``): channels, eps, spectra, capacity, dispersion and the
+    normal approximation, each layer one call over all draws but the
+    per-draw eps conversion.  The Monte Carlo bounds then run through
     ``tail.run_calls`` as a fixed list of (draw, n, bound) items in serial
     order, each on its draw's spectra, each bound splitting its two tag
     symbols over the same pool, so at most one thread per usable CPU

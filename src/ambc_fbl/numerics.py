@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -74,6 +74,28 @@ class SeededRng:
             raise ValueError("split index must be nonnegative")
         child = _splitmix64(_splitmix64(self.stream_id) ^ (index + 1))
         return SeededRng(self.seed, child)
+
+
+def standard_normals(streams: Sequence[SeededRng], size: int) -> np.ndarray:
+    """``size`` standard normals from the start of each stream, one row per
+    stream, each bit-equal to ``stream.generator().standard_normal(size)``.
+
+    Philox is counter-based: a stream's whole state is its key (seed,
+    stream_id) and its counter.  So one bit generator, re-keyed with the
+    counter at 0 and an empty output buffer, replaces one construction per
+    stream (each of which also seeds itself from OS entropy that the key then
+    overrides).
+    """
+    bit_generator = np.random.Philox(0)
+    gen = np.random.Generator(bit_generator)
+    # a fresh state: counter 0, nothing buffered
+    state = bit_generator.state
+    out = np.empty((len(streams), size))
+    for row, stream in zip(out, streams):
+        state["state"]["key"] = np.array([stream.seed, stream.stream_id], dtype=np.uint64)
+        bit_generator.state = state
+        gen.standard_normal(out=row)
+    return out
 
 
 def empirical_quantile(draws: np.ndarray, level):

@@ -69,21 +69,18 @@ class TestDrawChannel:
             ChannelRealization(ch.h_sr, ch.h_sg, ch.h_gr, 1.5, ch.fading)
 
 
-class TestStack:
+class TestBatchDraw:
     def test_batch_rows_are_the_draws(self):
-        draws = [_draw(seed) for seed in range(4)]
-        batch = ChannelRealization.stack(draws)
+        streams = [SeededRng(seed) for seed in range(4)]
+        batch = draw_channel(streams, 2, 3, Fading.rayleigh(), 0.5)
         assert batch.h_sr.shape == (4, 2, 3)
         assert (batch.t, batch.r) == (2, 3)
-        for i, ch in enumerate(draws):
+        for i, stream in enumerate(streams):
+            ch = draw_channel(stream, 2, 3, Fading.rayleigh(), 0.5)
             for d in (-1, +1):
                 assert np.array_equal(composite(batch, d).h1[i], composite(ch, d).h1)
-
-    def test_draws_must_share_a_and_fading(self):
-        with pytest.raises(ValueError):
-            ChannelRealization.stack([_draw(0), _draw(1, a=0.3)])
-        with pytest.raises(ValueError):
-            ChannelRealization.stack([_draw(0), _draw(1, fading=Fading.rician(3.0))])
+        # a sequence of one stream is a batch of one, not the single draw
+        assert draw_channel(streams[:1], 2, 3, Fading.rayleigh(), 0.5).h_sr.shape == (1, 2, 3)
 
 
 class TestComposite:

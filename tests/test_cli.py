@@ -7,7 +7,7 @@ import sys
 import tempfile
 import threading
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -138,6 +138,26 @@ class TestRunSweep:
         result = run_sweep(cfg)
         assert result.skipped_realizations > 0
 
+    def test_error_target_without_a_tag_link_skips_every_draw(self, tmp_path, capsys):
+        # a_coeff = 0: no draw has a tag link, so every draw is skipped, the
+        # rows are NaN with no draws and the sweep still exits 0
+        cfg = _config(eps=None, eps_d=0.1, a_coeff=0.0, channel_draws=5,
+                      curves=["capacity", "normal_approx"])
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+        cfg_path.write_text(json.dumps(asdict(cfg)))
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert [int(row["n"]) for row in rows] == list(cfg.n_grid)
+        for row in rows:
+            assert row["draws"] == "0"
+            assert all(row[key] == "nan" for key in CSV_HEADER.split(",")[1:-1])
+        meta = json.loads((tmp_path / "out.csv.meta.json").read_text())
+        assert meta["skipped_realizations"] == cfg.channel_draws
+        # the table of one channel has no attainable interval to print
+        capsys.readouterr()
+        assert main(["tag-convert", "--config", str(cfg_path)]) == 3
+        assert "tag link is absent" in capsys.readouterr().err
+
     def test_error_target_mode_produces_rates(self):
         # a loose tag error target converts per realization and feeds the
         # bounds; feasible draws yield finite rows
@@ -212,10 +232,11 @@ class TestBoundPool:
         draw = cli.draw_channel
         third = SeededRng(cfg.seed).split(2).split(0)
 
-        def failing_draw(rng, *args):
-            if rng == third:
+        def failing_draw(streams, *args):
+            # the set-up pass draws every channel in one batched call
+            if third in streams:
                 raise ZeroSpectrumError("stub set-up failure in draw 2")
-            return draw(rng, *args)
+            return draw(streams, *args)
 
         monkeypatch.setattr(cli, "draw_channel", failing_draw)
         # the set-up pass runs first, so its failure wins even over an item
@@ -233,11 +254,12 @@ class TestBoundPool:
         draw = cli.draw_channel
         third = SeededRng(cfg.seed).split(2).split(0)
 
-        def zero_draw(rng, *args):
-            ch = draw(rng, *args)
-            if rng == third:
-                ch = replace(ch, h_sr=0 * ch.h_sr, h_sg=0 * ch.h_sg, h_gr=0 * ch.h_gr)
-            return ch
+        def zero_draw(streams, *args):
+            batch = draw(streams, *args)
+            row = streams.index(third)
+            for h in (batch.h_sr, batch.h_sg, batch.h_gr):
+                h[row] = 0
+            return batch
 
         monkeypatch.setattr(cli, "draw_channel", zero_draw)
         calls = self._stub_bounds(monkeypatch, pin_cpus)
@@ -613,8 +635,9 @@ class TestMain:
 @st.composite
 def _envelope_configs(draw):
     """Configs from the documented envelope: 1-4 antennas a side, Rayleigh or
-    Rician fading, an SNR from -10 to 30 dB, exactly one of eps / eps_d, and
-    one or two blocklengths from 8 to 2000, with every curve."""
+    Rician fading, an SNR from -10 to 30 dB, exactly one of eps / eps_d, one
+    or two blocklengths from 8 to 2000 and one to six draws (so a batch can
+    mix skipped and kept draws), with every curve."""
     cfg = dict(
         t=draw(st.integers(1, 4)),
         r=draw(st.integers(1, 4)),
@@ -623,7 +646,7 @@ def _envelope_configs(draw):
         snr_db=draw(st.floats(-10.0, 30.0)),
         n_grid=sorted(draw(st.sets(st.integers(8, 2000), min_size=1, max_size=2))),
         mc_samples=1000,
-        channel_draws=draw(st.integers(1, 2)),
+        channel_draws=draw(st.integers(1, 6)),
         seed=draw(st.integers(0, 2**32)),
     )
     if draw(st.booleans()):
