@@ -19,7 +19,7 @@ import numpy as np
 
 from .channel import EigenSpectrum
 from .errors import OverflowRegimeError
-from .numerics import SeededRng, empirical_quantile, log_bessel_i, log_gamma
+from .numerics import SeededRng, empirical_quantile, log_bessel_i
 from .power import PowerAllocation, waterfill
 from .tail import (
     KIND_CONDITIONAL,
@@ -115,7 +115,7 @@ def achievability_beta(
 def log_energy_density_ratio(r, n: int, gamma: float):
     """log f(r): conditional-law energy density over output-law energy density.
 
-    Both log-densities are assembled from ``log_gamma`` and ``log_bessel_i``
+    Both log-densities are assembled from ``math.lgamma`` and ``log_bessel_i``
     so the ratio is stable for blocklengths in the thousands.
     """
     if gamma <= 0:
@@ -130,7 +130,7 @@ def log_energy_density_ratio(r, n: int, gamma: float):
         + log_bessel_i(n - 1, 2.0 * np.sqrt(n * gamma * r))
     )
     log_out = (
-        -log_gamma(float(n))
+        -math.lgamma(n)
         - n * math.log1p(gamma)
         + (n - 1) * np.log(r)
         - r / (1.0 + gamma)

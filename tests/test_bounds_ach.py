@@ -218,8 +218,8 @@ class TestComputeC1:
 
     def test_ratio_in_scaled_bessel_underflow_regime(self):
         # large blocklength with a weak mode: the Bessel order dwarfs its
-        # argument, where scipy's scaled Bessel has no representable value;
-        # pin against a high-precision external evaluation
+        # argument, where I e^-x has no representable value; pin against a
+        # high-precision external evaluation
         mpmath = pytest.importorskip("mpmath")
         mpmath.mp.dps = 50
         n, gamma = 2000, 0.05
@@ -249,9 +249,9 @@ class TestComputeC1:
         assert c1 == pytest.approx((1 + 1.0) / math.sqrt(1 + 2 * 1.0), rel=0.05)
 
     def test_beyond_the_scaled_bessel_range(self):
-        # n g p = 8e8 puts the Bessel argument near 1.6e9, past the ~1.07e9
-        # where scipy's scaled Bessel returns NaN; the supremum still follows
-        # the large-n form (1 + y) / sqrt(1 + 2 y)
+        # n g p = 8e8 puts the Bessel argument near 1.6e9, where the log of
+        # I is near x itself; the supremum still follows the large-n form
+        # (1 + y) / sqrt(1 + 2 y)
         y = 1e5
         assert compute_c1(8000, y) == pytest.approx((1 + y) / math.sqrt(1 + 2 * y), rel=1e-4)
 

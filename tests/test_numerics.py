@@ -11,11 +11,12 @@ from ambc_fbl.errors import ConvergenceError
 from ambc_fbl.numerics import (
     SeededRng,
     brent_min,
+    digamma,
     empirical_quantile,
     gaussian_q,
     gaussian_q_inv,
     log_bessel_i,
-    log_gamma,
+    log_gamma_complex,
     product_gamma_logpdf,
     product_gamma_pdf,
 )
@@ -201,19 +202,35 @@ class TestLogBesselI:
         assert log_bessel_i(order, x) == pytest.approx(ref, abs=1e-8)
 
     def test_beyond_the_scaled_bessel_range(self):
-        # scipy's scaled Bessel is NaN above x ~ 1.07e9; one ulp of the log
-        # there is 2.4e-7, so the comparison is relative
+        # x ~ 1e9 and above, where the log is near x itself; one ulp of the
+        # log there is 2.4e-7, so the comparison is relative
         ref = _mpmath_log_bessel_i(7999.0, 1.6e9)
         assert log_bessel_i(7999.0, 1.6e9) == pytest.approx(ref, rel=1e-12)
 
     @pytest.mark.parametrize("order", [0.0, 0.5])
     def test_small_order_beyond_the_scaled_bessel_range(self, order):
-        # the uniform expansion divides by the order; small orders at such x
-        # take the large-argument expansion, without any warning
+        # small orders at such x run the recurrence down from order 50 or
+        # 50.5 over ratios within 3e-8 of 1, without any warning
         ref = _mpmath_log_bessel_i(order, 2e9)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert log_bessel_i(order, 2e9) == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("order", [0.0, 0.5, 3.0, 49.0, 49.5, 50.0, 51.0, 200.0])
+    def test_one_path_across_the_order_shift_and_the_decades(self, order):
+        # orders below 50 take the expansion at order + k >= 50 and the
+        # recurrence down; 50 and above take the expansion alone.  The bound
+        # is 1e-10 absolute, or four ulp of the value where the double
+        # spacing is coarser (x = 1e6 and 1e7, where log I is near x)
+        x = np.logspace(-6, 7, 27)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = log_bessel_i(order, x)
+            far = log_bessel_i(order, 2e9)
+        for xi, value in zip(x, got):
+            ref = _mpmath_log_bessel_i(order, xi)
+            assert value == pytest.approx(ref, abs=max(1e-10, 4 * math.ulp(ref)), rel=0)
+        assert far == pytest.approx(_mpmath_log_bessel_i(order, 2e9), rel=1e-12)
 
     @pytest.mark.slow
     def test_huge_order_reference_matches_live_mpmath(self):
@@ -237,29 +254,32 @@ class TestLogBesselI:
             assert log_bessel_i(2.5, float(xi)) == pytest.approx(vi, rel=1e-14)
 
 
-class TestLogGamma:
-    def test_at_one(self):
-        assert log_gamma(1.0) == 0.0
+class TestLogGammaComplex:
+    # the Mellin contour of ``product_gamma_logpdf``: w = n - 1/2 + i t
+    T = np.array([0.0, 0.25, 1.0, 4.0, 16.0, 64.0, 256.0, 1024.0, 3000.0])
 
-    def test_at_half_matches_high_precision(self):
+    @pytest.mark.parametrize("n", [1, 2, 8, 100, 4096])
+    def test_matches_high_precision_on_the_k1_contour(self, n):
         mpmath.mp.dps = 30
-        ref = float(mpmath.log(mpmath.gamma(mpmath.mpf("0.5"))))
-        assert log_gamma(0.5) == pytest.approx(ref, rel=1e-12)
-        assert log_gamma(0.5) == pytest.approx(0.5723649, abs=1e-7)
+        w = n - 0.5 + 1j * self.T
+        got = log_gamma_complex(w)
+        for wi, value in zip(w, got):
+            ref = mpmath.loggamma(mpmath.mpc(wi.real, wi.imag))
+            assert value.real == pytest.approx(float(ref.real), rel=1e-10)
+            # only cos of the phase is used, so it is compared mod 2 pi
+            phase = math.remainder(float(mpmath.mpf(value.imag) - ref.imag), 2 * math.pi)
+            assert abs(phase) < 1e-10
+        assert digamma(n - 0.5) == pytest.approx(float(mpmath.digamma(n - 0.5)), rel=1e-14, abs=1e-15)
 
-    def test_stirling_gap_bounded(self):
-        n = np.logspace(1, 4, 60)
-        stirling = n * np.log(n) - n - 0.5 * np.log(n)
-        gap = np.abs(log_gamma(n) - stirling)
-        # gap tends to log sqrt(2 pi) ~ 0.9189
-        assert np.all(gap < 1.0)
-        assert gap[-1] == pytest.approx(0.5 * math.log(2 * math.pi), abs=1e-4)
+    def test_real_axis_matches_lgamma(self):
+        for x in (0.5, 1.0, 3.0, 11.9, 12.0, 1e3):
+            assert log_gamma_complex(x).real == pytest.approx(math.lgamma(x), rel=1e-14, abs=1e-14)
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            log_gamma(0.0)
+            log_gamma_complex(np.array([1.0, -0.5 + 2j]))
         with pytest.raises(ValueError):
-            log_gamma(-2.0)
+            digamma(0.0)
 
 
 class TestEmpiricalQuantile:
