@@ -1,9 +1,7 @@
-"""Capacity, dispersion, the normal approximation, and the reference-variance
-critical-point check."""
+"""Capacity, dispersion and the normal approximation."""
 
 from __future__ import annotations
 
-import math
 from typing import Union
 
 import numpy as np
@@ -71,31 +69,3 @@ def normal_approximation(capacity_nats, dispersion_v, n, eps):
     na = np.where(dispersion_v == 0, capacity_nats, capacity_nats - np.sqrt(dispersion_v / n) * q)
     return _scalar(na)
 
-
-def verify_sigma_maximizer(g_j: float, p_j: float, tol: float = 1e-9) -> float:
-    """Locate the interior critical point of the per-mode mean information
-    density log s + y/s + (1/s - 1) as a function of the reference variance s.
-
-    The critical point is the unique interior extremum of that display
-    (numerically it is where the derivative vanishes); used as a test oracle
-    for the reference-variance choice 1 + y, with y = g_j p_j.
-
-    A grid scan, refined by scipy's bounded scalar minimizer.  Only
-    ``selftest`` and the tests call it, so ``scipy.optimize`` is imported
-    here and stays off the import path of the library and the CLI.
-    """
-    from scipy import optimize
-
-    y = float(g_j) * float(p_j)
-    if y <= 0:
-        raise ValueError("requires g_j p_j > 0")
-
-    def objective(s: float) -> float:
-        return math.log(s) + y / s + (1.0 / s - 1.0)
-
-    grid = np.linspace(0.05 * (1.0 + y), 10.0 * (1.0 + y), 2001)
-    coarse = grid[int(np.argmin([objective(s) for s in grid]))]
-    res = optimize.minimize_scalar(
-        objective, bounds=(coarse * 0.5, coarse * 2.0), method="bounded", options={"xatol": tol}
-    )
-    return float(res.x)

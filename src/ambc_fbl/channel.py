@@ -63,14 +63,6 @@ class ChannelRealization:
         if not 0.0 <= self.a_coeff <= 1.0:
             raise ValueError("a_coeff must lie in [0, 1]")
 
-    @property
-    def t(self) -> int:
-        return self.h_sr.shape[-2]
-
-    @property
-    def r(self) -> int:
-        return self.h_sr.shape[-1]
-
 
 @dataclass(frozen=True)
 class CompositePair:

@@ -1,6 +1,6 @@
 """Experiment orchestration: JSON configuration, blocklength sweeps averaged
 over channel realizations, CSV emission with a JSON metadata sidecar, and the
-command-line entry point (subcommands sweep, point, tag-convert, selftest)."""
+command-line entry point (subcommands sweep, point, tag-convert)."""
 
 from __future__ import annotations
 
@@ -53,6 +53,9 @@ K_FACTOR_DB_RANGE = (-100.0, 100.0)
 # the smallest eps, also the clamp of converted eps_d values: below about
 # 1e-16, 1 - eps rounds to 1, where the bounds' quantiles do not exist
 MIN_EPS = 1e-12
+# the largest blocklength: the curves take n as a double, exact up to 2**53,
+# and past 2**63 the grid no longer fits an int64 array
+MAX_N = 2**53
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -133,6 +136,8 @@ class ExperimentConfig:
         grid = tuple(_integer("n_grid entries", n) for n in self.n_grid)
         if not grid or any(n < 8 for n in grid):
             raise ConfigError("n_grid entries must be >= 8")
+        if any(n > MAX_N for n in grid):
+            raise ConfigError("n_grid entries must be at most 2**53")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigError("n_grid must be strictly increasing")
         object.__setattr__(self, "n_grid", grid)
@@ -187,7 +192,9 @@ class ExperimentConfig:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        # ValueError covers JSONDecodeError and UnicodeDecodeError; a deeply
+        # nested document exhausts the parser's recursion
+        except (OSError, ValueError, RecursionError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
@@ -491,83 +498,6 @@ def _cmd_tag_convert(args) -> int:
     return EXIT_OK
 
 
-def _cmd_selftest(args) -> int:
-    del args
-    checks = []
-    rng = np.random.default_rng(0)
-
-    from .numerics import gaussian_q, gaussian_q_inv, product_gamma_pdf
-
-    # below x ~ -5.2 one ulp of the probability already moves the inverse
-    # past 1e-9, so the tight check stops there
-    x = np.linspace(-5.2, 6, 101)
-    err = max(abs(gaussian_q_inv(float(gaussian_q(v))) - v) for v in x)
-    checks.append(("gaussian q/qinv round trip", err < 1e-9, f"max err {err:.2e}"))
-
-    ok, worst = True, 0.0
-    for _ in range(1000):
-        g = rng.uniform(0.01, 10, rng.integers(1, 5))
-        power = rng.uniform(0.1, 10)
-        alloc = waterfill(g, power)
-        gap = abs(alloc.p.sum() - power)
-        worst = max(worst, gap)
-        ok &= gap <= 1e-9
-        active = alloc.p > 0
-        ok &= np.all(np.abs(alloc.p[active] - (alloc.water_level - 1 / g[active])) < 1e-9)
-        ok &= np.all(alloc.water_level <= 1 / g[~active] + 1e-12)
-    checks.append(("waterfilling feasibility and slackness", ok, f"max budget gap {worst:.1e}"))
-
-    # dispersion raises OverflowRegimeError when its own two forms disagree
-    ok = True
-    for _ in range(1000):
-        y = rng.uniform(0, 5, rng.integers(1, 5))
-        v = asymptotics.dispersion(y, np.ones_like(y))
-        ok &= abs(v - (y.size - (1 / (1 + y) ** 2).sum())) <= 1e-12
-    checks.append(("dispersion two-form identity", ok, "1000 draws"))
-
-    ok = all(
-        abs(asymptotics.verify_sigma_maximizer(y, 1.0) - (1 + y)) < 1e-6
-        for y in rng.uniform(0.05, 8, 10)
-    )
-    checks.append(("reference-variance critical point", ok, "10 instances"))
-
-    ok = True
-    for _ in range(10):
-        h0 = (rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))) / np.sqrt(2)
-        h1 = (rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))) / np.sqrt(2)
-        model = tag.TagErrorModel.from_channels(h0, h1)
-        eps = rng.uniform(0.01, 0.99)
-        back = tag.eps_given_tag_error(model, tag.tag_error_given_eps(model, eps))
-        ok &= abs(back - eps) < 1e-12
-    checks.append(("tag coupling affine round trip", ok, "10 channels"))
-
-    # a law without active modes returns its level before it reads any draw
-    est = bounds_conv.np_beta_converse(np.zeros(20000), 0.1, (8, np.zeros(2)), SeededRng(0))
-    checks.append(
-        ("degenerate NP beta equals its level", abs(est.beta - 0.9) < 1e-12, f"beta {est.beta:.6f}")
-    )
-
-    v = product_gamma_pdf(3.0, 1, 3, 1.0)
-    ref = 4.5 * math.exp(-3.0)  # the Gamma(3, 1) density x^2 e^-x / 2 at x = 3
-    checks.append(("product-gamma single-factor reduction", abs(v - ref) < 1e-8 * ref, f"{v:.8f}"))
-
-    h0 = (rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))) / np.sqrt(2)
-    h1 = 0.7 * (rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))) / np.sqrt(2)
-    model = tag.TagErrorModel.from_channels(h0, h1)
-    emp = tag.simulate_tag_error(model, 0.05, SeededRng(5), 20000)
-    ana = tag.tag_error_given_eps(model, 0.05)
-    se = math.sqrt(max(ana * (1 - ana), 1e-12) / 20000)
-    checks.append(
-        ("tag detector simulation vs closed form", abs(emp - ana) <= 4 * se, f"{emp:.4f} vs {ana:.4f}")
-    )
-
-    all_ok = True
-    for name, ok, detail in checks:
-        print(f"{'PASS' if ok else 'FAIL'} {name} ({detail})")
-        all_ok &= ok
-    return EXIT_OK if all_ok else EXIT_NUMERIC
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ambc-fbl",
@@ -596,8 +526,6 @@ def build_parser() -> argparse.ArgumentParser:
     conv.add_argument("--grid", help="comma separated tag error targets")
     conv.set_defaults(func=_cmd_tag_convert)
 
-    selftest = sub.add_parser("selftest", help="run quick invariant checks")
-    selftest.set_defaults(func=_cmd_selftest)
     return parser
 
 

@@ -1,10 +1,10 @@
 """Deterministic special functions, splittable RNG streams, empirical
 distribution helpers, and Brent's scalar minimum search.
 
-All of it is numpy and standard-library code, without scipy, evaluated in
-log-domain wherever intermediate quantities can overflow double precision
-(Bessel functions of large order, gamma functions of large argument,
-Mellin-Barnes integrands).
+All of it is numpy and standard-library code, evaluated in log-domain
+wherever intermediate quantities can overflow double precision (Bessel
+functions of large order, gamma functions of large argument, Mellin-Barnes
+integrands).
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ MAX_GAMMA_SHAPE = 4096
 _CONTOUR_OFFSET = 0.5
 _CONTOUR_TAIL_TOL = 1e-12
 # Brent's minimum search: the absolute tolerance floor, golden ratio and
-# iteration limit of scipy's minimize_scalar(method="brent"), whose steps it
-# repeats
+# iteration limit of the reference minimizer whose steps it repeats (see
+# ``brent_min``)
 _MIN_TOL_FLOOR = 1.0e-11
 _GOLDEN = 0.3819660
 _MIN_MAXITER = 500
@@ -137,11 +137,11 @@ def brent_min(f, lo: float, mid: float, hi: float, xtol: float) -> Tuple[float, 
     where f(mid) lies below f(lo) and f(hi).
 
     Brent's parabolic-interpolation minimizer (Brent 1973, ch. 5), step for
-    step the one scipy's ``minimize_scalar(method="brent")`` runs on a given
+    step the search that the tests' reference minimizer runs on a given
     three-point bracket, with its absolute floor 1e-11 on the tolerance
     ``xtol * |x|``, golden ratio 0.3819660 and 500 iterations, so the
-    minimum is bit-equal to scipy's.  ``f`` is called at lo, mid and hi
-    first, then once per iteration.  Raises ``ConvergenceError`` when the
+    minimum is bit-equal to the reference's.  ``f`` is called at lo, mid
+    and hi first, then once per iteration.  Raises ``ConvergenceError`` when the
     bracket is not one, when the search ends on a NaN, or when 500
     iterations leave the minimum unresolved.
     """
@@ -405,8 +405,3 @@ def product_gamma_logpdf(z: float, copies: int, shape: int, scale: float) -> flo
     log_pref = -m * np.log(scale) - m * math.lgamma(n)
     return float(log_pref + l_zero + np.log(value / np.pi))
 
-
-def product_gamma_pdf(z: float, copies: int, shape: int, scale: float) -> float:
-    """Density of a product of ``copies`` iid Gamma(shape, scale) variables."""
-    lp = product_gamma_logpdf(z, copies, shape, scale)
-    return float(np.exp(lp)) if np.isfinite(lp) else 0.0

@@ -10,7 +10,7 @@ import numpy as np
 
 from .channel import CompositePair
 from .errors import InfeasibleTargetError
-from .numerics import SeededRng, gaussian_q
+from .numerics import gaussian_q
 
 # eps within this of the [0, 1] ends after inversion is rounding, not infeasibility
 _RESIDUE = 1e-12
@@ -111,26 +111,3 @@ def eps_given_tag_error(model: TagErrorModel, eps_d: float) -> float:
         )
     return eps
 
-
-def simulate_tag_error(
-    model: TagErrorModel,
-    eps: float,
-    rng: SeededRng,
-    trials: int = 100_000,
-) -> float:
-    """Empirical tag error rate over Monte Carlo symbol trials.
-
-    Each trial draws a tag symbol, flips a coin of bias eps for whether the
-    source codeword was decoded correctly, and runs the scalar detection law:
-    z = d + w when correct, z = -d - 2 rho + w when wrong, with w the
-    combined noise of variance 1 / (2 ||h1||^2).
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    gen = rng.generator()
-    d = np.where(gen.random(trials) < 0.5, -1.0, 1.0)
-    wrong = gen.random(trials) < eps
-    w = gen.standard_normal(trials) / (math.sqrt(2.0) * model.norm_h1)
-    z = np.where(wrong, -d - 2.0 * model.cross_term + w, d + w)
-    d_hat = np.where(z >= 0.0, 1.0, -1.0)
-    return float((d_hat != d).mean())

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ambc_fbl.asymptotics import capacity, dispersion, verify_sigma_maximizer
+from ambc_fbl.asymptotics import capacity, dispersion
 from ambc_fbl.bounds_ach import (
     KIND_CONDITIONAL,
     KIND_OUTPUT,
@@ -22,9 +22,10 @@ from ambc_fbl.bounds_ach import (
 from ambc_fbl.bounds_conv import converse_rate, np_beta_converse, sample_converse_density
 from ambc_fbl.channel import EigenSpectrum, Fading, composite, draw_channel, eigen_spectrum
 from ambc_fbl.cli import ExperimentConfig, emit_csv, run_sweep
-from ambc_fbl.numerics import SeededRng, gaussian_q_inv, product_gamma_pdf
+from ambc_fbl.numerics import SeededRng, gaussian_q_inv
 from ambc_fbl.power import PowerAllocation, waterfill
-from ambc_fbl.tag import TagErrorModel, eps_given_tag_error, simulate_tag_error, tag_error_given_eps
+from ambc_fbl.tag import TagErrorModel, eps_given_tag_error, tag_error_given_eps
+from oracles import product_gamma_pdf, simulate_tag_error, verify_sigma_maximizer
 
 EPS = 1e-3
 POWER = 1.0  # 0 dB

@@ -4,15 +4,11 @@ import warnings
 import numpy as np
 import pytest
 
-from ambc_fbl.asymptotics import (
-    capacity,
-    dispersion,
-    normal_approximation,
-    verify_sigma_maximizer,
-)
+from ambc_fbl.asymptotics import capacity, dispersion, normal_approximation
 from ambc_fbl.errors import OverflowRegimeError
 from ambc_fbl.numerics import SeededRng, gaussian_q_inv
 from ambc_fbl.tail import LawParams
+from oracles import verify_sigma_maximizer
 
 
 class TestCapacity:

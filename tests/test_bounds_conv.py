@@ -17,6 +17,7 @@ from ambc_fbl.bounds_conv import (
 from ambc_fbl.channel import EigenSpectrum, Fading, composite, draw_channel, eigen_spectrum
 from ambc_fbl.numerics import SeededRng
 from ambc_fbl.power import PowerAllocation, waterfill
+from oracles import product_gamma_pdf
 
 
 def _setup(gains, powers, d=1):
@@ -171,8 +172,6 @@ class TestConverseConstants:
         g, p = _setup([3.0, 1.0], [0.7, 0.3])
         n = 64
         k1 = pdf_sup_bound(2, n, g, p)
-        from ambc_fbl.numerics import product_gamma_pdf
-
         theta_eff = float(np.prod((1 + g.g * p.p) / (2 * n))) ** 0.5
         rng = np.random.default_rng(1)
         for z in rng.uniform(0.05, 3.0, 10) * theta_eff**2 * n * n:

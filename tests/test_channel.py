@@ -74,7 +74,6 @@ class TestBatchDraw:
         streams = [SeededRng(seed) for seed in range(4)]
         batch = draw_channel(streams, 2, 3, Fading.rayleigh(), 0.5)
         assert batch.h_sr.shape == (4, 2, 3)
-        assert (batch.t, batch.r) == (2, 3)
         for i, stream in enumerate(streams):
             ch = draw_channel(stream, 2, 3, Fading.rayleigh(), 0.5)
             for d in (-1, +1):

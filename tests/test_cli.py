@@ -100,6 +100,8 @@ class TestConfig:
             dict(fading="rician", k_factor_db="10"),
             dict(fading="rician", k_factor_db=4000.0),
             dict(eps=1e-17),
+            # the converse's own limit would reject this grid first
+            dict(n_grid=[16, 2**53 + 1], curves=["capacity", "normal_approx"]),
         ],
     )
     def test_rejects_bad_configs(self, overrides):
@@ -420,6 +422,17 @@ class TestMain:
         assert main(["sweep", "--config", str(tmp_path / "nope.json"), "--out", "x.csv"]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "content",
+        [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000],
+        ids=["not_utf8", "nested_past_the_recursion_limit"],
+    )
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, content):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_bytes(content)
+        assert main(["sweep", "--config", str(cfg_path), "--out", "x.csv"]) == 2
+        assert "cannot read config" in capsys.readouterr().err
+
     def test_invalid_config_exits_2(self, tmp_path, capsys):
         bad = asdict(_config())
         bad["eps_d"] = 0.5  # both error modes set
@@ -444,8 +457,10 @@ class TestMain:
         # the package must not import the cli module that ``-m`` then runs
         src = str(Path(ambc_fbl.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        config = Path(__file__).resolve().parents[1] / "configs" / "rayleigh_tag_target.json"
         proc = subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning", "-m", "ambc_fbl.cli", "selftest"],
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "ambc_fbl.cli",
+             "tag-convert", "--config", str(config)],
             env=env,
             capture_output=True,
             text=True,
@@ -471,8 +486,8 @@ class TestMain:
     )
     def test_closed_form_commands_leave_scipy_unloaded(self, tmp_path, argv, overrides):
         # Q, its inverse, log I, complex ln Gamma and the Brent searches are
-        # numpy and standard-library code, so no command but ``selftest``
-        # loads any scipy module, the Monte Carlo bounds included
+        # numpy and standard-library code, so no command loads any scipy
+        # module, the Monte Carlo bounds included
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(asdict(_config(**{"channel_draws": 20, **overrides}))))
         script = "import os, sys\nimport ambc_fbl\n"
@@ -573,6 +588,9 @@ class TestMain:
             (dict(fading="rician", k_factor_db=4000.0), "k_factor_db must lie in [-100, 100]"),
             # without the floor, 1 - eps rounds to 1 and no quantile exists
             (dict(eps=1e-17), "eps must be at least 1e-12"),
+            # without the bound, the grid becomes an object array that the
+            # closed-form curves cannot take the square root of
+            (dict(n_grid=[8, 10**22]), "n_grid entries must be at most 2**53"),
         ],
     )
     @pytest.mark.parametrize("curves", [None, "converse"])
@@ -582,6 +600,18 @@ class TestMain:
         argv = ["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv")]
         assert main(argv + (["--curves", curves] if curves else [])) == 2
         assert message in capsys.readouterr().err
+
+    def test_blocklength_bound_gives_rows_and_a_point_above_it_exits_2(self, tmp_path, capsys):
+        cfg = _config(n_grid=[8, 2**53], channel_draws=1, curves=["capacity", "normal_approx"])
+        cfg_path = tmp_path / "long.json"
+        cfg_path.write_text(json.dumps(asdict(cfg)))
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+        cells = out.read_text().strip().splitlines()[2].split(",")
+        assert cells[0] == str(2**53) and all(math.isfinite(float(x)) for x in cells[1:3])
+        capsys.readouterr()
+        assert main(["point", "--config", str(cfg_path), "--n", str(10**22)]) == 2
+        assert "n_grid entries must be at most 2**53" in capsys.readouterr().err
 
     def test_eps_floor_gives_rows(self, tmp_path, capsys):
         cfg = _config(eps=1e-12, n_grid=[16], channel_draws=1)

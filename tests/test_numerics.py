@@ -18,8 +18,8 @@ from ambc_fbl.numerics import (
     log_bessel_i,
     log_gamma_complex,
     product_gamma_logpdf,
-    product_gamma_pdf,
 )
+from oracles import product_gamma_pdf
 
 mpmath = pytest.importorskip("mpmath")
 

@@ -6,12 +6,8 @@ import pytest
 from ambc_fbl.channel import Fading, composite, draw_channel
 from ambc_fbl.errors import InfeasibleTargetError
 from ambc_fbl.numerics import SeededRng, gaussian_q
-from ambc_fbl.tag import (
-    TagErrorModel,
-    eps_given_tag_error,
-    simulate_tag_error,
-    tag_error_given_eps,
-)
+from ambc_fbl.tag import TagErrorModel, eps_given_tag_error, tag_error_given_eps
+from oracles import simulate_tag_error
 
 
 def mrc_statistic(y, x_est, h0, h1):
