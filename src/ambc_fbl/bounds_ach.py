@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .tail import (
     BetaEstimate,
     LawParams,
     MixedRate,
+    TiltedSample,
     estimate_beta,
     mixed_rate,
     mode_gammas,
@@ -71,8 +72,7 @@ def achievability_beta(
     conditional_draws: np.ndarray,
     eps: float,
     tau: float,
-    law: Tuple[int, np.ndarray],
-    rng: SeededRng,
+    tilted: TiltedSample,
     threshold: Optional[float] = None,
 ) -> BetaEstimate:
     """Estimate beta at type-I level 1 - eps + tau between the two laws.
@@ -80,10 +80,13 @@ def achievability_beta(
     The threshold gamma_n is the empirical exceedance quantile of the
     conditional draws; beta is the exceedance fraction of the output draws.
     When fewer than 100 raw output draws exceed the threshold, or
-    ``output_draws`` is None (no raw draws made), an exponentially tilted
-    importance sampler estimates the tail: the output law of ``law`` =
-    (blocklength, per-mode gammas), tilted so that its mean sits at gamma_n,
-    with as many draws from ``rng`` as the conditional sample.
+    ``output_draws`` is None (no raw draws made), beta is read from
+    ``tilted``, an exponentially tilted sample of the output law.  The
+    bound shares one such sample among its four tau: drawn on the symbol's
+    ``rng.split(2)`` at the first tau that falls back, it is tilted so that
+    its mean sits at that tau's threshold, the lowest of those that fall
+    back (gamma_n at tau = eps/2 when the output draws are skipped), and
+    every later tau reads its own threshold from the same draws.
     ``threshold``, the gamma_n that ``empirical_quantile`` returns for the
     conditional draws at this level, spares the quantile pass when the
     caller already made it for several tau at once.
@@ -93,11 +96,7 @@ def achievability_beta(
     level = 1.0 - eps + tau
     if threshold is None:
         threshold = empirical_quantile(conditional_draws, level)
-    params = LawParams(*law)
-    return estimate_beta(
-        level, threshold, conditional_draws.size, output_draws, 0.0, _MIN_RAW_EXCEEDANCES,
-        params, rng,
-    )
+    return estimate_beta(level, threshold, output_draws, 0.0, _MIN_RAW_EXCEEDANCES, tilted)
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +192,9 @@ def _fixed_d_rate(
     # probability below 1/100!, so the output draws are skipped and every tau
     # takes the tilted path, which reads no raw draws.
     lowest = thresholds[0]  # that of taus[0] = eps/2, the largest tau
+    law = LawParams(n, gammas)
     g_draws = None
-    if math.log(num_samples) + LawParams(n, gammas).log_tail_bound(lowest) >= 0.0:
+    if math.log(num_samples) + law.log_tail_bound(lowest) >= 0.0:
         g_draws = sample_info_density(KIND_OUTPUT, n, g, p, rng.split(0), num_samples)
 
     log_c1 = 0.0
@@ -202,11 +202,13 @@ def _fixed_d_rate(
         log_c1 += math.log(compute_c1(n, y))
     c1_total = math.exp(log_c1)
 
+    # The raw exceedance count falls as the threshold rises, so the taus that
+    # fall back to the tilted path come last, and the one tilted sample,
+    # drawn at the first of them, is tilted to the lowest threshold it serves.
+    tilted = TiltedSample(law, rng.split(2), num_samples)
     best = None
-    for i, (tau, threshold) in enumerate(zip(taus, thresholds)):
-        est = achievability_beta(
-            g_draws, h_draws, eps, tau, law=(n, gammas), rng=rng.split(2 + i), threshold=threshold
-        )
+    for tau, threshold in zip(taus, thresholds):
+        est = achievability_beta(g_draws, h_draws, eps, tau, tilted, threshold=threshold)
         kap = kappa_tau(tau, c1_total)
         rate = (math.log(kap) - est.log_beta) / n
         if best is None or rate > best[0]:

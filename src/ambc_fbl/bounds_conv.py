@@ -27,6 +27,7 @@ from .tail import (
     BetaEstimate,
     LawParams,
     MixedRate,
+    TiltedSample,
     estimate_beta,
     mixed_rate,
     mode_gammas,
@@ -93,10 +94,8 @@ def np_beta_converse(
         raise ValueError("eps must lie in (0, 1)")
     # exp(-S) turns conditional-law mass into auxiliary-channel mass
     eta = empirical_quantile(draws, 1.0 - eps)
-    params = LawParams(*law)
-    return estimate_beta(
-        1.0 - eps, eta, draws.size, draws, 1.0, _MIN_EFFECTIVE_SAMPLES, params, rng
-    )
+    tilted = TiltedSample(LawParams(*law), rng, draws.size)
+    return estimate_beta(1.0 - eps, eta, draws, 1.0, _MIN_EFFECTIVE_SAMPLES, tilted)
 
 
 def ball_volume_bound(m: int, total_power: float) -> float:

@@ -6,7 +6,10 @@ the conditional law's level-(1 - eps + tau) quantile for the kappa-beta
 achievability bound, at its level-(1 - eps) quantile eta for the
 meta-converse.  This module owns that law, the one beta estimator (a raw
 change-of-measure mean, replaced by an exponentially tilted estimate of the
-deep tail that raw Monte Carlo cannot reach), and ``mixed_rate``, which
+deep tail that raw Monte Carlo cannot reach; one tilted sample, tilted to
+the lowest threshold that falls back, serves every threshold above it, so
+the achievability bound's four tau levels draw it once), and
+``mixed_rate``, which
 evaluates a bound's two tag symbols at the same time through ``run_calls``
 (one thread pool, shared with the sweep) and mixes them.
 
@@ -162,36 +165,59 @@ def sample_law(
     return LawParams(n, gammas).sample(rng.generator(), num_samples, _KIND_TILTS[kind])
 
 
-def tilted_log_tail(law: LawParams, threshold: float, rng: SeededRng, size: int) -> Tuple[float, float]:
-    """log P[X >= threshold] under the output law ``law``, with its relative
-    95% CI.
+class TiltedSample:
+    """One importance sample that serves upper tails of the output law ``law``
+    at several thresholds: ``size`` draws from ``rng`` of the law
+    exponentially tilted so that its mean sits at the first threshold read,
+    drawn at that first read.
 
-    Draws ``size`` samples from the law exponentially tilted so that its mean
-    sits at the threshold and reweights them by the likelihood ratio
-    exp(cgf(theta) - theta X).  Both bounds read this one tail: the
-    achievability bound at its threshold gamma_n, the converse at eta.
-    Raises ``InsufficientSamplesError`` when the relative CI exceeds 0.5.
+    ``log_tail(threshold)`` gives log P[X >= threshold] under ``law``, with
+    its relative 95% CI, from the draws reweighted by the likelihood ratio
+    exp(cgf(theta) - theta X).  Every read must lie at or above the first,
+    x_0.  With x_0 above the law's mean, as in every deep tail, the tilt is
+    positive and each weight there is at most exp(cgf(theta) - theta x_0),
+    so the sample serves thresholds a fraction of a standard deviation
+    above x_0 as well as x_0 itself.  Read once, it
+    is the tilted estimate of one tail, as the converse reads it at eta;
+    the achievability bound reads its four tau levels from one sample.
+    Raises ``InsufficientSamplesError`` when no draw reaches the threshold
+    or the relative CI exceeds 0.5.
     """
-    theta = law.solve_tilt(threshold)
-    draws = law.sample(rng.generator(), size, theta)
-    # cgf - theta x, and below its shift and exp, in place, so concurrent
-    # estimates hold fewer sample-sized buffers
-    log_w = theta * draws
-    np.subtract(law.cgf(theta), log_w, out=log_w)
-    accepted = draws >= threshold
-    if not accepted.any():
-        raise InsufficientSamplesError("no tilted draw reached the threshold")
-    mx = float(log_w[accepted].max())
-    log_w -= mx
-    # rejected draws weigh 0; their log weights can lie far above mx, and
-    # exp would overflow on them
-    log_w[~accepted] = -np.inf
-    shifted = np.exp(log_w, out=log_w)
-    mean = float(shifted.mean())
-    ci_rel = 1.96 * float(shifted.std() / math.sqrt(size)) / mean
-    if ci_rel > 0.5:
-        raise InsufficientSamplesError(f"tilted estimate relative CI {ci_rel:.2f} > 0.5")
-    return mx + math.log(mean), ci_rel
+
+    def __init__(self, law: LawParams, rng: SeededRng, size: int):
+        self.law = law
+        self._rng = rng
+        self._size = size
+        self._lowest = math.nan  # the first threshold read
+        self._theta = 0.0
+        self._draws: Optional[np.ndarray] = None
+
+    def log_tail(self, threshold: float) -> Tuple[float, float]:
+        if self._draws is None:
+            self._lowest = threshold
+            self._theta = self.law.solve_tilt(threshold)
+            self._draws = self.law.sample(self._rng.generator(), self._size, self._theta)
+        elif threshold < self._lowest:
+            raise ValueError("a tilted sample reads no threshold below its first")
+        theta, draws = self._theta, self._draws
+        # cgf - theta x, and below its shift and exp, in place, so the draws
+        # and this one buffer are the sample-sized arrays a read holds
+        log_w = theta * draws
+        np.subtract(self.law.cgf(theta), log_w, out=log_w)
+        accepted = draws >= threshold
+        if not accepted.any():
+            raise InsufficientSamplesError("no tilted draw reached the threshold")
+        mx = float(log_w[accepted].max())
+        log_w -= mx
+        # rejected draws weigh 0; their log weights can lie far above mx, and
+        # exp would overflow on them
+        log_w[~accepted] = -np.inf
+        shifted = np.exp(log_w, out=log_w)
+        mean = float(shifted.mean())
+        ci_rel = 1.96 * float(shifted.std() / math.sqrt(self._size)) / mean
+        if ci_rel > 0.5:
+            raise InsufficientSamplesError(f"tilted estimate relative CI {ci_rel:.2f} > 0.5")
+        return mx + math.log(mean), ci_rel
 
 
 @dataclass(frozen=True)
@@ -218,26 +244,25 @@ class BetaEstimate:
 def estimate_beta(
     level: float,
     threshold: float,
-    size: int,
     tail_draws: Optional[np.ndarray],
     draws_tilt: float,
     min_ess: float,
-    law: LawParams,
-    rng: SeededRng,
+    tilted: TiltedSample,
 ) -> BetaEstimate:
-    """beta = P[X > ``threshold``] under the output law ``law``, for the test
-    of exceedance level ``level`` with a sample of ``size`` draws: the raw
-    mean of exp(-t X) 1{X > threshold} over ``tail_draws``, drawn from the
-    tilt by t = ``draws_tilt`` (0 or 1, where cgf(t) = 0).
+    """beta = P[X > ``threshold``] under the output law ``tilted.law``, for
+    the test of exceedance level ``level``: the raw mean of
+    exp(-t X) 1{X > threshold} over ``tail_draws``, drawn from the tilt by
+    t = ``draws_tilt`` (0 or 1, where cgf(t) = 0).
 
     The raw mean is kept when its effective sample size reaches ``min_ess``
     and its relative CI is at most 0.5.  Otherwise, or when ``tail_draws``
-    is None (no raw draws made), the tail is re-estimated by
-    ``tilted_log_tail`` with ``size`` draws from ``rng``.  A law without
-    active modes has X = 0 under both hypotheses, so the test rejects at
-    random and beta is ``level`` exactly, before any draw is read.
+    is None (no raw draws made), the tail is read from ``tilted``, one
+    tilted sample that the caller may share among several thresholds.  A
+    law without active modes has X = 0 under both hypotheses, so the test
+    rejects at random and beta is ``level`` exactly, before any draw is
+    read.
     """
-    if law.degenerate:
+    if tilted.law.degenerate:
         return BetaEstimate(level, math.log(level), threshold, 0.0, 0.0, tilted=False)
     ess = 0.0
     x = tail_draws
@@ -255,7 +280,7 @@ def estimate_beta(
             if ci_rel <= 0.5:
                 return BetaEstimate(mean, math.log(mean), threshold, ci_rel, ess, tilted=False)
         del w, weights  # not held through the tilted estimate's own draws
-    log_beta, ci_rel = tilted_log_tail(law, threshold, rng, size)
+    log_beta, ci_rel = tilted.log_tail(threshold)
     return BetaEstimate(float(np.exp(log_beta)), log_beta, threshold, ci_rel, ess, tilted=True)
 
 

@@ -25,6 +25,7 @@ from ambc_fbl.cli import ExperimentConfig, emit_csv, run_sweep
 from ambc_fbl.numerics import SeededRng, gaussian_q_inv
 from ambc_fbl.power import PowerAllocation, waterfill
 from ambc_fbl.tag import TagErrorModel, eps_given_tag_error, tag_error_given_eps
+from ambc_fbl.tail import LawParams, TiltedSample
 from oracles import product_gamma_pdf, simulate_tag_error, verify_sigma_maximizer
 
 EPS = 1e-3
@@ -170,9 +171,8 @@ class TestCriterion5BetaOracles:
         p = PowerAllocation(p=np.array([1.0]), water_level=2.0, total_power=1.0)
         g_draws = sample_info_density(KIND_OUTPUT, n, g, p, SeededRng(105, 1), num)
         h_draws = sample_info_density(KIND_CONDITIONAL, n, g, p, SeededRng(105, 2), num)
-        est = achievability_beta(
-            g_draws, h_draws, eps, tau, law=(n, g.g * p.p), rng=SeededRng(105, 3)
-        )
+        tilted = TiltedSample(LawParams(n, g.g * p.p), SeededRng(105, 3), num)
+        est = achievability_beta(g_draws, h_draws, eps, tau, tilted)
 
         c, law_h, scale_h, law_g, scale_g = _oracle_laws(gamma)
         gamma_n = c - scale_h * law_h.ppf(1 - eps + tau)
@@ -281,8 +281,8 @@ class TestCriterion6IdentitySuite:
         p = PowerAllocation(p=np.array([1.0]), water_level=2.0, total_power=1.0)
         h_draws = sample_info_density(KIND_CONDITIONAL, 20, g, p, SeededRng(111, 1), num)
         eps, tau = 0.1, 0.02
-        law = (20, g.g * p.p)
-        est = achievability_beta(h_draws, h_draws, eps, tau, law=law, rng=SeededRng(111, 3))
+        tilted = TiltedSample(LawParams(20, g.g * p.p), SeededRng(111, 3), num)
+        est = achievability_beta(h_draws, h_draws, eps, tau, tilted)
         gap = abs(est.beta - (1 - eps + tau))
         ok = gap <= 2 / math.sqrt(num)
         _report("criterion 6e (beta of identical laws equals the level)", ok, f"gap {gap:.2e}")

@@ -19,9 +19,9 @@ from ambc_fbl.bounds_ach import (
     sample_info_density,
 )
 from ambc_fbl.channel import EigenSpectrum, Fading, composite, draw_channel, eigen_spectrum
-from ambc_fbl.numerics import SeededRng
+from ambc_fbl.numerics import SeededRng, empirical_quantile
 from ambc_fbl.power import PowerAllocation, waterfill
-from ambc_fbl.tail import LawParams
+from ambc_fbl.tail import LawParams, TiltedSample
 
 
 def _setup(gains, powers, d=1):
@@ -40,6 +40,11 @@ def _laws(gains, powers, n, seed, num=100_000):
     g_draws = sample_info_density(KIND_OUTPUT, n, g, p, SeededRng(seed, 1), num)
     h_draws = sample_info_density(KIND_CONDITIONAL, n, g, p, SeededRng(seed, 2), num)
     return g_draws, h_draws, (n, g.g * p.p)
+
+
+def _tilted(law, rng, size=100_000):
+    """The tilted sample an estimate of the law (n, gammas) falls back to."""
+    return TiltedSample(LawParams(*law), rng, size)
 
 
 def _direct_per_use(kind, n, gamma, gen, num):
@@ -104,13 +109,13 @@ class TestAchievabilityBeta:
         # feeding conditional draws as both laws must return the test level
         _, h_draws, law = _laws([1.0], [1.0], 20, seed=5)
         eps, tau = 0.1, 0.02
-        est = achievability_beta(h_draws, h_draws, eps, tau, law=law, rng=SeededRng(0))
+        est = achievability_beta(h_draws, h_draws, eps, tau, _tilted(law, SeededRng(0)))
         assert est.beta == pytest.approx(1 - eps + tau, abs=2 / math.sqrt(100_000))
 
     def test_law_without_active_modes_returns_the_level_exactly(self):
         # X = 0 under both hypotheses: the test rejects at random
         zeros = np.zeros(20_000)
-        est = achievability_beta(zeros, zeros, 0.1, 0.02, law=(8, np.zeros(1)), rng=SeededRng(0))
+        est = achievability_beta(zeros, zeros, 0.1, 0.02, _tilted((8, np.zeros(1)), SeededRng(0)))
         assert est.beta == 0.92
         assert not est.tilted
 
@@ -119,7 +124,7 @@ class TestAchievabilityBeta:
         # exact laws at n = 1: shifted and scaled noncentral chi-squares
         n, eps, tau = 1, 0.1, 0.025
         g_draws, h_draws, law = _laws([gamma], [1.0], n, seed=6)
-        est = achievability_beta(g_draws, h_draws, eps, tau, law=law, rng=SeededRng(60))
+        est = achievability_beta(g_draws, h_draws, eps, tau, _tilted(law, SeededRng(60)))
         c = math.log1p(gamma) + 1.0
         law_h = stats.ncx2(2, 2 / gamma)
         law_g = stats.ncx2(2, 2 * (1 + gamma) / gamma)
@@ -132,7 +137,7 @@ class TestAchievabilityBeta:
     def test_beta_increases_with_tau(self):
         g_draws, h_draws, law = _laws([1.0], [1.0], 30, seed=7)
         betas = [
-            achievability_beta(g_draws, h_draws, 0.1, tau, law=law, rng=SeededRng(61)).beta
+            achievability_beta(g_draws, h_draws, 0.1, tau, _tilted(law, SeededRng(61))).beta
             for tau in (0.01, 0.03, 0.06, 0.09)
         ]
         assert all(b2 >= b1 for b1, b2 in zip(betas, betas[1:]))
@@ -141,7 +146,7 @@ class TestAchievabilityBeta:
         # deep tail where no raw draw survives
         gamma, n = 1.0, 400
         g_draws, h_draws, law = _laws([gamma], [1.0], n, seed=8)
-        est = achievability_beta(g_draws, h_draws, 1e-3, 2.5e-4, law=law, rng=SeededRng(62))
+        est = achievability_beta(g_draws, h_draws, 1e-3, 2.5e-4, _tilted(law, SeededRng(62)))
         assert est.tilted
         assert est.ess < 100
         assert est.log_beta < -100
@@ -153,7 +158,7 @@ class TestAchievabilityBeta:
         # the estimator's own threshold so only the sampler is under test
         gamma, n = 1.0, 100
         g_draws, h_draws, law = _laws([gamma], [1.0], n, seed=88)
-        est = achievability_beta(g_draws, h_draws, 1e-3, 2.5e-4, law=law, rng=SeededRng(89))
+        est = achievability_beta(g_draws, h_draws, 1e-3, 2.5e-4, _tilted(law, SeededRng(89)))
         assert est.tilted
         c = n * (math.log1p(gamma) + 1.0)
         exact = stats.ncx2.cdf(
@@ -182,8 +187,8 @@ class TestAchievabilityBeta:
 
     def test_without_output_draws_goes_straight_to_the_tilted_path(self):
         g_draws, h_draws, law = _laws([1.0], [1.0], 400, seed=8)
-        drawn = achievability_beta(g_draws, h_draws, 1e-3, 2.5e-4, law=law, rng=SeededRng(62))
-        skipped = achievability_beta(None, h_draws, 1e-3, 2.5e-4, law=law, rng=SeededRng(62))
+        drawn = achievability_beta(g_draws, h_draws, 1e-3, 2.5e-4, _tilted(law, SeededRng(62)))
+        skipped = achievability_beta(None, h_draws, 1e-3, 2.5e-4, _tilted(law, SeededRng(62)))
         assert skipped.tilted and skipped.ess == 0.0
         assert skipped.log_beta == drawn.log_beta
         assert skipped.ci_rel == drawn.ci_rel
@@ -191,9 +196,9 @@ class TestAchievabilityBeta:
     def test_tau_eps_validation(self):
         g_draws, h_draws, law = _laws([1.0], [1.0], 10, seed=10, num=2000)
         with pytest.raises(ValueError):
-            achievability_beta(g_draws, h_draws, 0.1, 0.1, law=law, rng=SeededRng(0))
+            achievability_beta(g_draws, h_draws, 0.1, 0.1, _tilted(law, SeededRng(0)))
         with pytest.raises(ValueError):
-            achievability_beta(g_draws, h_draws, 0.1, 0.2, law=law, rng=SeededRng(0))
+            achievability_beta(g_draws, h_draws, 0.1, 0.2, _tilted(law, SeededRng(0)))
 
 
 class TestComputeC1:
@@ -364,23 +369,88 @@ class TestOutputDrawSkip:
         pin_cpus(1)
         sp, sm = self._spectra(19)
         kinds = []
-        sampler = bounds_ach.sample_info_density
+        sample = LawParams.sample
+        names = {1.0: KIND_CONDITIONAL, 0.0: KIND_OUTPUT}
 
-        def recorded(kind, *args):
-            kinds.append(kind)
-            return sampler(kind, *args)
+        def recorded(self, gen, size, theta=0.0):
+            kinds.append(names.get(theta, "tilted"))
+            return sample(self, gen, size, theta)
 
-        monkeypatch.setattr(bounds_ach, "sample_info_density", recorded)
+        monkeypatch.setattr(LawParams, "sample", recorded)
         skipped = achievability_rate(100, sp, sm, 1.0, 1e-3, SeededRng(20), 20_000)
-        assert kinds == [KIND_CONDITIONAL, KIND_CONDITIONAL]
+        # per symbol: the conditional sample and one tilted sample for all four tau
+        assert kinds == [KIND_CONDITIONAL, "tilted"] * 2
         assert all(sub.estimate.tilted and sub.estimate.ess == 0.0 for sub in skipped.per_d)
 
         # the trivial bound forces the output draws the skip saves
         monkeypatch.setattr(LawParams, "log_tail_bound", lambda self, threshold: 0.0)
         kinds.clear()
         forced = achievability_rate(100, sp, sm, 1.0, 1e-3, SeededRng(20), 20_000)
-        assert kinds == [KIND_CONDITIONAL, KIND_OUTPUT] * 2
+        assert kinds == [KIND_CONDITIONAL, KIND_OUTPUT, "tilted"] * 2
         assert all(sub.estimate.tilted for sub in forced.per_d)
         assert forced.rate_bits == skipped.rate_bits
         assert forced.ci_rate_bits == skipped.ci_rate_bits
 
+
+class TestSharedTiltedSample:
+    """The four tau of one tag symbol read their tilted tails from one
+    sample, tilted to the lowest threshold, that of tau = eps/2."""
+
+    LAWS = [([1.0], 100), ([1.0], 2000), ([2.0, 1.5], 100), ([2.0, 1.5], 2000)]
+
+    @pytest.mark.parametrize("gains,n", LAWS)
+    def test_largest_tau_keeps_its_own_estimate(self, monkeypatch, gains, n):
+        seed, num = 21, 20_000
+        ests = []
+        beta = bounds_ach.achievability_beta
+
+        def recorded(*args, **kwargs):
+            ests.append(beta(*args, **kwargs))
+            return ests[-1]
+
+        monkeypatch.setattr(bounds_ach, "achievability_beta", recorded)
+        g = EigenSpectrum(np.asarray(gains, float), 1)
+        bounds_ach._fixed_d_rate(n, g, 1.0, 1e-3, SeededRng(seed), num)
+        law = LawParams(n, g.g * waterfill(g, 1.0).p)
+        assert law.gammas.size == len(gains)
+        assert len(ests) == 4 and all(est.tilted for est in ests)
+        first = ests[0]
+        # bit-equal to a sample of its own on the same stream, read once
+        stream = SeededRng(seed).split(2)
+        assert (first.log_beta, first.ci_rel) == TiltedSample(law, stream, num).log_tail(
+            first.threshold
+        )
+        # and to the importance-sampling sum written out
+        theta = law.solve_tilt(first.threshold)
+        draws = law.sample(stream.generator(), num, theta)
+        log_w = law.cgf(theta) - theta * draws[draws >= first.threshold]
+        mx = log_w.max()
+        assert first.log_beta == pytest.approx(mx + math.log(np.exp(log_w - mx).sum() / num), abs=1e-9)
+
+    def test_other_taus_agree_with_samples_of_their_own(self):
+        # 12 comparisons (4 laws, 3 tau each): the family-wise 95% band
+        # (Bonferroni, z = 2.87) of the difference of two independent
+        # estimates, each with its relative 95% half-width ci_rel
+        z_ratio = 2.87 / 1.96
+        eps, num = 1e-3, 100_000
+        levels = [1 - eps + eps / k for k in (2, 4, 8, 16)]
+        for seed, (gains, n) in enumerate(self.LAWS):
+            law = LawParams(n, np.asarray(gains, float))
+            cond = law.sample(SeededRng(seed, 0).generator(), num, 1.0)
+            thresholds = empirical_quantile(cond, levels).tolist()
+            shared = TiltedSample(law, SeededRng(seed, 1), num)
+            shared.log_tail(thresholds[0])
+            for i, threshold in enumerate(thresholds[1:]):
+                log_beta, ci = shared.log_tail(threshold)
+                own, own_ci = TiltedSample(law, SeededRng(seed, 2 + i), num).log_tail(threshold)
+                assert abs(log_beta - own) <= z_ratio * math.hypot(ci, own_ci)
+                # no weight above the lowest threshold is large: the CI
+                # hardly grows over that of the sample's own threshold
+                assert ci <= 1.1 * own_ci
+
+    def test_no_read_below_the_first_threshold(self):
+        law = LawParams(100, np.array([1.0]))
+        sample = TiltedSample(law, SeededRng(0), 2000)
+        sample.log_tail(-40.0)
+        with pytest.raises(ValueError, match="below its first"):
+            sample.log_tail(-41.0)
