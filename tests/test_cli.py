@@ -11,6 +11,7 @@ from dataclasses import asdict
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -305,6 +306,30 @@ class TestEmitCsv:
         assert isinstance(meta["git_describe"], str)
 
 
+class TestAggregate:
+    """The CI of a row: the standard error of the mean over draws, from the
+    sample sd (ddof 1), in quadrature with the mean MC half-width."""
+
+    def test_two_draws(self):
+        # mean 2, sample sd sqrt(2): between 1.96 sqrt(2) / sqrt(2) = 1.96;
+        # MC sqrt(0.3^2 + 0.4^2) / 2 = 0.25
+        center, ci = cli._aggregate(np.array([1.0, 3.0]), np.array([0.3, 0.4]), "mean")
+        assert center == 2.0
+        assert ci == pytest.approx(math.hypot(1.96, 0.25), rel=1e-15)
+
+    def test_three_draws(self):
+        # median 2; mean 7/3, squared deviations 42/9, sample variance 7/3:
+        # between 1.96 sqrt(7/3) / sqrt(3) = 1.96 sqrt(7) / 3; MC 0.3 / 3
+        values, cis = np.array([1.0, 2.0, 4.0]), np.array([0.1, 0.2, 0.2])
+        center, ci = cli._aggregate(values, cis, "median")
+        assert center == 2.0
+        assert ci == pytest.approx(math.hypot(1.96 * math.sqrt(7) / 3, 0.1), rel=1e-15)
+        assert cli._aggregate(values, cis, "mean")[0] == pytest.approx(7 / 3, rel=1e-15)
+
+    def test_one_draw_has_only_its_mc_half_width(self):
+        assert cli._aggregate(np.array([1.5]), np.array([0.2]), "mean") == (1.5, 0.2)
+
+
 class TestDeterminism:
     def test_identical_configs_identical_bytes(self, tmp_path):
         cfg = _config()
@@ -323,8 +348,8 @@ class TestDeterminism:
     # target skips 114 of its 300 draws, and the Rician draws at -10 dB
     # leave some eigenmodes without power.
     PINNED = {
-        "raw": (dict(snr_db=-20.0, eps=0.3, n_grid=[8, 16]), 'n,capacity_bits,na_bits,ach_bits,conv_bits,ach_ci,conv_ci,draws\n8,0.0932227,0.0036593,-0.211465,0.407001,0.0588339,0.0749506,2\n16,0.0932227,0.0298918,-0.0730538,0.278172,0.0540741,0.0656164,2\n'),
-        "tilted": (dict(snr_db=0.0, eps=1e-3, n_grid=[16, 32]), 'n,capacity_bits,na_bits,ach_bits,conv_bits,ach_ci,conv_ci,draws\n16,2.98626,1.72366,1.34202,2.26555,0.963439,0.865685,2\n32,2.98626,2.09347,1.93196,2.40188,1.01947,1.08875,2\n'),
+        "raw": (dict(snr_db=-20.0, eps=0.3, n_grid=[8, 16]), 'n,capacity_bits,na_bits,ach_bits,conv_bits,ach_ci,conv_ci,draws\n8,0.0932227,0.0036593,-0.211465,0.407001,0.0830979,0.105923,2\n16,0.0932227,0.0298918,-0.0730538,0.278172,0.0764148,0.0927688,2\n'),
+        "tilted": (dict(snr_db=0.0, eps=1e-3, n_grid=[16, 32]), 'n,capacity_bits,na_bits,ach_bits,conv_bits,ach_ci,conv_ci,draws\n16,2.98626,1.72366,1.34202,2.26555,1.3625,1.22426,2\n32,2.98626,2.09347,1.93196,2.40188,1.44175,1.53972,2\n'),
         "closed_form_tag_target": (dict(eps=None, eps_d=0.1, channel_draws=300, n_grid=[100, 500, 2000], seed=20260808, curves=["capacity", "normal_approx"]), 'n,capacity_bits,na_bits,ach_bits,conv_bits,ach_ci,conv_ci,draws\n100,2.96406,2.72528,nan,nan,nan,nan,186\n500,2.96406,2.85728,nan,nan,nan,nan,186\n2000,2.96406,2.91067,nan,nan,nan,nan,186\n'),
         "closed_form_rician": (dict(fading="rician", k_factor_db=10.0, t=3, r=2, snr_db=-10.0, channel_draws=50, n_grid=[100, 500, 2000], curves=["capacity", "normal_approx"]), 'n,capacity_bits,na_bits,ach_bits,conv_bits,ach_ci,conv_ci,draws\n100,0.714686,0.392822,nan,nan,nan,nan,50\n500,0.714686,0.570744,nan,nan,nan,nan,50\n2000,0.714686,0.642715,nan,nan,nan,nan,50\n'),
     }
