@@ -295,8 +295,8 @@ def _set_up(config: ExperimentConfig, root: SeededRng) -> _SetUp:
 def _aggregate(values: np.ndarray, cis: np.ndarray, how: str) -> Tuple[float, float]:
     """The mean or median of one curve's per-draw ``values`` at one n, and
     its 95% half-width: the standard error of the mean over draws, from the
-    sample standard deviation, combined in quadrature with the per-draw
-    Monte Carlo half-widths ``cis`` averaged over the k draws."""
+    sample standard deviation, in quadrature with the per-draw Monte Carlo
+    half-widths ``cis``, root-sum-squared and divided by the k draws."""
     k = values.size
     center = float(np.mean(values)) if how == "mean" else float(np.median(values))
     between = 1.96 * float(values.std(ddof=1)) / math.sqrt(k) if k > 1 else 0.0

@@ -6,12 +6,12 @@ the conditional law's level-(1 - eps + tau) quantile for the kappa-beta
 achievability bound, at its level-(1 - eps) quantile eta for the
 meta-converse.  This module owns that law, the one beta estimator (a raw
 change-of-measure mean, replaced by an exponentially tilted estimate of the
-deep tail that raw Monte Carlo cannot reach; one tilted sample, tilted to
-the lowest threshold that falls back, serves every threshold above it, so
-the achievability bound's four tau levels draw it once), and
-``mixed_rate``, which
+deep tail that raw Monte Carlo cannot reach), and ``mixed_rate``, which
 evaluates a bound's two tag symbols at the same time through ``run_calls``
-(one thread pool, shared with the sweep) and mixes them.
+(one thread pool, shared with the sweep) and mixes them.  One tilted
+sample serves several thresholds: the achievability bound draws one per
+tag symbol, on its ``rng.split(2)``, tilted to the lowest threshold that
+falls back, and every tau level that falls back reads it.
 
 Per active mode j with y = g_j p_j > 0, X has the per-block contribution
   n (log(1+y) + 1) - s * W,   W ~ ncx2(2n, lam),
@@ -174,14 +174,14 @@ class TiltedSample:
     ``log_tail(threshold)`` gives log P[X >= threshold] under ``law``, with
     its relative 95% CI, from the draws reweighted by the likelihood ratio
     exp(cgf(theta) - theta X).  Every read must lie at or above the first,
-    x_0.  With x_0 above the law's mean, as in every deep tail, the tilt is
+    x_0 (one below raises ``ValueError``).  With x_0 above the law's mean, as in every deep tail, the tilt is
     positive and each weight there is at most exp(cgf(theta) - theta x_0),
     so the sample serves thresholds a fraction of a standard deviation
-    above x_0 as well as x_0 itself.  Read once, it
-    is the tilted estimate of one tail, as the converse reads it at eta;
-    the achievability bound reads its four tau levels from one sample.
-    Raises ``InsufficientSamplesError`` when no draw reaches the threshold
-    or the relative CI exceeds 0.5.
+    above x_0 as well as x_0 itself.  Read once, it is the tilted estimate
+    of one tail, as the converse reads it at eta; the achievability bound
+    reads its four tau levels from one sample.  Raises
+    ``InsufficientSamplesError`` when no draw reaches the threshold or the
+    relative CI exceeds 0.5.
     """
 
     def __init__(self, law: LawParams, rng: SeededRng, size: int):
@@ -257,10 +257,11 @@ def estimate_beta(
     The raw mean is kept when its effective sample size reaches ``min_ess``
     and its relative CI is at most 0.5.  Otherwise, or when ``tail_draws``
     is None (no raw draws made), the tail is read from ``tilted``, one
-    tilted sample that the caller may share among several thresholds.  A
-    law without active modes has X = 0 under both hypotheses, so the test
-    rejects at random and beta is ``level`` exactly, before any draw is
-    read.
+    tilted sample that the caller may share among several thresholds: the
+    achievability bound's four tau share one, drawn on ``rng.split(2)`` and
+    tilted to the lowest threshold that falls back.  A law without active
+    modes has X = 0 under both hypotheses, so the test rejects at random
+    and beta is ``level`` exactly, before any draw is read.
     """
     if tilted.law.degenerate:
         return BetaEstimate(level, math.log(level), threshold, 0.0, 0.0, tilted=False)

@@ -425,7 +425,8 @@ class TestSharedTiltedSample:
         draws = law.sample(stream.generator(), num, theta)
         log_w = law.cgf(theta) - theta * draws[draws >= first.threshold]
         mx = log_w.max()
-        assert first.log_beta == pytest.approx(mx + math.log(np.exp(log_w - mx).sum() / num), abs=1e-9)
+        written_out = mx + math.log(np.exp(log_w - mx).sum() / num)
+        assert first.log_beta == pytest.approx(written_out, abs=1e-9)
 
     def test_other_taus_agree_with_samples_of_their_own(self):
         # 12 comparisons (4 laws, 3 tau each): the family-wise 95% band
