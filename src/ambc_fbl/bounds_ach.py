@@ -5,8 +5,9 @@ is the type-II error of the optimal test between the unconditional output law
 and the conditional law at type-I level 1 - eps + tau, and kappa is the
 measure-matching constant lower-bounded by tau over a computable density-ratio
 supremum.  Both ingredients are evaluated by Monte Carlo on the information
-density; the law, the threshold and the tilted deep-tail estimator live in
-``tail``, shared with the converse.
+density: beta is read from one tilted sample of the output law
+(``tail.TiltedSample``), shared with the converse, at thresholds taken from
+a sample of the conditional law.
 """
 
 from __future__ import annotations
@@ -22,20 +23,16 @@ from .errors import OverflowRegimeError
 from .numerics import SeededRng, empirical_quantile, log_bessel_i
 from .power import PowerAllocation, waterfill
 from .tail import (
-    KIND_CONDITIONAL,
-    KIND_OUTPUT,
     BetaEstimate,
     LawParams,
     MixedRate,
     TiltedSample,
-    estimate_beta,
     mixed_rate,
     mode_gammas,
     sample_law,
 )
 
 _TAU_GRID_DIVISORS = (2, 4, 8, 16)
-_MIN_RAW_EXCEEDANCES = 100
 # the kappa constant's energy window [1+y-1/2, 1+y+1/2] per use, and its grid
 _C1_HALF_WIDTH = 0.5
 _C1_GRID_POINTS = 513
@@ -56,20 +53,18 @@ class AchievabilityResult:
 
 
 def sample_info_density(
-    kind: str,
     n: int,
     g: EigenSpectrum,
     p: PowerAllocation,
     rng: SeededRng,
     num_samples: int = 100_000,
 ) -> np.ndarray:
-    """Draw the information density under the output or conditional law."""
-    return sample_law(kind, n, mode_gammas(g, p), rng, num_samples)
+    """Draw the information density under the conditional law."""
+    return sample_law(n, mode_gammas(g, p), rng, num_samples)
 
 
 def achievability_beta(
-    output_draws: Optional[np.ndarray],
-    conditional_draws: np.ndarray,
+    conditional_draws: Optional[np.ndarray],
     eps: float,
     tau: float,
     tilted: TiltedSample,
@@ -78,25 +73,20 @@ def achievability_beta(
     """Estimate beta at type-I level 1 - eps + tau between the two laws.
 
     The threshold gamma_n is the empirical exceedance quantile of the
-    conditional draws; beta is the exceedance fraction of the output draws.
-    When fewer than 100 raw output draws exceed the threshold, or
-    ``output_draws`` is None (no raw draws made), beta is read from
-    ``tilted``, an exponentially tilted sample of the output law.  The
-    bound shares one such sample among its four tau: drawn on the symbol's
-    ``rng.split(2)`` at the first tau that falls back, it is tilted so that
-    its mean sits at that tau's threshold, the lowest of those that fall
-    back (gamma_n at tau = eps/2 when the output draws are skipped), and
-    every later tau reads its own threshold from the same draws.
-    ``threshold``, the gamma_n that ``empirical_quantile`` returns for the
-    conditional draws at this level, spares the quantile pass when the
-    caller already made it for several tau at once.
+    conditional draws, and beta the upper tail of the output law there,
+    read from ``tilted``.  The bound shares one such sample among its four
+    tau: drawn on the symbol's ``rng.split(2)`` and tilted to the lowest
+    threshold, that of tau = eps/2.  ``threshold``, the gamma_n that
+    ``empirical_quantile`` returns for the conditional draws at this level,
+    spares the quantile pass when the caller already made it for several
+    tau at once; the conditional draws are then not read.
     """
     if not 0.0 < tau < eps < 1.0:
         raise ValueError("need 0 < tau < eps < 1")
     level = 1.0 - eps + tau
     if threshold is None:
         threshold = empirical_quantile(conditional_draws, level)
-    return estimate_beta(level, threshold, output_draws, 0.0, _MIN_RAW_EXCEEDANCES, tilted)
+    return tilted.beta(level, threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -183,32 +173,22 @@ def _fixed_d_rate(
     p = waterfill(g, total_power)
     gammas = mode_gammas(g, p)
     taus = [eps / k for k in _TAU_GRID_DIVISORS]
-    h_draws = sample_info_density(KIND_CONDITIONAL, n, g, p, rng.split(1), num_samples)
+    # rng.split(0), once the output-law sample, is retired and left unused,
+    # so the other streams stay bit-equal
+    h_draws = sample_info_density(n, g, p, rng.split(1), num_samples)
     # one quantile pass over the conditional draws serves every tau
     thresholds = empirical_quantile(h_draws, [1.0 - eps + tau for tau in taus]).tolist()
-    # The raw output-law estimate needs 100 exceedances.  When the Chernoff
-    # bound leaves less than one expected exceedance at the lowest threshold,
-    # that of the largest tau, the raw estimate would be kept at any tau with
-    # probability below 1/100!, so the output draws are skipped and every tau
-    # takes the tilted path, which reads no raw draws.
-    lowest = thresholds[0]  # that of taus[0] = eps/2, the largest tau
-    law = LawParams(n, gammas)
-    g_draws = None
-    if math.log(num_samples) + law.log_tail_bound(lowest) >= 0.0:
-        g_draws = sample_info_density(KIND_OUTPUT, n, g, p, rng.split(0), num_samples)
 
     log_c1 = 0.0
     for y in gammas[gammas > 0]:
         log_c1 += math.log(compute_c1(n, y))
     c1_total = math.exp(log_c1)
 
-    # The raw exceedance count falls as the threshold rises, so the taus that
-    # fall back to the tilted path come last, and the one tilted sample,
-    # drawn at the first of them, is tilted to the lowest threshold it serves.
-    tilted = TiltedSample(law, rng.split(2), num_samples)
+    # the lowest threshold is that of taus[0] = eps/2, the largest tau
+    tilted = TiltedSample(LawParams(n, gammas), rng.split(2), num_samples, thresholds[0])
     best = None
     for tau, threshold in zip(taus, thresholds):
-        est = achievability_beta(g_draws, h_draws, eps, tau, tilted, threshold=threshold)
+        est = achievability_beta(h_draws, eps, tau, tilted, threshold=threshold)
         kap = kappa_tau(tau, c1_total)
         rate = (math.log(kap) - est.log_beta) / n
         if best is None or rate > best[0]:
@@ -238,9 +218,9 @@ def achievability_rate(
     """Achievable-rate lower bound mixed over the equiprobable tag symbol.
 
     Per symbol: waterfill, sample the conditional information-density law
-    (and the output law unless a Chernoff bound shows the raw tail estimate
-    cannot be used), search tau over {eps/2, eps/4, eps/8, eps/16} for the
-    largest log(kappa/beta)/n.  ``tail.mixed_rate`` evaluates the two
-    symbols at the same time, on common random numbers.
+    for the thresholds and the tilted output law for beta, and search tau
+    over {eps/2, eps/4, eps/8, eps/16} for the largest log(kappa/beta)/n.
+    ``tail.mixed_rate`` evaluates the two symbols at the same time, on
+    common random numbers.
     """
     return mixed_rate(_fixed_d_rate, n, g_plus, g_minus, total_power, eps, rng, num_samples)

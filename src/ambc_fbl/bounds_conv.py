@@ -4,9 +4,10 @@ beta is the type-II error of the optimal test between the conditional output
 law and a product auxiliary channel whose per-mode outputs are CN(0, 1+g_j p_j);
 K = K1 K2 combines a supremum of the auxiliary per-mode-energy density (a
 product-of-gammas law evaluated by Mellin inversion) with the volume of the
-ball that contains every admissible energy vector.  The law, the threshold
-and the tilted deep-tail estimator live in ``tail``, shared with the
-achievability side.
+ball that contains every admissible energy vector.  beta is read from one
+tilted sample of the output law (``tail.TiltedSample``), shared with the
+achievability side, at a threshold taken from a sample of the conditional
+law.
 """
 
 from __future__ import annotations
@@ -23,18 +24,14 @@ from .errors import ConvergenceError
 from .numerics import SeededRng, brent_min, empirical_quantile, product_gamma_logpdf
 from .power import PowerAllocation, waterfill
 from .tail import (
-    KIND_CONDITIONAL,
     BetaEstimate,
     LawParams,
     MixedRate,
     TiltedSample,
-    estimate_beta,
     mixed_rate,
     mode_gammas,
     sample_law,
 )
-
-_MIN_EFFECTIVE_SAMPLES = 1000.0
 
 
 @dataclass(frozen=True)
@@ -70,7 +67,7 @@ def sample_converse_density(
     """Draws of the blocklength-n log likelihood ratio between the conditional
     law and the auxiliary product channel (the same statistic as the
     conditional information-density law)."""
-    return sample_law(KIND_CONDITIONAL, n, mode_gammas(g, p), rng, num_samples)
+    return sample_law(n, mode_gammas(g, p), rng, num_samples)
 
 
 def np_beta_converse(
@@ -82,20 +79,15 @@ def np_beta_converse(
     """Neyman-Pearson beta at level 1 - eps from log-likelihood-ratio draws.
 
     The optimal test thresholds the statistic at its empirical (1-eps)
-    exceedance quantile eta, and beta is estimated by the change-of-measure
-    identity beta = E[exp(-S) 1{S > eta}] over the conditional draws, the
-    output law's tilt by 1.  Deep in the tail the raw estimator starves, so
-    when the effective sample count drops below 1000, beta is recomputed as
-    the upper tail at eta of the output law of ``law`` = (blocklength,
-    per-mode gammas), tilted so that its mean sits at eta, with as many
-    draws from ``rng`` as the raw sample.
+    exceedance quantile eta, and beta is the upper tail at eta of the
+    output law of ``law`` = (blocklength, per-mode gammas), read from one
+    sample of as many draws from ``rng`` as ``draws``, tilted so that its
+    mean sits at eta (untilted when eta lies at or below the law's mean).
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    # exp(-S) turns conditional-law mass into auxiliary-channel mass
     eta = empirical_quantile(draws, 1.0 - eps)
-    tilted = TiltedSample(LawParams(*law), rng, draws.size)
-    return estimate_beta(1.0 - eps, eta, draws, 1.0, _MIN_EFFECTIVE_SAMPLES, tilted)
+    return TiltedSample(LawParams(*law), rng, draws.size, eta).beta(1.0 - eps, eta)
 
 
 def ball_volume_bound(m: int, total_power: float) -> float:

@@ -4,14 +4,15 @@ Both bounds need the Neyman-Pearson type-II error beta of one information
 density X, and each beta is an upper tail of X under the output law: at
 the conditional law's level-(1 - eps + tau) quantile for the kappa-beta
 achievability bound, at its level-(1 - eps) quantile eta for the
-meta-converse.  This module owns that law, the one beta estimator (a raw
-change-of-measure mean, replaced by an exponentially tilted estimate of the
-deep tail that raw Monte Carlo cannot reach), and ``mixed_rate``, which
+meta-converse.  This module owns that law, the one beta estimator
+(``TiltedSample``: one sample of the output law, exponentially tilted so
+that its mean sits at the lowest threshold it serves, or untilted when
+that threshold lies at or below the law's mean), and ``mixed_rate``, which
 evaluates a bound's two tag symbols at the same time through ``run_calls``
-(one thread pool, shared with the sweep) and mixes them.  One tilted
-sample serves several thresholds: the achievability bound draws one per
-tag symbol, on its ``rng.split(2)``, tilted to the lowest threshold that
-falls back, and every tau level that falls back reads it.
+(one thread pool, shared with the sweep) and mixes them.  The achievability
+bound draws one tilted sample per tag symbol, on its ``rng.split(2)``, and
+reads its four tau levels from it; the converse draws one and reads it at
+eta.
 
 Per active mode j with y = g_j p_j > 0, X has the per-block contribution
   n (log(1+y) + 1) - s * W,   W ~ ncx2(2n, lam),
@@ -42,9 +43,6 @@ from .errors import ConvergenceError, InsufficientSamplesError
 from .numerics import SeededRng
 from .power import PowerAllocation
 
-KIND_OUTPUT = "output"  # information density drawn under the output law
-KIND_CONDITIONAL = "conditional"  # drawn under the conditional law
-_KIND_TILTS = {KIND_OUTPUT: 0.0, KIND_CONDITIONAL: 1.0}  # the tilt each kind is drawn from
 # the tilt solve's iteration limit, and its step tolerance relative to 1 + |theta|
 _TILT_MAXITER = 100
 _TILT_XTOL = 1e-12
@@ -133,73 +131,84 @@ class LawParams:
                 return theta
         raise ConvergenceError(f"tilt search did not converge in {_TILT_MAXITER} iterations")
 
-    def log_tail_bound(self, threshold: float) -> float:
-        """Chernoff bound on log P[X >= threshold]: the minimum over theta >= 0
-        of cgf(theta) - theta * threshold, attained at the tilt whose mean is
-        the threshold.  0 (the trivial bound) at or below the mean; -inf at
-        or above the supremum of the law."""
-        if threshold <= self.cgf_derivatives(0.0)[0]:
-            return 0.0
-        if threshold >= float(self.const.sum()):
-            return -math.inf
-        theta = self.solve_tilt(threshold)
-        return self.cgf(theta) - theta * threshold
-
 
 def mode_gammas(g: EigenSpectrum, p: PowerAllocation) -> np.ndarray:
     """Per-mode received SNRs g_j p_j."""
     return np.asarray(g.g, dtype=float) * np.asarray(p.p, dtype=float)
 
 
-def sample_law(
-    kind: str, n: int, gammas: np.ndarray, rng: SeededRng, num_samples: int
-) -> np.ndarray:
-    """Raw draws of the blocklength-n information density under ``kind``:
-    the output law, or the conditional law, its tilt by 1."""
-    if kind not in _KIND_TILTS:
-        raise ValueError(f"unknown law kind {kind!r}")
+def sample_law(n: int, gammas: np.ndarray, rng: SeededRng, num_samples: int) -> np.ndarray:
+    """Raw draws of the blocklength-n information density under the
+    conditional law, the output law's tilt by 1."""
     if n < 1:
         raise ValueError("blocklength must be >= 1")
     if num_samples < 1000:
         raise ValueError("num_samples must be >= 1000")
-    return LawParams(n, gammas).sample(rng.generator(), num_samples, _KIND_TILTS[kind])
+    return LawParams(n, gammas).sample(rng.generator(), num_samples, 1.0)
+
+
+@dataclass(frozen=True)
+class BetaEstimate:
+    """Type-II error estimate with its threshold and accuracy diagnostics.
+
+    ``log_beta`` is authoritative; ``beta`` itself can underflow to zero for
+    large blocklengths.  ``ci_rel`` is the relative 95% half-width of the
+    estimate, and ``tilted`` marks a sample drawn at a tilt theta > 0.
+    Nothing sets ``lower_bound_only`` any more; it stays, always False,
+    because ``perfbench/tracer.py`` reads it from every converse estimate.
+    """
+
+    beta: float
+    log_beta: float
+    threshold: float
+    ci_rel: float
+    tilted: bool
+    lower_bound_only: bool = False
 
 
 class TiltedSample:
-    """One importance sample that serves upper tails of the output law ``law``
-    at several thresholds: ``size`` draws from ``rng`` of the law
-    exponentially tilted so that its mean sits at the first threshold read,
-    drawn at that first read.
+    """The one beta estimator: ``size`` draws from ``rng`` of the output law
+    ``law`` exponentially tilted by theta = max(0, solve_tilt(``lowest``)),
+    made at construction, which serve upper tails of ``law`` at ``lowest``
+    and every threshold above it.
 
-    ``log_tail(threshold)`` gives log P[X >= threshold] under ``law``, with
-    its relative 95% CI, from the draws reweighted by the likelihood ratio
-    exp(cgf(theta) - theta X).  Every read must lie at or above the first,
-    x_0 (one below raises ``ValueError``).  With x_0 above the law's mean, as in every deep tail, the tilt is
-    positive and each weight there is at most exp(cgf(theta) - theta x_0),
-    so the sample serves thresholds a fraction of a standard deviation
-    above x_0 as well as x_0 itself.  Read once, it is the tilted estimate
-    of one tail, as the converse reads it at eta; the achievability bound
-    reads its four tau levels from one sample.  Raises
-    ``InsufficientSamplesError`` when no draw reaches the threshold or the
-    relative CI exceeds 0.5.
+    With ``lowest`` above the law's mean, as in every deep tail, the tilt
+    puts the sample's mean at ``lowest``, and each weight at or above it is
+    at most exp(cgf(theta) - theta * lowest), so the sample serves
+    thresholds a fraction of a standard deviation above ``lowest`` as well
+    as ``lowest`` itself: the achievability bound reads its four tau levels
+    from one sample.  At or below the mean theta is 0 and the sample is
+    plain output-law Monte Carlo.  A law without active modes takes no
+    draws.
     """
 
-    def __init__(self, law: LawParams, rng: SeededRng, size: int):
+    def __init__(self, law: LawParams, rng: SeededRng, size: int, lowest: float):
         self.law = law
-        self._rng = rng
-        self._size = size
-        self._lowest = math.nan  # the first threshold read
-        self._theta = 0.0
+        self._lowest = lowest
+        self.theta = 0.0
         self._draws: Optional[np.ndarray] = None
+        if law.degenerate:
+            return
+        if lowest > law.cgf_derivatives(0.0)[0]:
+            self.theta = law.solve_tilt(lowest)
+        self._draws = law.sample(rng.generator(), size, self.theta)
 
-    def log_tail(self, threshold: float) -> Tuple[float, float]:
+    def beta(self, level: float, threshold: float) -> BetaEstimate:
+        """beta = P[X >= ``threshold``] under ``law``, for the test of
+        exceedance level ``level``, from the draws reweighted by the
+        likelihood ratio exp(cgf(theta) - theta X), with its relative 95% CI.
+
+        A law without active modes has X = 0 under both hypotheses, so the
+        test rejects at random and beta is ``level`` exactly.  Raises
+        ``ValueError`` for a threshold below ``lowest``, and
+        ``InsufficientSamplesError`` when no draw reaches the threshold or
+        the relative CI exceeds 0.5.
+        """
         if self._draws is None:
-            self._lowest = threshold
-            self._theta = self.law.solve_tilt(threshold)
-            self._draws = self.law.sample(self._rng.generator(), self._size, self._theta)
-        elif threshold < self._lowest:
-            raise ValueError("a tilted sample reads no threshold below its first")
-        theta, draws = self._theta, self._draws
+            return BetaEstimate(level, math.log(level), threshold, 0.0, tilted=False)
+        if threshold < self._lowest:
+            raise ValueError("a tilted sample reads no threshold below its lowest")
+        theta, draws = self.theta, self._draws
         # cgf - theta x, and below its shift and exp, in place, so the draws
         # and this one buffer are the sample-sized arrays a read holds
         log_w = theta * draws
@@ -214,75 +223,11 @@ class TiltedSample:
         log_w[~accepted] = -np.inf
         shifted = np.exp(log_w, out=log_w)
         mean = float(shifted.mean())
-        ci_rel = 1.96 * float(shifted.std() / math.sqrt(self._size)) / mean
+        ci_rel = 1.96 * float(shifted.std() / math.sqrt(draws.size)) / mean
         if ci_rel > 0.5:
             raise InsufficientSamplesError(f"tilted estimate relative CI {ci_rel:.2f} > 0.5")
-        return mx + math.log(mean), ci_rel
-
-
-@dataclass(frozen=True)
-class BetaEstimate:
-    """Type-II error estimate with its threshold and accuracy diagnostics.
-
-    ``log_beta`` is authoritative; ``beta`` itself can underflow to zero for
-    large blocklengths.  ``ci_rel`` is the relative 95% half-width of the
-    kept estimate and ``ess`` the effective sample size of the raw estimate
-    (0.0 when no raw draws were made).  ``tilted`` marks the tilted path.
-    Nothing sets ``lower_bound_only`` any more; it stays, always False,
-    because ``perfbench/tracer.py`` reads it from every converse estimate.
-    """
-
-    beta: float
-    log_beta: float
-    threshold: float
-    ci_rel: float
-    ess: float
-    tilted: bool
-    lower_bound_only: bool = False
-
-
-def estimate_beta(
-    level: float,
-    threshold: float,
-    tail_draws: Optional[np.ndarray],
-    draws_tilt: float,
-    min_ess: float,
-    tilted: TiltedSample,
-) -> BetaEstimate:
-    """beta = P[X > ``threshold``] under the output law ``tilted.law``, for
-    the test of exceedance level ``level``: the raw mean of
-    exp(-t X) 1{X > threshold} over ``tail_draws``, drawn from the tilt by
-    t = ``draws_tilt`` (0 or 1, where cgf(t) = 0).
-
-    The raw mean is kept when its effective sample size reaches ``min_ess``
-    and its relative CI is at most 0.5.  Otherwise, or when ``tail_draws``
-    is None (no raw draws made), the tail is read from ``tilted``, one
-    tilted sample that the caller may share among several thresholds: the
-    achievability bound's four tau share one, drawn on ``rng.split(2)`` and
-    tilted to the lowest threshold that falls back.  A law without active
-    modes has X = 0 under both hypotheses, so the test rejects at random
-    and beta is ``level`` exactly, before any draw is read.
-    """
-    if tilted.law.degenerate:
-        return BetaEstimate(level, math.log(level), threshold, 0.0, 0.0, tilted=False)
-    ess = 0.0
-    x = tail_draws
-    if x is not None:
-        # a zero tilt gives unit weights without a pass of exp over the draws
-        w = np.exp(-draws_tilt * np.clip(x, -700, None)) if draws_tilt else 1.0
-        weights = np.where(x > threshold, w, 0.0)
-        total = float(weights.sum())
-        sq = float((weights**2).sum())
-        # subnormal weights can square to exactly zero; treat that as starvation
-        ess = total**2 / sq if sq > 0 else 0.0
-        if ess >= min_ess:
-            mean = total / x.size
-            ci_rel = 1.96 * float(weights.std() / math.sqrt(x.size)) / mean
-            if ci_rel <= 0.5:
-                return BetaEstimate(mean, math.log(mean), threshold, ci_rel, ess, tilted=False)
-        del w, weights  # not held through the tilted estimate's own draws
-    log_beta, ci_rel = tilted.log_tail(threshold)
-    return BetaEstimate(float(np.exp(log_beta)), log_beta, threshold, ci_rel, ess, tilted=True)
+        log_beta = mx + math.log(mean)
+        return BetaEstimate(float(np.exp(log_beta)), log_beta, threshold, ci_rel, tilted=theta > 0)
 
 
 @dataclass(frozen=True)

@@ -12,17 +12,11 @@ import pytest
 from scipy import stats
 
 from ambc_fbl.asymptotics import capacity, dispersion
-from ambc_fbl.bounds_ach import (
-    KIND_CONDITIONAL,
-    KIND_OUTPUT,
-    achievability_beta,
-    achievability_rate,
-    sample_info_density,
-)
+from ambc_fbl.bounds_ach import achievability_beta, achievability_rate, sample_info_density
 from ambc_fbl.bounds_conv import converse_rate, np_beta_converse, sample_converse_density
 from ambc_fbl.channel import EigenSpectrum, Fading, composite, draw_channel, eigen_spectrum
 from ambc_fbl.cli import ExperimentConfig, emit_csv, run_sweep
-from ambc_fbl.numerics import SeededRng, gaussian_q_inv
+from ambc_fbl.numerics import SeededRng, empirical_quantile, gaussian_q_inv
 from ambc_fbl.power import PowerAllocation, waterfill
 from ambc_fbl.tag import TagErrorModel, eps_given_tag_error, tag_error_given_eps
 from ambc_fbl.tail import LawParams, TiltedSample
@@ -169,10 +163,10 @@ class TestCriterion5BetaOracles:
         n, eps, tau, num = 1, 0.1, 0.025, 200_000
         g = EigenSpectrum(g=np.array([gamma]), d=1)
         p = PowerAllocation(p=np.array([1.0]), water_level=2.0, total_power=1.0)
-        g_draws = sample_info_density(KIND_OUTPUT, n, g, p, SeededRng(105, 1), num)
-        h_draws = sample_info_density(KIND_CONDITIONAL, n, g, p, SeededRng(105, 2), num)
-        tilted = TiltedSample(LawParams(n, g.g * p.p), SeededRng(105, 3), num)
-        est = achievability_beta(g_draws, h_draws, eps, tau, tilted)
+        h_draws = sample_info_density(n, g, p, SeededRng(105, 2), num)
+        lowest = empirical_quantile(h_draws, 1 - eps + tau)
+        tilted = TiltedSample(LawParams(n, g.g * p.p), SeededRng(105, 3), num, lowest)
+        est = achievability_beta(h_draws, eps, tau, tilted)
 
         c, law_h, scale_h, law_g, scale_g = _oracle_laws(gamma)
         gamma_n = c - scale_h * law_h.ppf(1 - eps + tau)
@@ -276,18 +270,29 @@ class TestCriterion6IdentitySuite:
         assert ok
 
     def test_beta_of_identical_laws_is_the_level(self):
-        num = 100_000
-        g = EigenSpectrum(g=np.array([1.0]), d=1)
-        p = PowerAllocation(p=np.array([1.0]), water_level=2.0, total_power=1.0)
-        h_draws = sample_info_density(KIND_CONDITIONAL, 20, g, p, SeededRng(111, 1), num)
-        eps, tau = 0.1, 0.02
-        tilted = TiltedSample(LawParams(20, g.g * p.p), SeededRng(111, 3), num)
-        est = achievability_beta(h_draws, h_draws, eps, tau, tilted)
-        gap = abs(est.beta - (1 - eps + tau))
-        ok = gap <= 2 / math.sqrt(num)
-        _report("criterion 6e (beta of identical laws equals the level)", ok, f"gap {gap:.2e}")
+        # the output law's own level-L quantile (one mode, from the scipy
+        # ncx2 ppf) as the threshold: beta is L, read untilted at L = 0.92,
+        # below the law's mean, and tilted at L = 0.3, above it
+        n, gamma, num = 20, 1.0, 100_000
+        law = LawParams(n, np.array([gamma]))
+        gaps = []
+        for eps, tau in ((0.1, 0.02), (0.8, 0.1)):
+            level = 1 - eps + tau
+            x = n * (math.log1p(gamma) + 1) - gamma / 2 * stats.ncx2.ppf(
+                level, 2 * n, 2 * n * (1 + gamma) / gamma
+            )
+            tilted = TiltedSample(law, SeededRng(111, 3), num, x)
+            est = achievability_beta(None, eps, tau, tilted, threshold=x)
+            gaps.append((tilted.theta, abs(est.beta - level)))
+        ok = gaps[0][0] == 0.0 < gaps[1][0] and max(gap for _, gap in gaps) <= 2 / math.sqrt(num)
+        _report(
+            "criterion 6e (beta at the output law's own quantile equals the level)",
+            ok,
+            ", ".join(f"theta {theta:.3f} gap {gap:.2e}" for theta, gap in gaps),
+        )
         assert ok
 
+        eps = 0.1
         degenerate = np_beta_converse(
             np.zeros(num), eps, law=(20, np.zeros(1)), rng=SeededRng(111, 4)
         )

@@ -7,8 +7,6 @@ from scipy import stats
 
 from ambc_fbl import bounds_ach
 from ambc_fbl.bounds_ach import (
-    KIND_CONDITIONAL,
-    KIND_OUTPUT,
     AchievabilityResult,
     MixedRate,
     achievability_beta,
@@ -37,31 +35,42 @@ def _setup(gains, powers, d=1):
 def _laws(gains, powers, n, seed, num=100_000):
     """Output-law draws, conditional-law draws and the law parameters."""
     g, p = _setup(gains, powers)
-    g_draws = sample_info_density(KIND_OUTPUT, n, g, p, SeededRng(seed, 1), num)
-    h_draws = sample_info_density(KIND_CONDITIONAL, n, g, p, SeededRng(seed, 2), num)
-    return g_draws, h_draws, (n, g.g * p.p)
+    law = (n, g.g * p.p)
+    g_draws = LawParams(*law).sample(SeededRng(seed, 1).generator(), num, 0.0)
+    h_draws = sample_info_density(n, g, p, SeededRng(seed, 2), num)
+    return g_draws, h_draws, law
 
 
-def _tilted(law, rng, size=100_000):
-    """The tilted sample an estimate of the law (n, gammas) falls back to."""
-    return TiltedSample(LawParams(*law), rng, size)
+def _beta(h_draws, eps, tau, law, rng, size=100_000):
+    """``achievability_beta`` with its own tilted sample of the law
+    (n, gammas), tilted to the threshold the conditional draws give."""
+    lowest = empirical_quantile(h_draws, 1 - eps + tau)
+    return achievability_beta(h_draws, eps, tau, TiltedSample(LawParams(*law), rng, size, lowest))
 
 
 def _direct_per_use(kind, n, gamma, gen, num):
     """Oracle sampler: the raw definition with fresh complex Gaussians."""
     z = (gen.standard_normal((num, n)) + 1j * gen.standard_normal((num, n))) / math.sqrt(2)
-    if kind == KIND_OUTPUT:
+    if kind == "output":
         terms = math.log1p(gamma) + 1 - np.abs(math.sqrt(gamma) * z - math.sqrt(1 + gamma)) ** 2
     else:
         terms = math.log1p(gamma) + 1 - np.abs(math.sqrt(gamma) * z - 1) ** 2 / (1 + gamma)
     return terms.sum(axis=1)
 
 
+def _sample(kind, n, g, p, rng, num):
+    """Draws of the information density under the output law (the tilt
+    by 0) or, through ``sample_info_density``, the conditional law."""
+    if kind == "output":
+        return LawParams(n, g.g * p.p).sample(rng.generator(), num, 0.0)
+    return sample_info_density(n, g, p, rng, num)
+
+
 class TestSampleInfoDensity:
     def test_zero_power_draws_are_exactly_zero(self):
         g, p = _setup([2.0, 1.0], [0.0, 0.0])
-        for kind in (KIND_OUTPUT, KIND_CONDITIONAL):
-            draws = sample_info_density(kind, 50, g, p, SeededRng(0), 2000)
+        for kind in ("output", "conditional"):
+            draws = _sample(kind, 50, g, p, SeededRng(0), 2000)
             assert draws.mean() == 0.0
             assert np.all(draws == 0.0)
 
@@ -80,10 +89,10 @@ class TestSampleInfoDensity:
         # same law as summing n fresh per-use terms
         gamma, n, num = 1.3, 40, 30_000
         gen = np.random.default_rng(7)
-        for kind in (KIND_OUTPUT, KIND_CONDITIONAL):
+        for kind in ("output", "conditional"):
             direct = _direct_per_use(kind, n, gamma, gen, num)
             g, p = _setup([gamma], [1.0])
-            mine = sample_info_density(kind, n, g, p, SeededRng(3, 7), num)
+            mine = _sample(kind, n, g, p, SeededRng(3, 7), num)
             se = math.hypot(direct.std(), mine.std()) / math.sqrt(num)
             assert mine.mean() == pytest.approx(direct.mean(), abs=4 * se)
             assert mine.std() == pytest.approx(direct.std(), rel=0.03)
@@ -97,25 +106,31 @@ class TestSampleInfoDensity:
     def test_preconditions(self):
         g, p = _setup([1.0], [1.0])
         with pytest.raises(ValueError):
-            sample_info_density(KIND_OUTPUT, 0, g, p, SeededRng(0), 2000)
+            sample_info_density(0, g, p, SeededRng(0), 2000)
         with pytest.raises(ValueError):
-            sample_info_density(KIND_OUTPUT, 10, g, p, SeededRng(0), 999)
-        with pytest.raises(ValueError):
-            sample_info_density("bogus", 10, g, p, SeededRng(0), 2000)
+            sample_info_density(10, g, p, SeededRng(0), 999)
 
 
 class TestAchievabilityBeta:
     def test_identical_laws_give_the_level(self):
-        # feeding conditional draws as both laws must return the test level
-        _, h_draws, law = _laws([1.0], [1.0], 20, seed=5)
-        eps, tau = 0.1, 0.02
-        est = achievability_beta(h_draws, h_draws, eps, tau, _tilted(law, SeededRng(0)))
-        assert est.beta == pytest.approx(1 - eps + tau, abs=2 / math.sqrt(100_000))
+        # the output law's own level-L quantile as the threshold: beta is L,
+        # read untilted at L = 0.92 (below the mean) and tilted at L = 0.3
+        n, gamma, num = 20, 1.0, 100_000
+        law = LawParams(n, np.array([gamma]))
+        for eps, tau, tilt in ((0.1, 0.02, False), (0.8, 0.1, True)):
+            level = 1 - eps + tau
+            x = n * (math.log1p(gamma) + 1) - gamma / 2 * stats.ncx2.ppf(
+                level, 2 * n, 2 * n * (1 + gamma) / gamma
+            )
+            tilted = TiltedSample(law, SeededRng(0), num, x)
+            assert (tilted.theta > 0) == tilt
+            est = achievability_beta(None, eps, tau, tilted, threshold=x)
+            assert est.beta == pytest.approx(level, abs=2 / math.sqrt(num))
 
     def test_law_without_active_modes_returns_the_level_exactly(self):
         # X = 0 under both hypotheses: the test rejects at random
         zeros = np.zeros(20_000)
-        est = achievability_beta(zeros, zeros, 0.1, 0.02, _tilted((8, np.zeros(1)), SeededRng(0)))
+        est = _beta(zeros, 0.1, 0.02, (8, np.zeros(1)), SeededRng(0))
         assert est.beta == 0.92
         assert not est.tilted
 
@@ -123,32 +138,32 @@ class TestAchievabilityBeta:
     def test_single_use_matches_quadrature_oracle(self, gamma):
         # exact laws at n = 1: shifted and scaled noncentral chi-squares
         n, eps, tau = 1, 0.1, 0.025
-        g_draws, h_draws, law = _laws([gamma], [1.0], n, seed=6)
-        est = achievability_beta(g_draws, h_draws, eps, tau, _tilted(law, SeededRng(60)))
+        _, h_draws, law = _laws([gamma], [1.0], n, seed=6)
+        est = _beta(h_draws, eps, tau, law, SeededRng(60))
         c = math.log1p(gamma) + 1.0
         law_h = stats.ncx2(2, 2 / gamma)
         law_g = stats.ncx2(2, 2 * (1 + gamma) / gamma)
         gamma_n = c - gamma / (2 * (1 + gamma)) * law_h.ppf(1 - eps + tau)
         beta_oracle = law_g.cdf((c - gamma_n) * 2 / gamma)
-        se = math.sqrt(beta_oracle * (1 - beta_oracle) / g_draws.size)
+        se = math.sqrt(beta_oracle * (1 - beta_oracle) / h_draws.size)
         # allow for threshold noise propagated from the conditional quantile
         assert est.beta == pytest.approx(beta_oracle, abs=4 * se + 0.003)
 
     def test_beta_increases_with_tau(self):
-        g_draws, h_draws, law = _laws([1.0], [1.0], 30, seed=7)
-        betas = [
-            achievability_beta(g_draws, h_draws, 0.1, tau, _tilted(law, SeededRng(61))).beta
-            for tau in (0.01, 0.03, 0.06, 0.09)
-        ]
+        # one sample, tilted to the lowest threshold, that of the largest tau
+        _, h_draws, law = _laws([1.0], [1.0], 30, seed=7)
+        taus = (0.01, 0.03, 0.06, 0.09)
+        lowest = empirical_quantile(h_draws, 1 - 0.1 + taus[-1])
+        tilted = TiltedSample(LawParams(*law), SeededRng(61), 100_000, lowest)
+        betas = [achievability_beta(h_draws, 0.1, tau, tilted).beta for tau in taus]
         assert all(b2 >= b1 for b1, b2 in zip(betas, betas[1:]))
 
     def test_tilted_path_matches_exact_tail(self):
-        # deep tail where no raw draw survives
+        # deep tail, beyond raw Monte Carlo of the output law
         gamma, n = 1.0, 400
-        g_draws, h_draws, law = _laws([gamma], [1.0], n, seed=8)
-        est = achievability_beta(g_draws, h_draws, 1e-3, 2.5e-4, _tilted(law, SeededRng(62)))
+        _, h_draws, law = _laws([gamma], [1.0], n, seed=8)
+        est = _beta(h_draws, 1e-3, 2.5e-4, law, SeededRng(62))
         assert est.tilted
-        assert est.ess < 100
         assert est.log_beta < -100
         assert est.ci_rel < 0.1
 
@@ -157,8 +172,8 @@ class TestAchievabilityBeta:
         # chi-square with 2n degrees of freedom; evaluate the exact tail at
         # the estimator's own threshold so only the sampler is under test
         gamma, n = 1.0, 100
-        g_draws, h_draws, law = _laws([gamma], [1.0], n, seed=88)
-        est = achievability_beta(g_draws, h_draws, 1e-3, 2.5e-4, _tilted(law, SeededRng(89)))
+        _, h_draws, law = _laws([gamma], [1.0], n, seed=88)
+        est = _beta(h_draws, 1e-3, 2.5e-4, law, SeededRng(89))
         assert est.tilted
         c = n * (math.log1p(gamma) + 1.0)
         exact = stats.ncx2.cdf(
@@ -185,20 +200,13 @@ class TestAchievabilityBeta:
             vals.append(mx + math.log(np.exp(logw[acc] - mx).sum() / 100_000))
         assert vals[0] > vals[1] > vals[2]
 
-    def test_without_output_draws_goes_straight_to_the_tilted_path(self):
-        g_draws, h_draws, law = _laws([1.0], [1.0], 400, seed=8)
-        drawn = achievability_beta(g_draws, h_draws, 1e-3, 2.5e-4, _tilted(law, SeededRng(62)))
-        skipped = achievability_beta(None, h_draws, 1e-3, 2.5e-4, _tilted(law, SeededRng(62)))
-        assert skipped.tilted and skipped.ess == 0.0
-        assert skipped.log_beta == drawn.log_beta
-        assert skipped.ci_rel == drawn.ci_rel
-
     def test_tau_eps_validation(self):
-        g_draws, h_draws, law = _laws([1.0], [1.0], 10, seed=10, num=2000)
+        _, h_draws, law = _laws([1.0], [1.0], 10, seed=10, num=2000)
+        tilted = TiltedSample(LawParams(*law), SeededRng(0), 2000, float(h_draws.min()))
         with pytest.raises(ValueError):
-            achievability_beta(g_draws, h_draws, 0.1, 0.1, _tilted(law, SeededRng(0)))
+            achievability_beta(h_draws, 0.1, 0.1, tilted)
         with pytest.raises(ValueError):
-            achievability_beta(g_draws, h_draws, 0.1, 0.2, _tilted(law, SeededRng(0)))
+            achievability_beta(h_draws, 0.1, 0.2, tilted)
 
 
 class TestComputeC1:
@@ -340,6 +348,10 @@ class TestAchievabilityRate:
 
 
 class TestOutputDrawSkip:
+    """The bound draws no output-law sample: every beta is read from one
+    tilted sample, whose largest weight at or above its lowest threshold
+    x, exp(cgf(theta) - theta x), is the Chernoff bound on the tail at x."""
+
     @pytest.mark.parametrize("gamma", [0.3, 1.0, 4.0])
     @pytest.mark.parametrize("n", [8, 100, 1000])
     def test_chernoff_bound_dominates_exact_tail(self, gamma, n):
@@ -347,49 +359,41 @@ class TestOutputDrawSkip:
         # X + Y ~ ncx2(2n, 2n(1+gamma)/gamma) under the output law
         law = LawParams(n, np.array([gamma]))
         c = n * (math.log1p(gamma) + 1.0)
+        mean = law.cgf_derivatives(0.0)[0]
         for per_use in (-2.0, -1.0, 0.0, 0.5):
-            bound = law.log_tail_bound(per_use * n)
+            threshold = per_use * n
+            theta = TiltedSample(law, SeededRng(0), 1000, threshold).theta
+            # the tilt is clamped to 0 at or below the mean
+            assert (theta > 0) == (threshold > mean)
+            bound = law.cgf(theta) - theta * threshold
             exact = stats.ncx2.logcdf(
-                (c - per_use * n) * 2 / gamma, 2 * n, 2 * n * (1 + gamma) / gamma
+                (c - threshold) * 2 / gamma, 2 * n, 2 * n * (1 + gamma) / gamma
             )
             assert bound >= exact
             if math.isfinite(exact):
                 # a Chernoff bound is loose by a subexponential factor only
                 assert bound <= exact + 5.0
-        assert law.log_tail_bound(law.cgf_derivatives(0.0)[0] - 1.0) == 0.0
-        assert law.log_tail_bound(c) == -math.inf
 
-    def _spectra(self, seed):
-        ch = draw_channel(SeededRng(seed), 2, 3, Fading.rayleigh(), 0.5)
-        return eigen_spectrum(composite(ch, +1)), eigen_spectrum(composite(ch, -1))
-
-    def test_skipping_output_draws_keeps_the_rate(self, monkeypatch, pin_cpus):
+    def test_bound_draws_only_the_conditional_and_the_tilted_sample(self, monkeypatch, pin_cpus):
         # one CPU evaluates the two tag symbols in order, so the sampler
         # calls interleave deterministically
         pin_cpus(1)
-        sp, sm = self._spectra(19)
-        kinds = []
+        ch = draw_channel(SeededRng(19), 2, 3, Fading.rayleigh(), 0.5)
+        sp, sm = eigen_spectrum(composite(ch, +1)), eigen_spectrum(composite(ch, -1))
+        thetas = []
         sample = LawParams.sample
-        names = {1.0: KIND_CONDITIONAL, 0.0: KIND_OUTPUT}
 
         def recorded(self, gen, size, theta=0.0):
-            kinds.append(names.get(theta, "tilted"))
+            thetas.append(theta)
             return sample(self, gen, size, theta)
 
         monkeypatch.setattr(LawParams, "sample", recorded)
-        skipped = achievability_rate(100, sp, sm, 1.0, 1e-3, SeededRng(20), 20_000)
-        # per symbol: the conditional sample and one tilted sample for all four tau
-        assert kinds == [KIND_CONDITIONAL, "tilted"] * 2
-        assert all(sub.estimate.tilted and sub.estimate.ess == 0.0 for sub in skipped.per_d)
-
-        # the trivial bound forces the output draws the skip saves
-        monkeypatch.setattr(LawParams, "log_tail_bound", lambda self, threshold: 0.0)
-        kinds.clear()
-        forced = achievability_rate(100, sp, sm, 1.0, 1e-3, SeededRng(20), 20_000)
-        assert kinds == [KIND_CONDITIONAL, KIND_OUTPUT, "tilted"] * 2
-        assert all(sub.estimate.tilted for sub in forced.per_d)
-        assert forced.rate_bits == skipped.rate_bits
-        assert forced.ci_rate_bits == skipped.ci_rate_bits
+        res = achievability_rate(100, sp, sm, 1.0, 1e-3, SeededRng(20), 20_000)
+        # per symbol: the conditional sample (the tilt by 1), then one
+        # sample tilted into the output law's upper tail for all four tau
+        assert thetas[0::2] == [1.0, 1.0]
+        assert all(0.0 < theta < 1.0 for theta in thetas[1::2]) and len(thetas) == 4
+        assert all(sub.estimate.tilted for sub in res.per_d)
 
 
 class TestSharedTiltedSample:
@@ -417,9 +421,8 @@ class TestSharedTiltedSample:
         first = ests[0]
         # bit-equal to a sample of its own on the same stream, read once
         stream = SeededRng(seed).split(2)
-        assert (first.log_beta, first.ci_rel) == TiltedSample(law, stream, num).log_tail(
-            first.threshold
-        )
+        own = TiltedSample(law, stream, num, first.threshold).beta(1 - 1e-3 / 2, first.threshold)
+        assert (first.log_beta, first.ci_rel) == (own.log_beta, own.ci_rel)
         # and to the importance-sampling sum written out
         theta = law.solve_tilt(first.threshold)
         draws = law.sample(stream.generator(), num, theta)
@@ -439,19 +442,18 @@ class TestSharedTiltedSample:
             law = LawParams(n, np.asarray(gains, float))
             cond = law.sample(SeededRng(seed, 0).generator(), num, 1.0)
             thresholds = empirical_quantile(cond, levels).tolist()
-            shared = TiltedSample(law, SeededRng(seed, 1), num)
-            shared.log_tail(thresholds[0])
-            for i, threshold in enumerate(thresholds[1:]):
-                log_beta, ci = shared.log_tail(threshold)
-                own, own_ci = TiltedSample(law, SeededRng(seed, 2 + i), num).log_tail(threshold)
-                assert abs(log_beta - own) <= z_ratio * math.hypot(ci, own_ci)
+            shared = TiltedSample(law, SeededRng(seed, 1), num, thresholds[0])
+            for i, (level, threshold) in enumerate(zip(levels[1:], thresholds[1:])):
+                est = shared.beta(level, threshold)
+                own = TiltedSample(law, SeededRng(seed, 2 + i), num, threshold).beta(level, threshold)
+                assert abs(est.log_beta - own.log_beta) <= z_ratio * math.hypot(est.ci_rel, own.ci_rel)
                 # no weight above the lowest threshold is large: the CI
                 # hardly grows over that of the sample's own threshold
-                assert ci <= 1.1 * own_ci
+                assert est.ci_rel <= 1.1 * own.ci_rel
 
     def test_no_read_below_the_first_threshold(self):
         law = LawParams(100, np.array([1.0]))
-        sample = TiltedSample(law, SeededRng(0), 2000)
-        sample.log_tail(-40.0)
-        with pytest.raises(ValueError, match="below its first"):
-            sample.log_tail(-41.0)
+        sample = TiltedSample(law, SeededRng(0), 2000, -40.0)
+        sample.beta(0.5, -40.0)
+        with pytest.raises(ValueError, match="below its lowest"):
+            sample.beta(0.5, -41.0)
