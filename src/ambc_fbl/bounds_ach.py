@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -64,29 +63,20 @@ def sample_info_density(
 
 
 def achievability_beta(
-    conditional_draws: Optional[np.ndarray],
-    eps: float,
-    tau: float,
-    tilted: TiltedSample,
-    threshold: Optional[float] = None,
+    eps: float, tau: float, tilted: TiltedSample, threshold: float
 ) -> BetaEstimate:
     """Estimate beta at type-I level 1 - eps + tau between the two laws.
 
-    The threshold gamma_n is the empirical exceedance quantile of the
-    conditional draws, and beta the upper tail of the output law there,
-    read from ``tilted``.  The bound shares one such sample among its four
-    tau: drawn on the symbol's ``rng.split(2)`` and tilted to the lowest
-    threshold, that of tau = eps/2.  ``threshold``, the gamma_n that
-    ``empirical_quantile`` returns for the conditional draws at this level,
-    spares the quantile pass when the caller already made it for several
-    tau at once; the conditional draws are then not read.
+    ``threshold`` is gamma_n, the empirical exceedance quantile of the
+    conditional draws at that level (``empirical_quantile``, one pass for
+    all four tau), and beta the upper tail of the output law there, read
+    from ``tilted``.  The bound shares one such sample among its four tau:
+    drawn on the symbol's ``rng.split(2)`` and tilted to the lowest
+    threshold, that of tau = eps/2.
     """
     if not 0.0 < tau < eps < 1.0:
         raise ValueError("need 0 < tau < eps < 1")
-    level = 1.0 - eps + tau
-    if threshold is None:
-        threshold = empirical_quantile(conditional_draws, level)
-    return tilted.beta(level, threshold)
+    return tilted.beta(1.0 - eps + tau, threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +178,7 @@ def _fixed_d_rate(
     tilted = TiltedSample(LawParams(n, gammas), rng.split(2), num_samples, thresholds[0])
     best = None
     for tau, threshold in zip(taus, thresholds):
-        est = achievability_beta(h_draws, eps, tau, tilted, threshold=threshold)
+        est = achievability_beta(eps, tau, tilted, threshold)
         kap = kappa_tau(tau, c1_total)
         rate = (math.log(kap) - est.log_beta) / n
         if best is None or rate > best[0]:

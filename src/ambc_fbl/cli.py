@@ -39,7 +39,6 @@ from .power import waterfill
 from .tail import run_calls
 
 CURVES = ("capacity", "normal_approx", "achievability", "converse")
-AGGREGATES = ("mean", "median")
 CSV_HEADER = "n,capacity_bits,na_bits,ach_bits,conv_bits,ach_ci,conv_ci,draws"
 
 # the accepted transmit SNR in dB, P from 1e-10 to 1e10 in unit-noise units.
@@ -106,7 +105,6 @@ class ExperimentConfig:
     mc_samples: int = 100_000
     channel_draws: int = 100
     curves: Tuple[str, ...] = CURVES
-    aggregate: str = "mean"
 
     def __post_init__(self) -> None:
         for name in ("t", "r", "mc_samples", "channel_draws", "seed"):
@@ -162,8 +160,6 @@ class ExperimentConfig:
             raise ConfigError(
                 f"the converse needs n <= {MAX_GAMMA_SHAPE} and min(t, r) <= {MAX_GAMMA_COPIES}"
             )
-        if self.aggregate not in AGGREGATES:
-            raise ConfigError(f"aggregate must be one of {AGGREGATES}")
 
     @property
     def total_power(self) -> float:
@@ -292,13 +288,13 @@ def _set_up(config: ExperimentConfig, root: SeededRng) -> _SetUp:
     return _SetUp(draws, eps, spectra, curves, skipped)
 
 
-def _aggregate(values: np.ndarray, cis: np.ndarray, how: str) -> Tuple[float, float]:
-    """The mean or median of one curve's per-draw ``values`` at one n, and
-    its 95% half-width: the standard error of the mean over draws, from the
-    sample standard deviation, in quadrature with the per-draw Monte Carlo
+def _aggregate(values: np.ndarray, cis: np.ndarray) -> Tuple[float, float]:
+    """The mean of one curve's per-draw ``values`` at one n, and its 95%
+    half-width: the standard error of the mean over draws, from the sample
+    standard deviation, in quadrature with the per-draw Monte Carlo
     half-widths ``cis``, root-sum-squared and divided by the k draws."""
     k = values.size
-    center = float(np.mean(values)) if how == "mean" else float(np.median(values))
+    center = float(np.mean(values))
     between = 1.96 * float(values.std(ddof=1)) / math.sqrt(k) if k > 1 else 0.0
     mc = float(np.sqrt((cis**2).sum())) / k
     return center, math.hypot(between, mc)
@@ -367,10 +363,7 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
 
     rows = []
     for j, n in enumerate(config.n_grid):
-        agg = {
-            curve: _aggregate(rates[curve][j], cis[curve][j], config.aggregate)
-            for curve in config.curves
-        }
+        agg = {curve: _aggregate(rates[curve][j], cis[curve][j]) for curve in config.curves}
         rows.append(
             SweepRow(
                 n=n,
@@ -444,10 +437,9 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
     updates = {}
     if getattr(args, "seed", None) is not None:
         updates["seed"] = args.seed
-    if getattr(args, "curves", None):
-        updates["curves"] = tuple(args.curves.split(","))
-    if getattr(args, "aggregate", None):
-        updates["aggregate"] = args.aggregate
+    if getattr(args, "curves", None) is not None:
+        # "" requests no curve, which the validator rejects
+        updates["curves"] = tuple(args.curves.split(",")) if args.curves else ()
     return replace(config, **updates) if updates else config
 
 
@@ -514,7 +506,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--out", required=True)
     sweep.add_argument("--curves", help="comma separated subset of " + ",".join(CURVES))
     sweep.add_argument("--seed", type=int)
-    sweep.add_argument("--aggregate", choices=AGGREGATES)
     sweep.set_defaults(func=_cmd_sweep)
 
     point = sub.add_parser("point", help="evaluate a single blocklength, print one row")
@@ -522,7 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
     point.add_argument("--n", type=int, required=True)
     point.add_argument("--curves")
     point.add_argument("--seed", type=int)
-    point.add_argument("--aggregate", choices=AGGREGATES)
     point.set_defaults(func=_cmd_point)
 
     conv = sub.add_parser("tag-convert", help="tag-error to source-error table for a seeded channel")

@@ -1,5 +1,5 @@
-"""Deterministic special functions, splittable RNG streams, empirical
-distribution helpers, and Brent's scalar minimum search.
+"""Deterministic special functions, splittable RNG streams and empirical
+distribution helpers.
 
 All of it is numpy and standard-library code, evaluated in log-domain
 wherever intermediate quantities can overflow double precision (Bessel
@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -28,12 +28,6 @@ MAX_GAMMA_SHAPE = 4096
 # relative to the integrand at t = 0, at which that contour is truncated
 _CONTOUR_OFFSET = 0.5
 _CONTOUR_TAIL_TOL = 1e-12
-# Brent's minimum search: the absolute tolerance floor, golden ratio and
-# iteration limit of the reference minimizer whose steps it repeats (see
-# ``brent_min``)
-_MIN_TOL_FLOOR = 1.0e-11
-_GOLDEN = 0.3819660
-_MIN_MAXITER = 500
 # lowest order of ``log_bessel_i``'s uniform expansion, and its polynomials
 # u_k(t) = t^k P_k(t^2), k = 1..5, as (P_k's coefficients from t^0 up, divisor)
 _DEBYE_MIN_ORDER = 50.0
@@ -130,87 +124,6 @@ def empirical_quantile(draws: np.ndarray, level):
         raise ValueError("cannot take a quantile of an empty sample")
     gamma = np.quantile(draws, 1.0 - levels)
     return float(gamma) if gamma.ndim == 0 else gamma
-
-
-def brent_min(f, lo: float, mid: float, hi: float, xtol: float) -> Tuple[float, float]:
-    """(x, f(x)) at a local minimum of ``f`` inside the bracket lo < mid < hi,
-    where f(mid) lies below f(lo) and f(hi).
-
-    Brent's parabolic-interpolation minimizer (Brent 1973, ch. 5), step for
-    step the search that the tests' reference minimizer runs on a given
-    three-point bracket, with its absolute floor 1e-11 on the tolerance
-    ``xtol * |x|``, golden ratio 0.3819660 and 500 iterations, so the
-    minimum is bit-equal to the reference's.  ``f`` is called at lo, mid
-    and hi first, then once per iteration.  Raises ``ConvergenceError`` when the
-    bracket is not one, when the search ends on a NaN, or when 500
-    iterations leave the minimum unresolved.
-    """
-    a, x, b = float(lo), float(mid), float(hi)
-    if not a < x < b:
-        raise ConvergenceError("minimum search bracket is not ordered")
-    fa, fx, fb = f(a), f(x), f(b)
-    if not (fx < fa and fx < fb):
-        raise ConvergenceError("minimum search bracket does not enclose a minimum")
-    w = v = x
-    fw = fv = fx
-    deltax = 0.0
-    rat = 0.0
-    for _ in range(_MIN_MAXITER):
-        tol1 = xtol * abs(x) + _MIN_TOL_FLOOR
-        tol2 = 2.0 * tol1
-        xmid = 0.5 * (a + b)
-        if abs(x - xmid) < tol2 - 0.5 * (b - a):
-            break
-        if abs(deltax) <= tol1:
-            # golden-section step into the larger part
-            deltax = a - x if x >= xmid else b - x
-            rat = _GOLDEN * deltax
-        else:
-            # parabolic step through x, w and v, if it is useful
-            tmp1 = (x - w) * (fx - fv)
-            tmp2 = (x - v) * (fx - fw)
-            p = (x - v) * tmp2 - (x - w) * tmp1
-            tmp2 = 2.0 * (tmp2 - tmp1)
-            if tmp2 > 0.0:
-                p = -p
-            tmp2 = abs(tmp2)
-            dx_temp = deltax
-            deltax = rat
-            if p > tmp2 * (a - x) and p < tmp2 * (b - x) and abs(p) < abs(0.5 * tmp2 * dx_temp):
-                rat = p / tmp2
-                u = x + rat
-                if (u - a) < tol2 or (b - u) < tol2:
-                    rat = tol1 if xmid - x >= 0 else -tol1
-            else:
-                deltax = a - x if x >= xmid else b - x
-                rat = _GOLDEN * deltax
-        if abs(rat) < tol1:
-            u = x + tol1 if rat >= 0 else x - tol1
-        else:
-            u = x + rat
-        fu = f(u)
-        if fu > fx:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu <= fw or w == x:
-                v, w = w, u
-                fv, fw = fw, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-        else:
-            if u >= x:
-                a = x
-            else:
-                b = x
-            v, w, x = w, x, u
-            fv, fw, fx = fw, fx, fu
-    else:
-        raise ConvergenceError(f"minimum search did not converge in {_MIN_MAXITER} iterations")
-    if math.isnan(x) or math.isnan(fx):
-        raise ConvergenceError("minimum search ended on a NaN")
-    return x, fx
 
 
 def gaussian_q(x):

@@ -166,7 +166,7 @@ class TestCriterion5BetaOracles:
         h_draws = sample_info_density(n, g, p, SeededRng(105, 2), num)
         lowest = empirical_quantile(h_draws, 1 - eps + tau)
         tilted = TiltedSample(LawParams(n, g.g * p.p), SeededRng(105, 3), num, lowest)
-        est = achievability_beta(h_draws, eps, tau, tilted)
+        est = achievability_beta(eps, tau, tilted, lowest)
 
         c, law_h, scale_h, law_g, scale_g = _oracle_laws(gamma)
         gamma_n = c - scale_h * law_h.ppf(1 - eps + tau)
@@ -282,7 +282,7 @@ class TestCriterion6IdentitySuite:
                 level, 2 * n, 2 * n * (1 + gamma) / gamma
             )
             tilted = TiltedSample(law, SeededRng(111, 3), num, x)
-            est = achievability_beta(None, eps, tau, tilted, threshold=x)
+            est = achievability_beta(eps, tau, tilted, x)
             gaps.append((tilted.theta, abs(est.beta - level)))
         ok = gaps[0][0] == 0.0 < gaps[1][0] and max(gap for _, gap in gaps) <= 2 / math.sqrt(num)
         _report(

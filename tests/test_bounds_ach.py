@@ -45,7 +45,7 @@ def _beta(h_draws, eps, tau, law, rng, size=100_000):
     """``achievability_beta`` with its own tilted sample of the law
     (n, gammas), tilted to the threshold the conditional draws give."""
     lowest = empirical_quantile(h_draws, 1 - eps + tau)
-    return achievability_beta(h_draws, eps, tau, TiltedSample(LawParams(*law), rng, size, lowest))
+    return achievability_beta(eps, tau, TiltedSample(LawParams(*law), rng, size, lowest), lowest)
 
 
 def _direct_per_use(kind, n, gamma, gen, num):
@@ -124,7 +124,7 @@ class TestAchievabilityBeta:
             )
             tilted = TiltedSample(law, SeededRng(0), num, x)
             assert (tilted.theta > 0) == tilt
-            est = achievability_beta(None, eps, tau, tilted, threshold=x)
+            est = achievability_beta(eps, tau, tilted, x)
             assert est.beta == pytest.approx(level, abs=2 / math.sqrt(num))
 
     def test_law_without_active_modes_returns_the_level_exactly(self):
@@ -155,7 +155,10 @@ class TestAchievabilityBeta:
         taus = (0.01, 0.03, 0.06, 0.09)
         lowest = empirical_quantile(h_draws, 1 - 0.1 + taus[-1])
         tilted = TiltedSample(LawParams(*law), SeededRng(61), 100_000, lowest)
-        betas = [achievability_beta(h_draws, 0.1, tau, tilted).beta for tau in taus]
+        betas = [
+            achievability_beta(0.1, tau, tilted, empirical_quantile(h_draws, 1 - 0.1 + tau)).beta
+            for tau in taus
+        ]
         assert all(b2 >= b1 for b1, b2 in zip(betas, betas[1:]))
 
     def test_tilted_path_matches_exact_tail(self):
@@ -202,11 +205,12 @@ class TestAchievabilityBeta:
 
     def test_tau_eps_validation(self):
         _, h_draws, law = _laws([1.0], [1.0], 10, seed=10, num=2000)
-        tilted = TiltedSample(LawParams(*law), SeededRng(0), 2000, float(h_draws.min()))
+        threshold = float(h_draws.min())
+        tilted = TiltedSample(LawParams(*law), SeededRng(0), 2000, threshold)
         with pytest.raises(ValueError):
-            achievability_beta(h_draws, 0.1, 0.1, tilted)
+            achievability_beta(0.1, 0.1, tilted, threshold)
         with pytest.raises(ValueError):
-            achievability_beta(h_draws, 0.1, 0.2, tilted)
+            achievability_beta(0.1, 0.2, tilted, threshold)
 
 
 class TestComputeC1:

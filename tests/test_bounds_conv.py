@@ -15,7 +15,8 @@ from ambc_fbl.bounds_conv import (
     sample_converse_density,
 )
 from ambc_fbl.channel import EigenSpectrum, Fading, composite, draw_channel, eigen_spectrum
-from ambc_fbl.numerics import SeededRng
+from ambc_fbl.errors import ConvergenceError
+from ambc_fbl.numerics import SeededRng, product_gamma_logpdf
 from ambc_fbl.power import PowerAllocation, waterfill
 from oracles import product_gamma_pdf
 
@@ -166,7 +167,7 @@ class TestConverseConstants:
         monkeypatch.setattr(bounds_conv, "product_gamma_logpdf", counted)
         _unit_scale_log_sup.cache_clear()
         _unit_scale_log_sup(2, 2000)
-        assert 0 < len(calls) <= 25
+        assert 0 < len(calls) <= 10
 
     def test_sup_dominates_samples(self):
         g, p = _setup([3.0, 1.0], [0.7, 0.3])
@@ -182,6 +183,44 @@ class TestConverseConstants:
         consts = converse_constants(3, 128, g, p, 1.0)
         assert 0 < consts.k1 < math.inf
         assert consts.k == consts.k1 * consts.k2
+
+
+class TestUnitScaleLogSup:
+    """The K1 search: Newton's method on log q(e^u), concave in u = log z."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 8])
+    @pytest.mark.parametrize("n", [8, 100, 2000, 4096])
+    def test_matches_bounded_scipy_oracle(self, m, n):
+        # scipy's bounded search on the same quadrature, over 8 standard
+        # deviations of log Z on each side of the Newton start
+        def neg(u):
+            return -product_gamma_logpdf(math.exp(u), m, n, 1.0)
+
+        u0, sd = m * math.log(n - 1), math.sqrt(m / (n - 1))
+        res = optimize.minimize_scalar(
+            neg, bounds=(u0 - 8 * sd, u0 + 8 * sd), method="bounded", options={"xatol": 1e-10}
+        )
+        assert abs(res.x - u0) < 4 * sd
+        assert _unit_scale_log_sup(m, n) == pytest.approx(-res.fun, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "log_q, message",
+        [(lambda z, *_: math.log(z) ** 2, "not concave"), (lambda *_: math.nan, "non-finite")],
+        ids=["convex", "nan"],
+    )
+    def test_bad_objective_raises(self, monkeypatch, log_q, message):
+        monkeypatch.setattr(bounds_conv, "product_gamma_logpdf", log_q)
+        _unit_scale_log_sup.cache_clear()
+        with pytest.raises(ConvergenceError, match=message):
+            _unit_scale_log_sup(2, 100)
+
+    def test_step_limit_raises(self, monkeypatch):
+        # log q(e^u) = -e^u is concave but has no maximum: every Newton
+        # step moves u down by 1
+        monkeypatch.setattr(bounds_conv, "product_gamma_logpdf", lambda z, *_: -z)
+        _unit_scale_log_sup.cache_clear()
+        with pytest.raises(ConvergenceError, match="did not converge in 50 steps"):
+            _unit_scale_log_sup(2, 2000)
 
 
 class TestConverseRate:

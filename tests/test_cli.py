@@ -83,8 +83,9 @@ class TestConfig:
             dict(fading="rician"),
             dict(curves=["capacity", "bogus"]),
             dict(mc_samples=10),
-            dict(aggregate="geomean"),
-            dict(aggregate="single"),
+            # the retired aggregate key is unknown, whatever its value
+            dict(aggregate="mean"),
+            dict(aggregate="median"),
             dict(a_coeff=1.5),
             dict(snr_db="0"),
             dict(snr_db=None),
@@ -313,21 +314,20 @@ class TestAggregate:
     def test_two_draws(self):
         # mean 2, sample sd sqrt(2): between 1.96 sqrt(2) / sqrt(2) = 1.96;
         # MC sqrt(0.3^2 + 0.4^2) / 2 = 0.25
-        center, ci = cli._aggregate(np.array([1.0, 3.0]), np.array([0.3, 0.4]), "mean")
+        center, ci = cli._aggregate(np.array([1.0, 3.0]), np.array([0.3, 0.4]))
         assert center == 2.0
         assert ci == pytest.approx(math.hypot(1.96, 0.25), rel=1e-15)
 
     def test_three_draws(self):
-        # median 2; mean 7/3, squared deviations 42/9, sample variance 7/3:
+        # mean 7/3, squared deviations 42/9, sample variance 7/3:
         # between 1.96 sqrt(7/3) / sqrt(3) = 1.96 sqrt(7) / 3; MC 0.3 / 3
         values, cis = np.array([1.0, 2.0, 4.0]), np.array([0.1, 0.2, 0.2])
-        center, ci = cli._aggregate(values, cis, "median")
-        assert center == 2.0
+        center, ci = cli._aggregate(values, cis)
+        assert center == pytest.approx(7 / 3, rel=1e-15)
         assert ci == pytest.approx(math.hypot(1.96 * math.sqrt(7) / 3, 0.1), rel=1e-15)
-        assert cli._aggregate(values, cis, "mean")[0] == pytest.approx(7 / 3, rel=1e-15)
 
     def test_one_draw_has_only_its_mc_half_width(self):
-        assert cli._aggregate(np.array([1.5]), np.array([0.2]), "mean") == (1.5, 0.2)
+        assert cli._aggregate(np.array([1.5]), np.array([0.2])) == (1.5, 0.2)
 
 
 class TestDeterminism:
@@ -402,6 +402,8 @@ class TestMain:
         "out_dir_missing": (["sweep", "--out", "{tmp}/missing/x.csv"], "missing is not a directory"),
         "out_parent_is_a_file": (["sweep", "--out", "{tmp}/cfg.json/x.csv"], "cfg.json is not a directory"),
         "out_is_a_directory": (["sweep", "--out", "{tmp}"], "cannot write results to"),
+        "point_curves_empty": (["point", "--n", "64", "--curves", ""], "at least one curve must be requested"),
+        "sweep_curves_empty": (["sweep", "--out", "{tmp}/x.csv", "--curves", ""], "at least one curve"),
     }
 
     @pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
@@ -488,8 +490,8 @@ class TestMain:
         ids=["import", "sweep_eps", "sweep_eps_d", "point", "tag_convert", "sweep_all_curves", "point_all_curves"],
     )
     def test_closed_form_commands_leave_scipy_unloaded(self, tmp_path, argv, overrides):
-        # Q, its inverse, log I, complex ln Gamma and the Brent searches are
-        # numpy and standard-library code, so no command loads any scipy
+        # Q, its inverse, log I, complex ln Gamma and the K1 Newton search
+        # are numpy and standard-library code, so no command loads any scipy
         # module, the Monte Carlo bounds included
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(asdict(_config(**{"channel_draws": 20, **overrides}))))

@@ -3,14 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import integrate, optimize, special, stats
+from scipy import integrate, special, stats
 
-from ambc_fbl import bounds_conv, numerics
 from ambc_fbl.cli import MIN_EPS
-from ambc_fbl.errors import ConvergenceError
 from ambc_fbl.numerics import (
     SeededRng,
-    brent_min,
     digamma,
     empirical_quantile,
     gaussian_q,
@@ -313,64 +310,6 @@ class TestEmpiricalQuantile:
             empirical_quantile(sample, [0.5, 1.0])
         with pytest.raises(ValueError):
             empirical_quantile(np.array([]), 0.5)
-
-
-class TestBrentMin:
-    @pytest.mark.parametrize("m", [1, 2, 3])
-    @pytest.mark.parametrize("n", [8, 100, 2000, 4096])
-    def test_bit_equal_to_scipy_brent_on_the_k1_objective(self, m, n, monkeypatch):
-        minima = []
-
-        def checked(f, lo, mid, hi, xtol):
-            visits = {"ours": [], "scipy": []}
-
-            def recorded(key):
-                return lambda u: visits[key].append(u) or f(u)
-
-            x, fx = brent_min(recorded("ours"), lo, mid, hi, xtol)
-            res = optimize.minimize_scalar(
-                recorded("scipy"), bracket=(lo, mid, hi), method="brent", options={"xtol": xtol}
-            )
-            assert res.success
-            assert (x, fx) == (res.x, res.fun)
-            # the same points in the same order, so the quadrature count is too
-            assert visits["ours"] == visits["scipy"]
-            minima.append(fx)
-            return x, fx
-
-        # the K1 search of the converse, on the bracket it grows
-        monkeypatch.setattr(bounds_conv, "brent_min", checked)
-        bounds_conv._unit_scale_log_sup.cache_clear()
-        try:
-            assert bounds_conv._unit_scale_log_sup(m, n) == -minima[0]
-        finally:
-            bounds_conv._unit_scale_log_sup.cache_clear()
-
-    def test_smooth_minimum(self):
-        x, fx = brent_min(lambda u: (u - 1.25) ** 2 + 3.0, -4.0, 0.0, 4.0, xtol=1e-10)
-        assert x == pytest.approx(1.25, abs=1e-8)
-        assert fx == pytest.approx(3.0, abs=1e-15)
-
-    def test_bad_brackets_raise(self):
-        def f(u):
-            return (u - 1.0) ** 2
-
-        with pytest.raises(ConvergenceError):
-            brent_min(f, 2.0, 3.0, 4.0, xtol=1e-10)  # f(mid) above f(lo)
-        with pytest.raises(ConvergenceError):
-            brent_min(f, 4.0, 1.0, -2.0, xtol=1e-10)  # not ordered
-
-    def test_unresolved_after_the_iteration_limit_raises(self, monkeypatch):
-        monkeypatch.setattr(numerics, "_MIN_MAXITER", 3)
-        with pytest.raises(ConvergenceError, match="did not converge"):
-            brent_min(lambda u: (u - 1.25) ** 2, -4.0, 0.0, 4.0, xtol=1e-10)
-
-    def test_nan_raises(self):
-        def f(u):
-            return math.nan if 0.5 < u < 2.0 else (u - 1.0) ** 2
-
-        with pytest.raises(ConvergenceError, match="NaN"):
-            brent_min(f, -4.0, 0.0, 4.0, xtol=1e-10)
 
 
 class TestProductGammaPdf:
