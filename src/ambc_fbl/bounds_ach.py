@@ -6,8 +6,11 @@ and the conditional law at type-I level 1 - eps + tau, and kappa is the
 measure-matching constant lower-bounded by tau over a computable density-ratio
 supremum.  Both ingredients are evaluated by Monte Carlo on the information
 density: beta is read from one tilted sample of the output law
-(``tail.TiltedSample``), shared with the converse, at thresholds taken from
-a sample of the conditional law.
+(``tail.TiltedSample``, one chi-square and one normal draw per mode),
+shared with the converse, at thresholds taken from a sample of the
+conditional law.  The sample keeps its draws at or above the lowest of
+the four thresholds, sorted, so each tau's read is a binary search and a
+pass over the draws it accepts.
 """
 
 from __future__ import annotations

@@ -5,9 +5,10 @@ law and a product auxiliary channel whose per-mode outputs are CN(0, 1+g_j p_j);
 K = K1 K2 combines a supremum of the auxiliary per-mode-energy density (a
 product-of-gammas law evaluated by Mellin inversion) with the volume of the
 ball that contains every admissible energy vector.  beta is read from one
-tilted sample of the output law (``tail.TiltedSample``), shared with the
-achievability side, at a threshold taken from a sample of the conditional
-law.
+tilted sample of the output law (``tail.TiltedSample``, one chi-square and
+one normal draw per mode, the draws at or above the threshold kept sorted),
+shared with the achievability side, at a threshold taken from a sample of
+the conditional law.
 """
 
 from __future__ import annotations

@@ -12,18 +12,24 @@ evaluates a bound's two tag symbols at the same time through ``run_calls``
 (one thread pool, shared with the sweep) and mixes them.  The achievability
 bound draws one tilted sample per tag symbol, on its ``rng.split(2)``, and
 reads its four tau levels from it; the converse draws one and reads it at
-eta.
+eta.  A sample keeps its draws at or above its lowest threshold, sorted
+once, so each read is a binary search and one pass over the draws it
+accepts.
 
 Per active mode j with y = g_j p_j > 0, X has the per-block contribution
   n (log(1+y) + 1) - s * W,   W ~ ncx2(2n, lam),
 with lam = 2n(1+y)/y and s = y/2 under the output law: an exact identity
 for the sum over the n per-use terms, obtained by splitting each complex
-Gaussian into its real and imaginary parts.  Zero-power modes contribute
-exactly zero.  The law tilted by theta (density times e^(theta x - K(theta)),
-K the closed-form cumulant generating function) has noncentrality lam / a
-and scale s / a, a = 1 + 2 theta s.  X is the log-likelihood ratio of the
-conditional law to the output law, so K(1) = 0 and the conditional law is
-the tilt by 1: noncentrality 2n/y and scale y/(2(1+y)).
+Gaussian into its real and imaginary parts.  A tilted sample draws W as
+chi2(2n - 1) + (Z + sqrt(lam))^2, one gamma and one normal draw per mode;
+the conditional sample (``sample_law``) keeps its older two-gamma draw
+ncx2(n, lam) + chi2(n), whose stream fixes every threshold.  Zero-power
+modes contribute exactly zero.  The law tilted by theta (density times
+e^(theta x - K(theta)), K the closed-form cumulant generating function) has
+noncentrality lam / a and scale s / a, a = 1 + 2 theta s.  X is the
+log-likelihood ratio of the conditional law to the output law, so K(1) = 0
+and the conditional law is the tilt by 1: noncentrality 2n/y and scale
+y/(2(1+y)).
 """
 
 from __future__ import annotations
@@ -92,15 +98,16 @@ class LawParams:
         return self.lam / a, self.scale / a
 
     def sample(self, gen: np.random.Generator, size: int, theta: float = 0.0) -> np.ndarray:
-        """``size`` draws from the law tilted by ``theta``."""
+        """``size`` draws from the law tilted by ``theta``, with one gamma draw
+        per mode: W = chi2(2n - 1) + (Z + sqrt(lam))^2, Z standard normal, is
+        ncx2(2n, lam)."""
         out = np.zeros(size)
         for c, lam, s in zip(self.const, *self.tilt(theta)):
-            w = gen.noncentral_chisquare(self.n, lam, size)
-            w += gen.chisquare(self.n, size)
-            # c - s * w, evaluated in place
-            w *= s
-            np.subtract(c, w, out=w)
-            out += w
+            w = gen.standard_normal(size)
+            w += math.sqrt(lam)
+            np.square(w, out=w)
+            w += gen.chisquare(2 * self.n - 1, size)
+            _add_mode(out, c, s, w)
         return out
 
     def solve_tilt(self, target: float) -> float:
@@ -132,6 +139,13 @@ class LawParams:
         raise ConvergenceError(f"tilt search did not converge in {_TILT_MAXITER} iterations")
 
 
+def _add_mode(out: np.ndarray, c: float, s: float, w: np.ndarray) -> None:
+    """out += c - s * w, evaluated in place in ``w``."""
+    w *= s
+    np.subtract(c, w, out=w)
+    out += w
+
+
 def mode_gammas(g: EigenSpectrum, p: PowerAllocation) -> np.ndarray:
     """Per-mode received SNRs g_j p_j."""
     return np.asarray(g.g, dtype=float) * np.asarray(p.p, dtype=float)
@@ -144,7 +158,17 @@ def sample_law(n: int, gammas: np.ndarray, rng: SeededRng, num_samples: int) -> 
         raise ValueError("blocklength must be >= 1")
     if num_samples < 1000:
         raise ValueError("num_samples must be >= 1000")
-    return LawParams(n, gammas).sample(rng.generator(), num_samples, 1.0)
+    law = LawParams(n, gammas)
+    gen = rng.generator()
+    out = np.zeros(num_samples)
+    # W keeps its two-gamma draw ncx2(n, lam) + chi2(n), not the one-gamma
+    # draw of LawParams.sample: this stream fixes every threshold, and with
+    # it the seed-to-seed spread of the bounds that the benchmark measures
+    for c, lam, s in zip(law.const, *law.tilt(1.0)):
+        w = gen.noncentral_chisquare(law.n, lam, num_samples)
+        w += gen.chisquare(law.n, num_samples)
+        _add_mode(out, c, s, w)
+    return out
 
 
 @dataclass(frozen=True)
@@ -180,18 +204,28 @@ class TiltedSample:
     from one sample.  At or below the mean theta is 0 and the sample is
     plain output-law Monte Carlo.  A law without active modes takes no
     draws.
+
+    Construction keeps only the draws at or above ``lowest``, sorted, with
+    their log weights cgf(theta) - theta x; a read is then a binary search
+    and one pass over the draws it accepts, never over the rejected ones.
     """
 
     def __init__(self, law: LawParams, rng: SeededRng, size: int, lowest: float):
-        self.law = law
         self._lowest = lowest
+        self._size = size
         self.theta = 0.0
-        self._draws: Optional[np.ndarray] = None
+        self._kept: Optional[np.ndarray] = None
         if law.degenerate:
             return
         if lowest > law.cgf_derivatives(0.0)[0]:
             self.theta = law.solve_tilt(lowest)
-        self._draws = law.sample(rng.generator(), size, self.theta)
+        draws = law.sample(rng.generator(), size, self.theta)
+        self._kept = draws[draws >= lowest]
+        self._kept.sort()
+        # with theta >= 0 the log weights fall as x rises, so the first
+        # accepted draw of any read has the largest
+        self._log_w = self.theta * self._kept
+        np.subtract(law.cgf(self.theta), self._log_w, out=self._log_w)
 
     def beta(self, level: float, threshold: float) -> BetaEstimate:
         """beta = P[X >= ``threshold``] under ``law``, for the test of
@@ -204,30 +238,31 @@ class TiltedSample:
         ``InsufficientSamplesError`` when no draw reaches the threshold or
         the relative CI exceeds 0.5.
         """
-        if self._draws is None:
+        if self._kept is None:
             return BetaEstimate(level, math.log(level), threshold, 0.0, tilted=False)
         if threshold < self._lowest:
             raise ValueError("a tilted sample reads no threshold below its lowest")
-        theta, draws = self.theta, self._draws
-        # cgf - theta x, and below its shift and exp, in place, so the draws
-        # and this one buffer are the sample-sized arrays a read holds
-        log_w = theta * draws
-        np.subtract(self.law.cgf(theta), log_w, out=log_w)
-        accepted = draws >= threshold
-        if not accepted.any():
+        log_w = self._log_w[np.searchsorted(self._kept, threshold):]
+        if log_w.size == 0:
             raise InsufficientSamplesError("no tilted draw reached the threshold")
-        mx = float(log_w[accepted].max())
-        log_w -= mx
-        # rejected draws weigh 0; their log weights can lie far above mx, and
-        # exp would overflow on them
-        log_w[~accepted] = -np.inf
-        shifted = np.exp(log_w, out=log_w)
-        mean = float(shifted.mean())
-        ci_rel = 1.96 * float(shifted.std() / math.sqrt(draws.size)) / mean
+        mx = float(log_w[0])
+        shifted = np.exp(log_w - mx)
+        # mean and population variance over all draws, each rejected draw
+        # a weight of 0; the squares are summed in place, not by a BLAS dot,
+        # which stalls when two threads call a multithreaded BLAS at once
+        num = self._size
+        mean = float(shifted.sum()) / num
+        shifted -= mean
+        np.square(shifted, out=shifted)
+        var = (float(shifted.sum()) + (num - shifted.size) * mean**2) / num
+        ci_rel = 1.96 * math.sqrt(var / num) / mean
         if ci_rel > 0.5:
             raise InsufficientSamplesError(f"tilted estimate relative CI {ci_rel:.2f} > 0.5")
-        log_beta = mx + math.log(mean)
-        return BetaEstimate(float(np.exp(log_beta)), log_beta, threshold, ci_rel, tilted=theta > 0)
+        # at theta = 0 every weight is 1 and beta is the accepted fraction,
+        # exactly
+        return BetaEstimate(
+            math.exp(mx) * mean, mx + math.log(mean), threshold, ci_rel, tilted=self.theta > 0
+        )
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ambc_fbl import bounds_ach
+from ambc_fbl import bounds_ach, bounds_conv, tail
 from ambc_fbl.bounds_ach import (
     AchievabilityResult,
     MixedRate,
@@ -384,20 +384,38 @@ class TestOutputDrawSkip:
         pin_cpus(1)
         ch = draw_channel(SeededRng(19), 2, 3, Fading.rayleigh(), 0.5)
         sp, sm = eigen_spectrum(composite(ch, +1)), eigen_spectrum(composite(ch, -1))
-        thetas = []
-        sample = LawParams.sample
+        calls = []
+        sample, conditional = LawParams.sample, bounds_ach.sample_law
 
         def recorded(self, gen, size, theta=0.0):
-            thetas.append(theta)
+            calls.append(("tilted", theta))
             return sample(self, gen, size, theta)
 
+        def recorded_conditional(*args):
+            calls.append(("conditional", 1.0))
+            return conditional(*args)
+
         monkeypatch.setattr(LawParams, "sample", recorded)
+        monkeypatch.setattr(bounds_ach, "sample_law", recorded_conditional)
         res = achievability_rate(100, sp, sm, 1.0, 1e-3, SeededRng(20), 20_000)
         # per symbol: the conditional sample (the tilt by 1), then one
         # sample tilted into the output law's upper tail for all four tau
-        assert thetas[0::2] == [1.0, 1.0]
-        assert all(0.0 < theta < 1.0 for theta in thetas[1::2]) and len(thetas) == 4
+        assert [kind for kind, _ in calls] == ["conditional", "tilted"] * 2
+        assert all(0.0 < theta < 1.0 for _, theta in calls[1::2])
         assert all(sub.estimate.tilted for sub in res.per_d)
+
+
+def _written_out(law, stream, num, theta, threshold):
+    """log beta and its relative 95% CI at ``threshold``, as the
+    importance-sampling sum over all ``num`` draws of the law tilted by
+    ``theta`` on ``stream``, each rejected draw a weight of 0."""
+    draws = law.sample(stream.generator(), num, theta)
+    log_w = law.cgf(theta) - theta * draws[draws >= threshold]
+    mx = log_w.max()
+    weights = np.zeros(num)
+    weights[: log_w.size] = np.exp(log_w - mx)
+    mean = weights.mean()
+    return mx + math.log(mean), 1.96 * weights.std() / math.sqrt(num) / mean
 
 
 class TestSharedTiltedSample:
@@ -418,8 +436,9 @@ class TestSharedTiltedSample:
 
         monkeypatch.setattr(bounds_ach, "achievability_beta", recorded)
         g = EigenSpectrum(np.asarray(gains, float), 1)
+        p = waterfill(g, 1.0)
         bounds_ach._fixed_d_rate(n, g, 1.0, 1e-3, SeededRng(seed), num)
-        law = LawParams(n, g.g * waterfill(g, 1.0).p)
+        law = LawParams(n, g.g * p.p)
         assert law.gammas.size == len(gains)
         assert len(ests) == 4 and all(est.tilted for est in ests)
         first = ests[0]
@@ -427,13 +446,32 @@ class TestSharedTiltedSample:
         stream = SeededRng(seed).split(2)
         own = TiltedSample(law, stream, num, first.threshold).beta(1 - 1e-3 / 2, first.threshold)
         assert (first.log_beta, first.ci_rel) == (own.log_beta, own.ci_rel)
-        # and to the importance-sampling sum written out
+        # every tau's sorted read is the importance-sampling sum written
+        # out over all draws, to 1e-12 relative in beta and its CI
         theta = law.solve_tilt(first.threshold)
-        draws = law.sample(stream.generator(), num, theta)
-        log_w = law.cgf(theta) - theta * draws[draws >= first.threshold]
-        mx = log_w.max()
-        written_out = mx + math.log(np.exp(log_w - mx).sum() / num)
-        assert first.log_beta == pytest.approx(written_out, abs=1e-9)
+        for est in ests:
+            log_beta, ci_rel = _written_out(law, stream, num, theta, est.threshold)
+            assert abs(est.log_beta - log_beta) <= 1e-12
+            assert est.ci_rel == pytest.approx(ci_rel, rel=1e-12)
+        # and so is the converse's read at eta, on its own sample
+        draws = bounds_conv.sample_converse_density(n, g, p, SeededRng(seed).split(0), num)
+        est = bounds_conv.np_beta_converse(draws, 1e-3, (n, law.gammas), SeededRng(seed).split(1))
+        assert est.tilted and est.threshold == empirical_quantile(draws, 1 - 1e-3)
+        theta = law.solve_tilt(est.threshold)
+        log_beta, ci_rel = _written_out(law, SeededRng(seed).split(1), num, theta, est.threshold)
+        assert abs(est.log_beta - log_beta) <= 1e-12
+        assert est.ci_rel == pytest.approx(ci_rel, rel=1e-12)
+
+    @pytest.mark.parametrize("gains,n", LAWS)
+    def test_reads_do_not_depend_on_their_order(self, gains, n):
+        law = LawParams(n, np.asarray(gains, float))
+        cond = tail.sample_law(n, law.gammas, SeededRng(22, 0), 20_000)
+        levels = [1 - 1e-3 + 1e-3 / k for k in (2, 4, 8, 16)]
+        thresholds = empirical_quantile(cond, levels).tolist()
+        sample = TiltedSample(law, SeededRng(22, 1), 20_000, thresholds[0])
+        forward = [sample.beta(*read) for read in zip(levels, thresholds)]
+        backward = [sample.beta(*read) for read in reversed(list(zip(levels, thresholds)))]
+        assert forward == backward[::-1]
 
     def test_other_taus_agree_with_samples_of_their_own(self):
         # 12 comparisons (4 laws, 3 tau each): the family-wise 95% band

@@ -349,8 +349,8 @@ class TestDeterminism:
     # target skips 114 of its 300 draws, and the Rician draws at -10 dB
     # leave some eigenmodes without power.
     PINNED = {
-        "low_snr": (dict(snr_db=-20.0, eps=0.3, n_grid=[8, 16]), 'n,capacity_bits,na_bits,ach_bits,conv_bits,ach_ci,conv_ci,draws\n8,0.0932227,0.0036593,-0.21037,0.404566,0.0882307,0.110704,2\n16,0.0932227,0.0298918,-0.0725941,0.277716,0.0754879,0.0936646,2\n'),
-        "tilted": (dict(snr_db=0.0, eps=1e-3, n_grid=[16, 32]), 'n,capacity_bits,na_bits,ach_bits,conv_bits,ach_ci,conv_ci,draws\n16,2.98626,1.72366,1.34202,2.26555,1.3625,1.22426,2\n32,2.98626,2.09347,1.93196,2.40188,1.44175,1.53972,2\n'),
+        "low_snr": (dict(snr_db=-20.0, eps=0.3, n_grid=[8, 16]), 'n,capacity_bits,na_bits,ach_bits,conv_bits,ach_ci,conv_ci,draws\n8,0.0932227,0.0036593,-0.210145,0.407108,0.0865215,0.106037,2\n16,0.0932227,0.0298918,-0.0732933,0.275936,0.0763383,0.0879214,2\n'),
+        "tilted": (dict(snr_db=0.0, eps=1e-3, n_grid=[16, 32]), 'n,capacity_bits,na_bits,ach_bits,conv_bits,ach_ci,conv_ci,draws\n16,2.98626,1.72366,1.34459,2.26614,1.35406,1.21824,2\n32,2.98626,2.09347,1.93497,2.39843,1.437,1.53584,2\n'),
         "closed_form_tag_target": (dict(eps=None, eps_d=0.1, channel_draws=300, n_grid=[100, 500, 2000], seed=20260808, curves=["capacity", "normal_approx"]), 'n,capacity_bits,na_bits,ach_bits,conv_bits,ach_ci,conv_ci,draws\n100,2.96406,2.72528,nan,nan,nan,nan,186\n500,2.96406,2.85728,nan,nan,nan,nan,186\n2000,2.96406,2.91067,nan,nan,nan,nan,186\n'),
         "closed_form_rician": (dict(fading="rician", k_factor_db=10.0, t=3, r=2, snr_db=-10.0, channel_draws=50, n_grid=[100, 500, 2000], curves=["capacity", "normal_approx"]), 'n,capacity_bits,na_bits,ach_bits,conv_bits,ach_ci,conv_ci,draws\n100,0.714686,0.392822,nan,nan,nan,nan,50\n500,0.714686,0.570744,nan,nan,nan,nan,50\n2000,0.714686,0.642715,nan,nan,nan,nan,50\n'),
     }

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy import optimize
+from scipy import optimize, stats
 
 from ambc_fbl import bounds_ach, bounds_conv, tail
 from ambc_fbl.bounds_ach import achievability_rate
@@ -20,7 +20,7 @@ from ambc_fbl.cli import ExperimentConfig, run_sweep
 from ambc_fbl.errors import ConvergenceError
 from ambc_fbl.numerics import SeededRng
 from ambc_fbl.power import waterfill
-from ambc_fbl.tail import LawParams, run_calls
+from ambc_fbl.tail import LawParams, TiltedSample, run_calls
 
 _NS = (8, 100, 2000, 20_000)
 
@@ -100,6 +100,58 @@ class TestSolveTilt:
         law = LawParams(100, np.array([1.0]))
         with pytest.raises(ValueError, match="supremum"):
             law.solve_tilt(float(law.const.sum()))
+
+
+class TestTiltedDraw:
+    """``LawParams.sample`` draws each mode's W ~ ncx2(2n, lam) as
+    chi2(2n - 1) + (Z + sqrt(lam))^2, one gamma draw."""
+
+    @pytest.mark.parametrize("n", [1, 8, 2000])
+    @pytest.mark.parametrize("y", [0.01, 1.0, 100.0])
+    def test_matches_the_noncentral_chi_square(self, n, y):
+        # one mode: the output law (theta = 0) has lam = 2n(1+y)/y, and the
+        # conditional law (theta = 1) lam = 2n/y; W = (c - X) / s
+        law = LawParams(n, np.array([y]))
+        for theta in (0.0, 1.0):
+            lam, scale = law.tilt(theta)
+            x = law.sample(SeededRng(23).generator(), 20_000, theta)
+            w = (law.const[0] - x) / scale[0]
+            # 18 tests at a fixed seed: a family-wise 1 % level
+            assert stats.kstest(w, stats.ncx2(2 * n, lam[0]).cdf).pvalue > 0.01 / 18
+
+    @pytest.mark.parametrize("n", [1, 8, 2000])
+    @pytest.mark.parametrize("y", [0.01, 1.0, 100.0])
+    def test_tilted_mean_sits_at_the_lowest_threshold(self, n, y):
+        law = LawParams(n, np.array([y]))
+        mean, var = law.cgf_derivatives(0.0)
+        # halfway to the supremum, or two standard deviations up
+        lowest = mean + min(2.0 * math.sqrt(var), 0.5 * (float(law.const.sum()) - mean))
+        num = 20_000
+        sample = TiltedSample(law, SeededRng(24), num, lowest)
+        assert sample.theta > 0.0
+        draws = law.sample(SeededRng(24).generator(), num, sample.theta)
+        sd = math.sqrt(law.cgf_derivatives(sample.theta)[1])
+        assert abs(draws.mean() - lowest) <= 4.0 * sd / math.sqrt(num)
+
+
+class TestSortedReads:
+    def test_untilted_read_is_the_accepted_fraction(self):
+        # at or below the output law's mean theta is 0, every weight is 1,
+        # and beta is the fraction k / N of draws at or above the threshold
+        law = LawParams(100, np.array([1.0, 0.5]))
+        mean, var = law.cgf_derivatives(0.0)
+        num = 20_000
+        sample = TiltedSample(law, SeededRng(25), num, mean - math.sqrt(var))
+        assert sample.theta == 0.0
+        draws = np.sort(law.sample(SeededRng(25).generator(), num, 0.0))
+        # the k-th largest draw, for the first k from N / 4 with exp(log(k / N)) != k / N
+        k = next(k for k in range(num // 4, num) if math.exp(math.log(k / num)) != k / num)
+        for threshold in (mean - math.sqrt(var), mean, draws[num - k]):
+            est = sample.beta(0.5, threshold)
+            p = int((draws >= threshold).sum()) / num
+            assert not est.tilted
+            assert est.beta == p and est.log_beta == math.log(p)
+            assert est.ci_rel == pytest.approx(1.96 * math.sqrt((1 - p) / (p * num)), rel=1e-12)
 
 
 class _Leaves:
