@@ -34,7 +34,7 @@ from .errors import (
     OverflowRegimeError,
     ZeroSpectrumError,
 )
-from .numerics import MAX_GAMMA_COPIES, MAX_GAMMA_SHAPE, SeededRng
+from .numerics import SeededRng
 from .power import waterfill
 from .tail import run_calls
 
@@ -152,14 +152,6 @@ class ExperimentConfig:
         if not curves:
             raise ConfigError("at least one curve must be requested")
         object.__setattr__(self, "curves", curves)
-        # the converse's K1 constant is a product-of-gammas density with
-        # min(t, r) factors of shape n
-        if "converse" in curves and (
-            grid[-1] > MAX_GAMMA_SHAPE or min(self.t, self.r) > MAX_GAMMA_COPIES
-        ):
-            raise ConfigError(
-                f"the converse needs n <= {MAX_GAMMA_SHAPE} and min(t, r) <= {MAX_GAMMA_COPIES}"
-            )
 
     @property
     def total_power(self) -> float:

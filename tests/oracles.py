@@ -42,8 +42,7 @@ def verify_sigma_maximizer(g_j: float, p_j: float, tol: float = 1e-9) -> float:
 
 def product_gamma_pdf(z: float, copies: int, shape: int, scale: float) -> float:
     """Density of a product of ``copies`` iid Gamma(shape, scale) variables."""
-    lp = product_gamma_logpdf(z, copies, shape, scale)
-    return float(np.exp(lp)) if np.isfinite(lp) else 0.0
+    return math.exp(product_gamma_logpdf(z, copies, shape, scale))
 
 
 def simulate_tag_error(

@@ -141,7 +141,7 @@ class TestConverseConstants:
             peak = stats.gamma.pdf((n - 1) * theta, a=n, scale=theta)
             assert k1 == pytest.approx(peak / (1 * n), rel=1e-6)
 
-    @pytest.mark.parametrize("n", [8, 100, 2000, 4096])
+    @pytest.mark.parametrize("n", [8, 100, 2000, 4096, 100_000])
     def test_two_mode_sup_matches_bessel_k0_closed_form(self, n):
         # the product of two Gamma(n, 1) variables has density
         # 2 z^(n-1) K0(2 sqrt z) / Gamma(n)^2; maximize its log over u = log z
@@ -155,6 +155,15 @@ class TestConverseConstants:
             neg, bounds=(u0 - 8.0, u0 + 4.0), method="bounded", options={"xatol": 1e-10}
         )
         assert _unit_scale_log_sup(2, n) == pytest.approx(-res.fun, abs=1e-9)
+
+    @pytest.mark.parametrize("n", [8, 100, 4096, 100_000, 1_000_000])
+    def test_single_mode_sup_matches_its_closed_form(self, n):
+        # the Gamma(n, 1) log-density peaks at z = n - 1; the closed form is
+        # taken at 30 digits, since (n - 1) ln(n - 1) alone rounds by 1e-9
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 30
+        ref = float((n - 1) * mpmath.log(n - 1) - (n - 1) - mpmath.loggamma(n))
+        assert _unit_scale_log_sup(1, n) == pytest.approx(ref, abs=1e-9)
 
     def test_cold_search_quadrature_count(self, monkeypatch):
         calls = []

@@ -28,8 +28,10 @@ from ambc_fbl.cli import (
     main,
     run_sweep,
 )
+from ambc_fbl.channel import EigenSpectrum
 from ambc_fbl.errors import ConfigError, ConvergenceError, ZeroSpectrumError
 from ambc_fbl.numerics import SeededRng
+from ambc_fbl.power import waterfill
 
 
 def _run_fresh(script):
@@ -90,8 +92,8 @@ class TestConfig:
             dict(snr_db="0"),
             dict(snr_db=None),
             dict(n_grid=[16, "a"]),
-            dict(n_grid=[16, 5000]),
-            dict(t=9, r=9),
+            dict(n_grid=[]),
+            dict(t=0),
             dict(t=2.0),
             dict(mc_samples=2000.0),
             dict(channel_draws=1.0),
@@ -102,7 +104,6 @@ class TestConfig:
             dict(fading="rician", k_factor_db="10"),
             dict(fading="rician", k_factor_db=4000.0),
             dict(eps=1e-17),
-            # the converse's own limit would reject this grid first
             dict(n_grid=[16, 2**53 + 1], curves=["capacity", "normal_approx"]),
         ],
     )
@@ -452,11 +453,24 @@ class TestMain:
         assert main(["sweep", "--config", str(cfg_path), "--out", "x.csv"]) == 2
         assert "config error" in capsys.readouterr().err
 
-    def test_converse_beyond_its_blocklength_limit_exits_2(self, tmp_path, capsys):
-        cfg_path = tmp_path / "long.json"
-        cfg_path.write_text(json.dumps(dict(asdict(_config()), n_grid=[16, 5000])))
-        assert main(["sweep", "--config", str(cfg_path), "--out", "x.csv"]) == 2
-        assert "config error" in capsys.readouterr().err
+    def test_converse_runs_past_the_old_limits(self):
+        # n = 5000 and min(t, r) = 9 were once refused by the validator
+        assert _config(n_grid=[16, 5000]).n_grid == (16, 5000)
+        cfg = _config(t=9, r=9, n_grid=[16], mc_samples=1000, channel_draws=1)
+        g = EigenSpectrum(g=np.linspace(4.0, 0.5, 9), d=1)
+        consts = bounds_conv.converse_constants(9, 5000, g, waterfill(g, 1.0), 1.0)
+        assert 0.0 < consts.k1 < math.inf and 0.0 < consts.k < math.inf
+        (row,) = run_sweep(cfg).rows
+        assert math.isfinite(row.conv_bits) and row.ach_bits <= row.conv_bits
+
+    def test_converse_past_its_numeric_range_exits_3(self, capsys):
+        # at n = 2**53 the log-density's rounding swamps the K1 search's
+        # stencil, which reports it instead of printing a number
+        config = Path(__file__).resolve().parents[1] / "configs" / "rayleigh_0db.json"
+        argv = ["point", "--config", str(config), "--n", str(2**53), "--curves", "converse"]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "numeric failure" in err and "Traceback" not in err
 
     def test_module_entry_point_runs_without_runtime_warning(self):
         # the package must not import the cli module that ``-m`` then runs

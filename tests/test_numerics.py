@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
+from ambc_fbl import numerics
 from ambc_fbl.cli import MIN_EPS
 from ambc_fbl.numerics import (
     SeededRng,
@@ -15,7 +16,9 @@ from ambc_fbl.numerics import (
     log_bessel_i,
     log_gamma_complex,
     product_gamma_logpdf,
+    trigamma,
 )
+from ambc_fbl.errors import ConvergenceError
 from oracles import product_gamma_pdf
 
 mpmath = pytest.importorskip("mpmath")
@@ -252,21 +255,24 @@ class TestLogBesselI:
 
 
 class TestLogGammaComplex:
-    # the Mellin contour of ``product_gamma_logpdf``: w = n - 1/2 + i t
-    T = np.array([0.0, 0.25, 1.0, 4.0, 16.0, 64.0, 256.0, 1024.0, 3000.0])
+    # the saddle lines of ``product_gamma_logpdf`` for factors of shape n:
+    # w = v + i k h with Re w = v from n / 4 to 2 n, and the step
+    # h = min(1/2 / sqrt(psi'(v)), v / 5) of a single factor
+    K = np.array([0, 1, 4, 16, 64, 256])
 
-    @pytest.mark.parametrize("n", [1, 2, 8, 100, 4096])
+    @pytest.mark.parametrize("n", [1, 2, 8, 100, 4096, 100_000])
     def test_matches_high_precision_on_the_k1_contour(self, n):
         mpmath.mp.dps = 30
-        w = n - 0.5 + 1j * self.T
-        got = log_gamma_complex(w)
-        for wi, value in zip(w, got):
-            ref = mpmath.loggamma(mpmath.mpc(wi.real, wi.imag))
-            assert value.real == pytest.approx(float(ref.real), rel=1e-10)
-            # only cos of the phase is used, so it is compared mod 2 pi
-            phase = math.remainder(float(mpmath.mpf(value.imag) - ref.imag), 2 * math.pi)
-            assert abs(phase) < 1e-10
-        assert digamma(n - 0.5) == pytest.approx(float(mpmath.digamma(n - 0.5)), rel=1e-14, abs=1e-15)
+        for v in (n / 4, max(n - 0.5, 0.5), 2.0 * n):
+            w = v + 1j * min(0.5 / math.sqrt(trigamma(v)), v / 5.0) * self.K
+            got = log_gamma_complex(w)
+            for wi, value in zip(w, got):
+                ref = mpmath.loggamma(mpmath.mpc(wi.real, wi.imag))
+                assert value.real == pytest.approx(float(ref.real), rel=1e-10)
+                # only cos of the phase is used, so it is compared mod 2 pi
+                phase = math.remainder(float(mpmath.mpf(value.imag) - ref.imag), 2 * math.pi)
+                assert abs(phase) < 1e-10
+            assert digamma(v) == pytest.approx(float(mpmath.digamma(v)), rel=1e-14, abs=1e-15)
 
     def test_real_axis_matches_lgamma(self):
         for x in (0.5, 1.0, 3.0, 11.9, 12.0, 1e3):
@@ -277,6 +283,19 @@ class TestLogGammaComplex:
             log_gamma_complex(np.array([1.0, -0.5 + 2j]))
         with pytest.raises(ValueError):
             digamma(0.0)
+
+
+class TestTrigamma:
+    # both sides of the recurrence's shift to 12
+    @pytest.mark.parametrize("x", [0.05, 0.3, 1.0, 3.7, 11.9, 12.0, 12.5, 100.0, 1e4, 1e6])
+    def test_matches_high_precision(self, x):
+        mpmath.mp.dps = 30
+        assert trigamma(x) == pytest.approx(float(mpmath.psi(1, x)), rel=1e-14)
+
+    @pytest.mark.parametrize("x", [0.0, -1.0])
+    def test_domain(self, x):
+        with pytest.raises(ValueError, match="trigamma requires x > 0"):
+            trigamma(x)
 
 
 class TestEmpiricalQuantile:
@@ -346,12 +365,34 @@ class TestProductGammaPdf:
         one = product_gamma_logpdf(0.5, 1, 1000, theta / 2)
         assert one == pytest.approx(stats.gamma.logpdf(0.5, a=1000, scale=theta / 2), abs=1e-8)
 
+    @pytest.mark.parametrize("n", [8, 100, 2000, 4096, 100_000])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_matches_closed_forms_over_eight_sd(self, m, n):
+        # m = 1: the gamma log-density; m = 2: 2 z^(n-1) K0(2 sqrt z) / Gamma(n)^2;
+        # at 17 points over +-8 standard deviations of log Z
+        mean, sd = m * special.digamma(n), math.sqrt(m * special.polygamma(1, n))
+        tol = 1e-9 if n <= 4096 else 1e-8
+        for u in mean + sd * np.linspace(-8.0, 8.0, 17):
+            z = math.exp(u)
+            if m == 1:
+                ref = (n - 1) * u - z - math.lgamma(n)
+            else:
+                x = 2.0 * math.exp(u / 2.0)
+                log_k0 = math.log(special.k0e(x)) - x
+                ref = math.log(2.0) + (n - 1) * u + log_k0 - 2.0 * math.lgamma(n)
+            assert product_gamma_logpdf(z, m, n, 1.0) == pytest.approx(ref, abs=tol)
+
+    def test_node_cap_raises(self, monkeypatch):
+        # the far left tail of 2 Gamma(3) factors needs more than one block
+        assert math.isfinite(product_gamma_logpdf(1e-3, 2, 3, 1.0))
+        monkeypatch.setattr(numerics, "_MELLIN_MAX_NODES", numerics._MELLIN_BLOCK)
+        with pytest.raises(ConvergenceError, match="more than 32 nodes"):
+            product_gamma_logpdf(1e-3, 2, 3, 1.0)
+        assert math.isfinite(product_gamma_logpdf(1.0, 2, 1000, 1e-3))
+
     def test_preconditions(self):
-        with pytest.raises(ValueError):
-            product_gamma_pdf(1.0, 0, 3, 1.0)
-        with pytest.raises(ValueError):
-            product_gamma_pdf(1.0, 9, 3, 1.0)
-        with pytest.raises(ValueError):
-            product_gamma_pdf(1.0, 2, 5000, 1.0)
-        with pytest.raises(ValueError):
-            product_gamma_pdf(-1.0, 2, 3, 1.0)
+        # copies = 0, z < 0, scale = 0, scale < 0, shape = 0
+        cases = [(1.0, 0, 3, 1.0), (-1.0, 2, 3, 1.0), (1.0, 2, 3, 0.0), (1.0, 2, 3, -1.0), (1.0, 2, 0, 1.0)]
+        for args in cases:
+            with pytest.raises(ValueError):
+                product_gamma_pdf(*args)
