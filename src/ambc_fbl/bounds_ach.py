@@ -5,18 +5,15 @@ is the type-II error of the optimal test between the unconditional output law
 and the conditional law at type-I level 1 - eps + tau, and kappa is the
 measure-matching constant lower-bounded by tau over a computable density-ratio
 supremum.  Both ingredients are evaluated by Monte Carlo on the information
-density: beta is read from one tilted sample of the output law
-(``tail.TiltedSample``, one chi-square and one normal draw per mode),
-shared with the converse, at thresholds taken from a sample of the
-conditional law.  The sample keeps its draws at or above the lowest of
-the four thresholds, sorted, so each tau's read is a binary search and a
-pass over the draws it accepts.
+density: the four thresholds are quantiles of a sample of the conditional
+law on the symbol's ``rng.split(0)``, and beta is read from one tilted
+sample of the output law (``tail.TiltedSample``) on its ``rng.split(1)``,
+as in the converse; ``tail.best_bound`` keeps the tau of the largest rate.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +25,9 @@ from .tail import (
     BetaEstimate,
     LawParams,
     MixedRate,
+    SymbolBound,
     TiltedSample,
+    best_bound,
     mixed_rate,
     mode_gammas,
     sample_law,
@@ -38,20 +37,6 @@ _TAU_GRID_DIVISORS = (2, 4, 8, 16)
 # the kappa constant's energy window [1+y-1/2, 1+y+1/2] per use, and its grid
 _C1_HALF_WIDTH = 0.5
 _C1_GRID_POINTS = 513
-
-
-@dataclass(frozen=True)
-class AchievabilityResult:
-    """Achievability bound for one tag symbol ``d``: the tau that maximized
-    the rate, its kappa_tau, the kappa constant c1 and the beta estimate."""
-
-    rate_nats: float
-    ci_rate_bits: float
-    d: int
-    tau: float
-    kappa_tau: float
-    c1: float
-    estimate: BetaEstimate
 
 
 def sample_info_density(
@@ -74,7 +59,7 @@ def achievability_beta(
     conditional draws at that level (``empirical_quantile``, one pass for
     all four tau), and beta the upper tail of the output law there, read
     from ``tilted``.  The bound shares one such sample among its four tau:
-    drawn on the symbol's ``rng.split(2)`` and tilted to the lowest
+    drawn on the symbol's ``rng.split(1)`` and tilted to the lowest
     threshold, that of tau = eps/2.
     """
     if not 0.0 < tau < eps < 1.0:
@@ -162,41 +147,24 @@ def _fixed_d_rate(
     eps: float,
     rng: SeededRng,
     num_samples: int,
-) -> AchievabilityResult:
+) -> SymbolBound:
     p = waterfill(g, total_power)
     gammas = mode_gammas(g, p)
     taus = [eps / k for k in _TAU_GRID_DIVISORS]
-    # rng.split(0), once the output-law sample, is retired and left unused,
-    # so the other streams stay bit-equal
-    h_draws = sample_info_density(n, g, p, rng.split(1), num_samples)
+    levels = [1.0 - eps + tau for tau in taus]
+    h_draws = sample_info_density(n, g, p, rng.split(0), num_samples)
     # one quantile pass over the conditional draws serves every tau
-    thresholds = empirical_quantile(h_draws, [1.0 - eps + tau for tau in taus]).tolist()
+    thresholds = empirical_quantile(h_draws, levels).tolist()
 
-    log_c1 = 0.0
-    for y in gammas[gammas > 0]:
-        log_c1 += math.log(compute_c1(n, y))
-    c1_total = math.exp(log_c1)
+    c1_total = math.exp(sum(math.log(compute_c1(n, y)) for y in gammas[gammas > 0]))
 
     # the lowest threshold is that of taus[0] = eps/2, the largest tau
-    tilted = TiltedSample(LawParams(n, gammas), rng.split(2), num_samples, thresholds[0])
-    best = None
-    for tau, threshold in zip(taus, thresholds):
-        est = achievability_beta(eps, tau, tilted, threshold)
-        kap = kappa_tau(tau, c1_total)
-        rate = (math.log(kap) - est.log_beta) / n
-        if best is None or rate > best[0]:
-            best = (rate, tau, kap, est)
-    rate, tau, kap, est = best
-    # relative CI on beta maps to an absolute rate CI of ci_rel / n nats
-    return AchievabilityResult(
-        rate_nats=rate,
-        ci_rate_bits=est.ci_rel / n / math.log(2),
-        d=g.d,
-        tau=tau,
-        kappa_tau=kap,
-        c1=c1_total,
-        estimate=est,
-    )
+    tilted = TiltedSample(LawParams(n, gammas), rng.split(1), num_samples, thresholds[0])
+    candidates = [
+        (level, math.log(kappa_tau(tau, c1_total)), achievability_beta(eps, tau, tilted, x))
+        for tau, level, x in zip(taus, levels, thresholds)
+    ]
+    return best_bound(n, g.d, candidates)
 
 
 def achievability_rate(

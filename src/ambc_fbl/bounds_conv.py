@@ -4,11 +4,10 @@ beta is the type-II error of the optimal test between the conditional output
 law and a product auxiliary channel whose per-mode outputs are CN(0, 1+g_j p_j);
 K = K1 K2 combines a supremum of the auxiliary per-mode-energy density (a
 product-of-gammas law evaluated by Mellin inversion) with the volume of the
-ball that contains every admissible energy vector.  beta is read from one
-tilted sample of the output law (``tail.TiltedSample``, one chi-square and
-one normal draw per mode, the draws at or above the threshold kept sorted),
-shared with the achievability side, at a threshold taken from a sample of
-the conditional law.
+ball that contains every admissible energy vector.  beta is read from the
+bound's own tilted sample of the output law (``tail.TiltedSample``) on the
+symbol's ``rng.split(1)``, at a threshold taken from a sample of the
+conditional law on its ``rng.split(0)``.
 """
 
 from __future__ import annotations
@@ -28,7 +27,9 @@ from .tail import (
     BetaEstimate,
     LawParams,
     MixedRate,
+    SymbolBound,
     TiltedSample,
+    best_bound,
     mixed_rate,
     mode_gammas,
     sample_law,
@@ -44,18 +45,6 @@ class ConverseConstants:
     k: float
     m: int
     n: int
-
-
-@dataclass(frozen=True)
-class ConverseResult:
-    """Converse bound for one tag symbol ``d``: the constant K = K1 K2 and
-    the beta estimate."""
-
-    rate_nats: float
-    ci_rate_bits: float
-    d: int
-    k: float
-    estimate: BetaEstimate
 
 
 def sample_converse_density(
@@ -172,20 +161,13 @@ def _fixed_d_rate(
     eps: float,
     rng: SeededRng,
     num_samples: int,
-) -> ConverseResult:
+) -> SymbolBound:
     p = waterfill(g, total_power)
     m = g.m
     consts = converse_constants(m, n, g, p, total_power)
     draws = sample_converse_density(n, g, p, rng.split(0), num_samples)
     est = np_beta_converse(draws, eps, law=(n, mode_gammas(g, p)), rng=rng.split(1))
-    rate = (math.log(consts.k * m * n) - est.log_beta) / n
-    return ConverseResult(
-        rate_nats=rate,
-        ci_rate_bits=est.ci_rel / n / math.log(2),
-        d=g.d,
-        k=consts.k,
-        estimate=est,
-    )
+    return best_bound(n, g.d, [(1.0 - eps, math.log(consts.k * m * n), est)])
 
 
 def converse_rate(

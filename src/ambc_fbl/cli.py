@@ -437,9 +437,11 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
 
 def _cmd_sweep(args) -> int:
     config = _apply_overrides(ExperimentConfig.from_json_file(args.config), args)
-    out_dir = Path(args.out).parent
-    if not out_dir.is_dir():
-        raise ConfigError(f"--out {args.out}: {out_dir} is not a directory")
+    out = Path(args.out)
+    if not out.parent.is_dir():
+        raise ConfigError(f"--out {args.out}: {out.parent} is not a directory")
+    if out.is_dir():
+        raise ConfigError(f"cannot write results to {args.out}: it is a directory")
     result = run_sweep(config)
     try:
         emit_csv(result, args.out)
@@ -460,7 +462,7 @@ def _cmd_point(args) -> int:
 
 def _cmd_tag_convert(args) -> int:
     config = ExperimentConfig.from_json_file(args.config)
-    if args.grid:
+    if args.grid is not None:
         try:
             targets = [float(x) for x in args.grid.split(",")]
         except ValueError:

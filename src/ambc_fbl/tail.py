@@ -1,35 +1,34 @@
-"""What both bounds share: the tail engine and the tag-symbol driver.
+"""What both bounds share: the tail engine, the per-symbol record and the
+tag-symbol driver.
 
 Both bounds need the Neyman-Pearson type-II error beta of one information
 density X, and each beta is an upper tail of X under the output law: at
 the conditional law's level-(1 - eps + tau) quantile for the kappa-beta
 achievability bound, at its level-(1 - eps) quantile eta for the
-meta-converse.  This module owns that law, the one beta estimator
-(``TiltedSample``: one sample of the output law, exponentially tilted so
-that its mean sits at the lowest threshold it serves, or untilted when
-that threshold lies at or below the law's mean), and ``mixed_rate``, which
-evaluates a bound's two tag symbols at the same time through ``run_calls``
-(one thread pool, shared with the sweep) and mixes them.  The achievability
-bound draws one tilted sample per tag symbol, on its ``rng.split(2)``, and
-reads its four tau levels from it; the converse draws one and reads it at
-eta.  A sample keeps its draws at or above its lowest threshold, sorted
-once, so each read is a binary search and one pass over the draws it
-accepts.
+meta-converse.  Each bound draws, per tag symbol, its own conditional
+sample (``sample_law``) on its ``rng.split(0)`` for the thresholds, and its
+own ``TiltedSample`` on its ``rng.split(1)``, the one beta estimator: a
+sample of the output law, exponentially tilted so that its mean sits at
+the lowest threshold it serves (untilted when that threshold lies at or
+below the law's mean), of which only the draws at or above that threshold
+are kept, sorted, so each read is a binary search and one pass over the
+draws it accepts.  ``best_bound`` turns a bound's (level, constant, beta)
+candidates into its ``SymbolBound``, and ``mixed_rate`` evaluates the two
+tag symbols at the same time through ``run_calls`` (one thread pool,
+shared with the sweep) and mixes them.
 
 Per active mode j with y = g_j p_j > 0, X has the per-block contribution
   n (log(1+y) + 1) - s * W,   W ~ ncx2(2n, lam),
 with lam = 2n(1+y)/y and s = y/2 under the output law: an exact identity
 for the sum over the n per-use terms, obtained by splitting each complex
-Gaussian into its real and imaginary parts.  A tilted sample draws W as
-chi2(2n - 1) + (Z + sqrt(lam))^2, one gamma and one normal draw per mode;
-the conditional sample (``sample_law``) keeps its older two-gamma draw
-ncx2(n, lam) + chi2(n), whose stream fixes every threshold.  Zero-power
-modes contribute exactly zero.  The law tilted by theta (density times
-e^(theta x - K(theta)), K the closed-form cumulant generating function) has
-noncentrality lam / a and scale s / a, a = 1 + 2 theta s.  X is the
-log-likelihood ratio of the conditional law to the output law, so K(1) = 0
-and the conditional law is the tilt by 1: noncentrality 2n/y and scale
-y/(2(1+y)).
+Gaussian into its real and imaginary parts.  Every sample draws W as
+chi2(2n - 1) + (Z + sqrt(lam))^2, one gamma and one normal draw per mode.
+Zero-power modes contribute exactly zero.  The law tilted by theta (density
+times e^(theta x - K(theta)), K the closed-form cumulant generating
+function) has noncentrality lam / a and scale s / a, a = 1 + 2 theta s.  X
+is the log-likelihood ratio of the conditional law to the output law, so
+K(1) = 0 and the conditional law is the tilt by 1: noncentrality 2n/y and
+scale y/(2(1+y)).
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -107,7 +106,10 @@ class LawParams:
             w += math.sqrt(lam)
             np.square(w, out=w)
             w += gen.chisquare(2 * self.n - 1, size)
-            _add_mode(out, c, s, w)
+            # out += c - s * w, in place in w
+            w *= s
+            np.subtract(c, w, out=w)
+            out += w
         return out
 
     def solve_tilt(self, target: float) -> float:
@@ -139,13 +141,6 @@ class LawParams:
         raise ConvergenceError(f"tilt search did not converge in {_TILT_MAXITER} iterations")
 
 
-def _add_mode(out: np.ndarray, c: float, s: float, w: np.ndarray) -> None:
-    """out += c - s * w, evaluated in place in ``w``."""
-    w *= s
-    np.subtract(c, w, out=w)
-    out += w
-
-
 def mode_gammas(g: EigenSpectrum, p: PowerAllocation) -> np.ndarray:
     """Per-mode received SNRs g_j p_j."""
     return np.asarray(g.g, dtype=float) * np.asarray(p.p, dtype=float)
@@ -158,17 +153,7 @@ def sample_law(n: int, gammas: np.ndarray, rng: SeededRng, num_samples: int) -> 
         raise ValueError("blocklength must be >= 1")
     if num_samples < 1000:
         raise ValueError("num_samples must be >= 1000")
-    law = LawParams(n, gammas)
-    gen = rng.generator()
-    out = np.zeros(num_samples)
-    # W keeps its two-gamma draw ncx2(n, lam) + chi2(n), not the one-gamma
-    # draw of LawParams.sample: this stream fixes every threshold, and with
-    # it the seed-to-seed spread of the bounds that the benchmark measures
-    for c, lam, s in zip(law.const, *law.tilt(1.0)):
-        w = gen.noncentral_chisquare(law.n, lam, num_samples)
-        w += gen.chisquare(law.n, num_samples)
-        _add_mode(out, c, s, w)
-    return out
+    return LawParams(n, gammas).sample(rng.generator(), num_samples, 1.0)
 
 
 @dataclass(frozen=True)
@@ -266,18 +251,45 @@ class TiltedSample:
 
 
 @dataclass(frozen=True)
+class SymbolBound:
+    """One bound for tag symbol ``d``: the rate (``log_constant`` - log beta) / n
+    in nats, with its 95% CI in bits, from the ``estimate`` of beta at the
+    type-I ``level`` that gave it.  The achievability's constant is kappa_tau
+    at level 1 - eps + tau, the converse's is K m n at level 1 - eps."""
+
+    rate_nats: float
+    ci_rate_bits: float
+    d: int
+    level: float
+    log_constant: float
+    estimate: BetaEstimate
+
+
+def best_bound(
+    n: int, d: int, candidates: Iterable[Tuple[float, float, BetaEstimate]]
+) -> SymbolBound:
+    """The ``SymbolBound`` of the (level, log constant, estimate) candidate
+    with the largest rate, the first of equal ones."""
+    level, log_constant, est = max(candidates, key=lambda c: (c[1] - c[2].log_beta) / n)
+    # a relative CI on beta maps to an absolute rate CI of ci_rel / n nats
+    return SymbolBound(
+        (log_constant - est.log_beta) / n, est.ci_rel / n / math.log(2), d, level, log_constant, est
+    )
+
+
+@dataclass(frozen=True)
 class MixedRate:
     """A bound mixed over the equiprobable tag symbol; ``per_d`` holds the
-    per-symbol results for d = -1 and d = +1."""
+    per-symbol bounds for d = -1 and d = +1."""
 
     rate_nats: float
     rate_bits: float
     ci_rate_bits: float
-    per_d: Tuple[Any, Any]
+    per_d: Tuple[SymbolBound, SymbolBound]
 
 
 def mixed_rate(
-    fixed_d_rate: Callable[..., Any],
+    fixed_d_rate: Callable[..., SymbolBound],
     n: int,
     g_plus: EigenSpectrum,
     g_minus: EigenSpectrum,

@@ -7,7 +7,6 @@ from scipy import stats
 
 from ambc_fbl import bounds_ach, bounds_conv, tail
 from ambc_fbl.bounds_ach import (
-    AchievabilityResult,
     MixedRate,
     achievability_beta,
     achievability_rate,
@@ -19,7 +18,7 @@ from ambc_fbl.bounds_ach import (
 from ambc_fbl.channel import EigenSpectrum, Fading, composite, draw_channel, eigen_spectrum
 from ambc_fbl.numerics import SeededRng, empirical_quantile
 from ambc_fbl.power import PowerAllocation, waterfill
-from ambc_fbl.tail import LawParams, TiltedSample
+from ambc_fbl.tail import LawParams, SymbolBound, TiltedSample
 
 
 def _setup(gains, powers, d=1):
@@ -345,10 +344,10 @@ class TestAchievabilityRate:
         assert res.rate_bits == pytest.approx(res.rate_nats / math.log(2))
         assert [sub.d for sub in res.per_d] == [-1, 1]
         for sub in res.per_d:
-            assert isinstance(sub, AchievabilityResult)
-            assert 0 < sub.kappa_tau <= 1.0
-            assert sub.tau in (1e-3 / 2, 1e-3 / 4, 1e-3 / 8, 1e-3 / 16)
-            assert sub.c1 > 0
+            assert isinstance(sub, SymbolBound)
+            assert sub.level in [1 - 1e-3 + 1e-3 / k for k in (2, 4, 8, 16)]
+            # the constant is kappa_tau <= 1
+            assert sub.log_constant <= 0.0
 
 
 class TestOutputDrawSkip:
@@ -384,24 +383,19 @@ class TestOutputDrawSkip:
         pin_cpus(1)
         ch = draw_channel(SeededRng(19), 2, 3, Fading.rayleigh(), 0.5)
         sp, sm = eigen_spectrum(composite(ch, +1)), eigen_spectrum(composite(ch, -1))
-        calls = []
-        sample, conditional = LawParams.sample, bounds_ach.sample_law
+        thetas = []
+        sample = LawParams.sample
 
         def recorded(self, gen, size, theta=0.0):
-            calls.append(("tilted", theta))
+            thetas.append(theta)
             return sample(self, gen, size, theta)
 
-        def recorded_conditional(*args):
-            calls.append(("conditional", 1.0))
-            return conditional(*args)
-
         monkeypatch.setattr(LawParams, "sample", recorded)
-        monkeypatch.setattr(bounds_ach, "sample_law", recorded_conditional)
         res = achievability_rate(100, sp, sm, 1.0, 1e-3, SeededRng(20), 20_000)
         # per symbol: the conditional sample (the tilt by 1), then one
         # sample tilted into the output law's upper tail for all four tau
-        assert [kind for kind, _ in calls] == ["conditional", "tilted"] * 2
-        assert all(0.0 < theta < 1.0 for _, theta in calls[1::2])
+        assert len(thetas) == 4 and thetas[0::2] == [1.0, 1.0]
+        assert all(0.0 < theta < 1.0 for theta in thetas[1::2])
         assert all(sub.estimate.tilted for sub in res.per_d)
 
 
@@ -443,7 +437,7 @@ class TestSharedTiltedSample:
         assert len(ests) == 4 and all(est.tilted for est in ests)
         first = ests[0]
         # bit-equal to a sample of its own on the same stream, read once
-        stream = SeededRng(seed).split(2)
+        stream = SeededRng(seed).split(1)
         own = TiltedSample(law, stream, num, first.threshold).beta(1 - 1e-3 / 2, first.threshold)
         assert (first.log_beta, first.ci_rel) == (own.log_beta, own.ci_rel)
         # every tau's sorted read is the importance-sampling sum written

@@ -242,6 +242,10 @@ class TestConverseRate:
         res = converse_rate(100, sp, sm, 1.0, 1e-3, SeededRng(9), 20_000)
         r_minus, r_plus = res.per_d
         assert r_minus.rate_nats == r_plus.rate_nats
+        for sub, spec in zip(res.per_d, (sm, sp)):
+            consts = converse_constants(spec.m, 100, spec, waterfill(spec, 1.0), 1.0)
+            assert sub.d == spec.d and sub.level == 1 - 1e-3
+            assert sub.log_constant == math.log(consts.k * spec.m * 100)
 
     def test_tracks_capacity_at_large_blocklength(self):
         sp, sm = self._spectra(10)
