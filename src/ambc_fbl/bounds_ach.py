@@ -4,11 +4,10 @@ The lower bound on rate is log(kappa / beta) / n per tag symbol, where beta
 is the type-II error of the optimal test between the unconditional output law
 and the conditional law at type-I level 1 - eps + tau, and kappa is the
 measure-matching constant lower-bounded by tau over a computable density-ratio
-supremum.  Both ingredients are evaluated by Monte Carlo on the information
-density: the four thresholds are quantiles of a sample of the conditional
-law on the symbol's ``rng.split(0)``, and beta is read from one tilted
-sample of the output law (``tail.TiltedSample``) on its ``rng.split(1)``,
-as in the converse; ``tail.best_bound`` keeps the tau of the largest rate.
+supremum.  Per tag symbol the bound takes the converse's steps with its
+own levels and constants: one ``tail.LawParams``, its conditional sample on
+``rng.split(0)``, ``tail.tilted_at_thresholds`` (four thresholds, one tilted
+sample on ``rng.split(1)``), a beta read per tau, and ``tail.best_bound``.
 """
 
 from __future__ import annotations
@@ -19,8 +18,8 @@ import numpy as np
 
 from .channel import EigenSpectrum
 from .errors import OverflowRegimeError
-from .numerics import SeededRng, empirical_quantile, log_bessel_i
-from .power import PowerAllocation, waterfill
+from .numerics import SeededRng, log_bessel_i
+from .power import waterfill
 from .tail import (
     BetaEstimate,
     LawParams,
@@ -30,7 +29,7 @@ from .tail import (
     best_bound,
     mixed_rate,
     mode_gammas,
-    sample_law,
+    tilted_at_thresholds,
 )
 
 _TAU_GRID_DIVISORS = (2, 4, 8, 16)
@@ -39,29 +38,17 @@ _C1_HALF_WIDTH = 0.5
 _C1_GRID_POINTS = 513
 
 
-def sample_info_density(
-    n: int,
-    g: EigenSpectrum,
-    p: PowerAllocation,
-    rng: SeededRng,
-    num_samples: int = 100_000,
-) -> np.ndarray:
-    """Draw the information density under the conditional law."""
-    return sample_law(n, mode_gammas(g, p), rng, num_samples)
+def sample_info_density(law: LawParams, rng: SeededRng, num_samples: int) -> np.ndarray:
+    """Conditional-law draws, the tilt of ``law`` by 1: kept only as a trace
+    seam, which ROADMAP item 3 retires."""
+    return law.sample(rng.generator(), num_samples, 1.0)
 
 
 def achievability_beta(
     eps: float, tau: float, tilted: TiltedSample, threshold: float
 ) -> BetaEstimate:
-    """Estimate beta at type-I level 1 - eps + tau between the two laws.
-
-    ``threshold`` is gamma_n, the empirical exceedance quantile of the
-    conditional draws at that level (``empirical_quantile``, one pass for
-    all four tau), and beta the upper tail of the output law there, read
-    from ``tilted``.  The bound shares one such sample among its four tau:
-    drawn on the symbol's ``rng.split(1)`` and tilted to the lowest
-    threshold, that of tau = eps/2.
-    """
+    """beta at type-I level 1 - eps + tau and threshold gamma_n, read from
+    ``tilted``: kept only as a trace seam, which ROADMAP item 3 retires."""
     if not 0.0 < tau < eps < 1.0:
         raise ValueError("need 0 < tau < eps < 1")
     return tilted.beta(1.0 - eps + tau, threshold)
@@ -141,25 +128,14 @@ def kappa_tau(tau: float, c1: float) -> float:
 
 
 def _fixed_d_rate(
-    n: int,
-    g: EigenSpectrum,
-    total_power: float,
-    eps: float,
-    rng: SeededRng,
-    num_samples: int,
+    n: int, g: EigenSpectrum, total_power: float, eps: float, rng: SeededRng, num_samples: int
 ) -> SymbolBound:
-    p = waterfill(g, total_power)
-    gammas = mode_gammas(g, p)
+    law = LawParams(n, mode_gammas(g, waterfill(g, total_power)))
+    c1_total = math.exp(sum(math.log(compute_c1(n, y)) for y in law.gammas))
     taus = [eps / k for k in _TAU_GRID_DIVISORS]
     levels = [1.0 - eps + tau for tau in taus]
-    h_draws = sample_info_density(n, g, p, rng.split(0), num_samples)
-    # one quantile pass over the conditional draws serves every tau
-    thresholds = empirical_quantile(h_draws, levels).tolist()
-
-    c1_total = math.exp(sum(math.log(compute_c1(n, y)) for y in gammas[gammas > 0]))
-
-    # the lowest threshold is that of taus[0] = eps/2, the largest tau
-    tilted = TiltedSample(LawParams(n, gammas), rng.split(1), num_samples, thresholds[0])
+    draws = sample_info_density(law, rng.split(0), num_samples)
+    thresholds, tilted = tilted_at_thresholds(law, draws, levels, rng.split(1))
     candidates = [
         (level, math.log(kappa_tau(tau, c1_total)), achievability_beta(eps, tau, tilted, x))
         for tau, level, x in zip(taus, levels, thresholds)

@@ -4,24 +4,21 @@ beta is the type-II error of the optimal test between the conditional output
 law and a product auxiliary channel whose per-mode outputs are CN(0, 1+g_j p_j);
 K = K1 K2 combines a supremum of the auxiliary per-mode-energy density (a
 product-of-gammas law evaluated by Mellin inversion) with the volume of the
-ball that contains every admissible energy vector.  beta is read from the
-bound's own tilted sample of the output law (``tail.TiltedSample``) on the
-symbol's ``rng.split(1)``, at a threshold taken from a sample of the
-conditional law on its ``rng.split(0)``.
+ball that contains every admissible energy vector.  Per tag symbol the
+bound takes the achievability's steps with its own level and constant: its
+threshold eta and tilted sample come from ``tail.tilted_at_thresholds``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Tuple
 
 import numpy as np
 
 from .channel import EigenSpectrum
 from .errors import ConvergenceError
-from .numerics import SeededRng, empirical_quantile, product_gamma_logpdf
+from .numerics import SeededRng, product_gamma_logpdf
 from .power import PowerAllocation, waterfill
 from .tail import (
     BetaEstimate,
@@ -32,52 +29,23 @@ from .tail import (
     best_bound,
     mixed_rate,
     mode_gammas,
-    sample_law,
+    tilted_at_thresholds,
 )
 
 
-@dataclass(frozen=True)
-class ConverseConstants:
-    """K = K1 K2 with K1 the density supremum scale and K2 the ball volume."""
-
-    k1: float
-    k2: float
-    k: float
-    m: int
-    n: int
+def sample_converse_density(law: LawParams, rng: SeededRng, num_samples: int) -> np.ndarray:
+    """Draws of the log likelihood ratio against the auxiliary channel, the
+    tilt of ``law`` by 1: kept only as a trace seam, which ROADMAP item 3
+    retires."""
+    return law.sample(rng.generator(), num_samples, 1.0)
 
 
-def sample_converse_density(
-    n: int,
-    g: EigenSpectrum,
-    p: PowerAllocation,
-    rng: SeededRng,
-    num_samples: int = 100_000,
-) -> np.ndarray:
-    """Draws of the blocklength-n log likelihood ratio between the conditional
-    law and the auxiliary product channel (the same statistic as the
-    conditional information-density law)."""
-    return sample_law(n, mode_gammas(g, p), rng, num_samples)
-
-
-def np_beta_converse(
-    draws: np.ndarray,
-    eps: float,
-    law: Tuple[int, np.ndarray],
-    rng: SeededRng,
-) -> BetaEstimate:
-    """Neyman-Pearson beta at level 1 - eps from log-likelihood-ratio draws.
-
-    The optimal test thresholds the statistic at its empirical (1-eps)
-    exceedance quantile eta, and beta is the upper tail at eta of the
-    output law of ``law`` = (blocklength, per-mode gammas), read from one
-    sample of as many draws from ``rng`` as ``draws``, tilted so that its
-    mean sits at eta (untilted when eta lies at or below the law's mean).
-    """
+def np_beta_converse(eps: float, tilted: TiltedSample, eta: float) -> BetaEstimate:
+    """Neyman-Pearson beta at level 1 - eps and threshold eta, read from
+    ``tilted``: kept only as a trace seam, which ROADMAP item 3 retires."""
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    eta = empirical_quantile(draws, 1.0 - eps)
-    return TiltedSample(LawParams(*law), rng, draws.size, eta).beta(1.0 - eps, eta)
+    return tilted.beta(1.0 - eps, eta)
 
 
 def ball_volume_bound(m: int, total_power: float) -> float:
@@ -130,8 +98,9 @@ def _unit_scale_log_sup(m: int, n: int) -> float:
     raise ConvergenceError("K1 search did not converge in 50 steps")
 
 
-def pdf_sup_bound(m: int, n: int, g: EigenSpectrum, p: PowerAllocation) -> float:
-    """K1 = sup_z q(z) / (m n) for the auxiliary-channel energy-product density.
+def pdf_sup_bound(n: int, g: EigenSpectrum, p: PowerAllocation) -> float:
+    """K1 = sup_z q(z) / (m n) for the auxiliary-channel energy-product
+    density of the m = ``g.m`` modes.
 
     The m per-mode energies are Gamma(n, theta_j) with theta_j =
     (1 + g_j p_j) / (2 n); distinct scales only move the product density by
@@ -139,35 +108,27 @@ def pdf_sup_bound(m: int, n: int, g: EigenSpectrum, p: PowerAllocation) -> float
     divided by prod theta_j.
     """
     gammas = mode_gammas(g, p)
-    if gammas.size != m:
-        raise ValueError("spectrum size does not match m")
     log_theta_prod = float(np.log((1.0 + gammas) / (2.0 * n)).sum())
-    log_sup = _unit_scale_log_sup(m, n) - log_theta_prod
-    return float(np.exp(log_sup - math.log(m * n)))
+    log_sup = _unit_scale_log_sup(g.m, n) - log_theta_prod
+    return float(np.exp(log_sup - math.log(g.m * n)))
 
 
-def converse_constants(
-    m: int, n: int, g: EigenSpectrum, p: PowerAllocation, total_power: float
-) -> ConverseConstants:
-    k1 = pdf_sup_bound(m, n, g, p)
-    k2 = ball_volume_bound(m, total_power)
-    return ConverseConstants(k1=k1, k2=k2, k=k1 * k2, m=m, n=n)
+def converse_constants(n: int, g: EigenSpectrum, p: PowerAllocation, total_power: float) -> float:
+    """log(K m n) with K = K1 K2, the density supremum scale times the ball
+    volume, and m = ``g.m``."""
+    k = pdf_sup_bound(n, g, p) * ball_volume_bound(g.m, total_power)
+    return math.log(k * g.m * n)
 
 
 def _fixed_d_rate(
-    n: int,
-    g: EigenSpectrum,
-    total_power: float,
-    eps: float,
-    rng: SeededRng,
-    num_samples: int,
+    n: int, g: EigenSpectrum, total_power: float, eps: float, rng: SeededRng, num_samples: int
 ) -> SymbolBound:
     p = waterfill(g, total_power)
-    m = g.m
-    consts = converse_constants(m, n, g, p, total_power)
-    draws = sample_converse_density(n, g, p, rng.split(0), num_samples)
-    est = np_beta_converse(draws, eps, law=(n, mode_gammas(g, p)), rng=rng.split(1))
-    return best_bound(n, g.d, [(1.0 - eps, math.log(consts.k * m * n), est)])
+    law = LawParams(n, mode_gammas(g, p))
+    log_constant = converse_constants(n, g, p, total_power)
+    draws = sample_converse_density(law, rng.split(0), num_samples)
+    (eta,), tilted = tilted_at_thresholds(law, draws, [1.0 - eps], rng.split(1))
+    return best_bound(n, g.d, [(1.0 - eps, log_constant, np_beta_converse(eps, tilted, eta))])
 
 
 def converse_rate(

@@ -131,6 +131,9 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must lie in (0, 1)")
         if self.eps is not None and self.eps < MIN_EPS:
             raise ConfigError(f"eps must be at least {MIN_EPS:g}")
+        for name in ("n_grid", "curves"):
+            if not isinstance(getattr(self, name), (list, tuple)):
+                raise ConfigError(f"{name} must be a JSON array, got {getattr(self, name)!r}")
         grid = tuple(_integer("n_grid entries", n) for n in self.n_grid)
         if not grid or any(n < 8 for n in grid):
             raise ConfigError("n_grid entries must be >= 8")

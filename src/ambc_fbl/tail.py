@@ -1,21 +1,23 @@
-"""What both bounds share: the tail engine, the per-symbol record and the
-tag-symbol driver.
+"""What both bounds share: the law, the threshold-and-tilt step, the
+per-symbol record and the mixture over the two tag symbols.
 
 Both bounds need the Neyman-Pearson type-II error beta of one information
 density X, and each beta is an upper tail of X under the output law: at
 the conditional law's level-(1 - eps + tau) quantile for the kappa-beta
 achievability bound, at its level-(1 - eps) quantile eta for the
-meta-converse.  Each bound draws, per tag symbol, its own conditional
-sample (``sample_law``) on its ``rng.split(0)`` for the thresholds, and its
-own ``TiltedSample`` on its ``rng.split(1)``, the one beta estimator: a
-sample of the output law, exponentially tilted so that its mean sits at
-the lowest threshold it serves (untilted when that threshold lies at or
-below the law's mean), of which only the draws at or above that threshold
-are kept, sorted, so each read is a binary search and one pass over the
-draws it accepts.  ``best_bound`` turns a bound's (level, constant, beta)
-candidates into its ``SymbolBound``, and ``mixed_rate`` evaluates the two
-tag symbols at the same time through ``run_calls`` (one thread pool,
-shared with the sweep) and mixes them.
+meta-converse.  So each bound, per tag symbol, builds the ``LawParams`` of
+its spectrum once, draws a conditional sample of it on its
+``rng.split(0)``, and hands both to ``tilted_at_thresholds``: one quantile
+pass over the draws for all the bound's levels, and one ``TiltedSample``
+on its ``rng.split(1)``, the one beta estimator: a sample of the output
+law, exponentially tilted so that its mean sits at the lowest threshold
+(untilted when that threshold lies at or below the law's mean), of which
+only the draws at or above that threshold are kept, sorted, so each read
+is a binary search and one pass over the draws it accepts.  The bounds
+differ only in their levels and constants: ``best_bound`` turns a bound's
+(level, log constant, beta) candidates into its ``SymbolBound``, and
+``mixed_rate`` evaluates the two tag symbols at the same time through
+``run_calls`` (one thread pool, shared with the sweep) and mixes them.
 
 Per active mode j with y = g_j p_j > 0, X has the per-block contribution
   n (log(1+y) + 1) - s * W,   W ~ ncx2(2n, lam),
@@ -45,7 +47,7 @@ import numpy as np
 
 from .channel import EigenSpectrum
 from .errors import ConvergenceError, InsufficientSamplesError
-from .numerics import SeededRng
+from .numerics import SeededRng, empirical_quantile
 from .power import PowerAllocation
 
 # the tilt solve's iteration limit, and its step tolerance relative to 1 + |theta|
@@ -58,6 +60,8 @@ class LawParams:
     exponential family of tilts."""
 
     def __init__(self, n: int, gammas: np.ndarray):
+        if n < 1:
+            raise ValueError("blocklength must be >= 1")
         active = np.asarray(gammas, dtype=float)
         active = active[active > 0]
         self.n = int(n)
@@ -69,10 +73,6 @@ class LawParams:
     @property
     def degenerate(self) -> bool:
         return self.gammas.size == 0
-
-    def theta_lower(self) -> float:
-        # tilt validity: 1 + 2 theta * scale_j > 0 for every mode
-        return -1.0 / (2.0 * self.scale.max())
 
     def cgf(self, theta: float) -> float:
         t = -theta * self.scale
@@ -113,47 +113,36 @@ class LawParams:
         return out
 
     def solve_tilt(self, target: float) -> float:
-        """Tilt parameter whose tilted mean K'(theta) equals ``target``.
+        """Tilt parameter theta > 0 whose tilted mean K'(theta) equals
+        ``target``, for a target between the law's mean and its supremum.
 
-        Newton's method on K', from theta = 0, or, for a target below the
-        mean, from the first of theta_lower (1 - 2^-k), k = 1, 2, ..., whose
-        mean lies at or below it.  K' rises and is concave, so no step from
-        below the root passes it; the search stops once a step falls below
-        1e-12 (1 + |theta|).  Raises ``ValueError`` for a target at or above
-        the supremum of the law, and ``ConvergenceError`` on a NaN or when
-        100 halvings and steps leave the root unresolved.
+        Newton's method on K' from theta = 0.  K' rises and is concave, so
+        no step passes the root; the search stops once a step falls below
+        1e-12 (1 + |theta|).  Raises ``ValueError`` for a target at or below
+        the mean or at or above the supremum of the law, and
+        ``ConvergenceError`` on a NaN or when 100 steps leave the root
+        unresolved.
         """
         if target >= float(self.const.sum()):
             raise ValueError("target above the supremum of the law")
-        theta, below = 0.0, False
+        theta = 0.0
+        mean, var = self.cgf_derivatives(theta)
+        if target <= mean:
+            raise ValueError("target at or below the mean of the law")
         for _ in range(_TILT_MAXITER):
-            mean, var = self.cgf_derivatives(theta)
-            below = below or not mean > target  # NaN counts as below, and fails the step
-            if not below:
-                theta = 0.5 * (theta + self.theta_lower())
-                continue
             step = (target - mean) / var
             if math.isnan(step):
                 raise ConvergenceError(f"tilt search met a NaN at theta = {theta}")
             theta += step
             if step <= _TILT_XTOL * (1.0 + abs(theta)):
                 return theta
+            mean, var = self.cgf_derivatives(theta)
         raise ConvergenceError(f"tilt search did not converge in {_TILT_MAXITER} iterations")
 
 
 def mode_gammas(g: EigenSpectrum, p: PowerAllocation) -> np.ndarray:
     """Per-mode received SNRs g_j p_j."""
     return np.asarray(g.g, dtype=float) * np.asarray(p.p, dtype=float)
-
-
-def sample_law(n: int, gammas: np.ndarray, rng: SeededRng, num_samples: int) -> np.ndarray:
-    """Raw draws of the blocklength-n information density under the
-    conditional law, the output law's tilt by 1."""
-    if n < 1:
-        raise ValueError("blocklength must be >= 1")
-    if num_samples < 1000:
-        raise ValueError("num_samples must be >= 1000")
-    return LawParams(n, gammas).sample(rng.generator(), num_samples, 1.0)
 
 
 @dataclass(frozen=True)
@@ -177,9 +166,10 @@ class BetaEstimate:
 
 class TiltedSample:
     """The one beta estimator: ``size`` draws from ``rng`` of the output law
-    ``law`` exponentially tilted by theta = max(0, solve_tilt(``lowest``)),
-    made at construction, which serve upper tails of ``law`` at ``lowest``
-    and every threshold above it.
+    ``law`` exponentially tilted by theta = solve_tilt(``lowest``) (0 when
+    ``lowest`` lies at or below the law's mean), made at construction,
+    which serve upper tails of ``law`` at ``lowest`` and every threshold
+    above it.
 
     With ``lowest`` above the law's mean, as in every deep tail, the tilt
     puts the sample's mean at ``lowest``, and each weight at or above it is
@@ -250,6 +240,17 @@ class TiltedSample:
         )
 
 
+def tilted_at_thresholds(
+    law: LawParams, draws: np.ndarray, levels: Sequence[float], rng: SeededRng
+) -> Tuple[list, TiltedSample]:
+    """A bound's thresholds, the empirical exceedance quantiles of the
+    conditional ``draws`` at its ``levels`` from one pass, and the one
+    ``TiltedSample`` of as many draws from ``rng`` that serves them all,
+    tilted to the lowest."""
+    thresholds = empirical_quantile(draws, levels).tolist()
+    return thresholds, TiltedSample(law, rng, draws.size, min(thresholds))
+
+
 @dataclass(frozen=True)
 class SymbolBound:
     """One bound for tag symbol ``d``: the rate (``log_constant`` - log beta) / n
@@ -303,9 +304,22 @@ def mixed_rate(
     equal weight through ``rate_nats`` and ``ci_rate_bits``.  Both read the
     same substreams of ``rng`` (common random numbers), so equal spectra
     give equal rates, and the result does not depend on the CPU count.
+
+    Raises ``InsufficientSamplesError`` when num_samples * eps / 2 < 1: the
+    lowest achievability threshold, the conditional sample's quantile at
+    lower-tail level eps / 2, then has less than one draw expected below
+    it, so it sits near the sample minimum, biased up, and beta is biased
+    down.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
+    if num_samples < 1000:
+        raise ValueError("num_samples must be >= 1000")
+    if num_samples * eps / 2 < 1:
+        raise InsufficientSamplesError(
+            f"mc_samples * eps / 2 = {num_samples * eps / 2:.3g} < 1: less than one "
+            "conditional draw is expected below the lowest threshold"
+        )
     res_minus, res_plus = run_calls(
         [partial(fixed_d_rate, n, g, total_power, eps, rng, num_samples) for g in (g_minus, g_plus)]
     )

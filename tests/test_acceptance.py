@@ -19,7 +19,7 @@ from ambc_fbl.cli import ExperimentConfig, emit_csv, run_sweep
 from ambc_fbl.numerics import SeededRng, empirical_quantile, gaussian_q_inv
 from ambc_fbl.power import PowerAllocation, waterfill
 from ambc_fbl.tag import TagErrorModel, eps_given_tag_error, tag_error_given_eps
-from ambc_fbl.tail import LawParams, TiltedSample
+from ambc_fbl.tail import LawParams, TiltedSample, tilted_at_thresholds
 from oracles import product_gamma_pdf, simulate_tag_error, verify_sigma_maximizer
 
 EPS = 1e-3
@@ -163,7 +163,7 @@ class TestCriterion5BetaOracles:
         n, eps, tau, num = 1, 0.1, 0.025, 200_000
         g = EigenSpectrum(g=np.array([gamma]), d=1)
         p = PowerAllocation(p=np.array([1.0]), water_level=2.0, total_power=1.0)
-        h_draws = sample_info_density(n, g, p, SeededRng(105, 2), num)
+        h_draws = sample_info_density(LawParams(n, g.g * p.p), SeededRng(105, 2), num)
         lowest = empirical_quantile(h_draws, 1 - eps + tau)
         tilted = TiltedSample(LawParams(n, g.g * p.p), SeededRng(105, 3), num, lowest)
         est = achievability_beta(eps, tau, tilted, lowest)
@@ -191,8 +191,10 @@ class TestCriterion5BetaOracles:
         n, eps, num = 1, 0.1, 200_000
         g = EigenSpectrum(g=np.array([gamma]), d=1)
         p = PowerAllocation(p=np.array([1.0]), water_level=2.0, total_power=1.0)
-        draws = sample_converse_density(n, g, p, SeededRng(106, 1), num)
-        est = np_beta_converse(draws, eps, law=(n, g.g * p.p), rng=SeededRng(106, 2))
+        law = LawParams(n, g.g * p.p)
+        draws = sample_converse_density(law, SeededRng(106, 1), num)
+        (eta,), tilted = tilted_at_thresholds(law, draws, [1 - eps], SeededRng(106, 2))
+        est = np_beta_converse(eps, tilted, eta)
 
         c, law_h, scale_h, law_g, scale_g = _oracle_laws(gamma)
         eta = c - scale_h * law_h.ppf(1 - eps)
@@ -293,9 +295,10 @@ class TestCriterion6IdentitySuite:
         assert ok
 
         eps = 0.1
-        degenerate = np_beta_converse(
-            np.zeros(num), eps, law=(20, np.zeros(1)), rng=SeededRng(111, 4)
+        (eta,), tilted = tilted_at_thresholds(
+            LawParams(20, np.zeros(1)), np.zeros(num), [1 - eps], SeededRng(111, 4)
         )
+        degenerate = np_beta_converse(eps, tilted, eta)
         gap2 = abs(degenerate.beta - (1 - eps))
         ok2 = gap2 <= 2 / math.sqrt(num)
         _report("criterion 6f (degenerate converse beta equals its level)", ok2, f"gap {gap2:.2e}")

@@ -15,7 +15,9 @@ from ambc_fbl.bounds_ach import (
     log_energy_density_ratio,
     sample_info_density,
 )
+from ambc_fbl.bounds_conv import converse_rate
 from ambc_fbl.channel import EigenSpectrum, Fading, composite, draw_channel, eigen_spectrum
+from ambc_fbl.errors import InsufficientSamplesError
 from ambc_fbl.numerics import SeededRng, empirical_quantile
 from ambc_fbl.power import PowerAllocation, waterfill
 from ambc_fbl.tail import LawParams, SymbolBound, TiltedSample
@@ -36,7 +38,7 @@ def _laws(gains, powers, n, seed, num=100_000):
     g, p = _setup(gains, powers)
     law = (n, g.g * p.p)
     g_draws = LawParams(*law).sample(SeededRng(seed, 1).generator(), num, 0.0)
-    h_draws = sample_info_density(n, g, p, SeededRng(seed, 2), num)
+    h_draws = sample_info_density(LawParams(*law), SeededRng(seed, 2), num)
     return g_draws, h_draws, law
 
 
@@ -62,7 +64,7 @@ def _sample(kind, n, g, p, rng, num):
     by 0) or, through ``sample_info_density``, the conditional law."""
     if kind == "output":
         return LawParams(n, g.g * p.p).sample(rng.generator(), num, 0.0)
-    return sample_info_density(n, g, p, rng, num)
+    return sample_info_density(LawParams(n, g.g * p.p), rng, num)
 
 
 class TestSampleInfoDensity:
@@ -105,9 +107,15 @@ class TestSampleInfoDensity:
     def test_preconditions(self):
         g, p = _setup([1.0], [1.0])
         with pytest.raises(ValueError):
-            sample_info_density(0, g, p, SeededRng(0), 2000)
-        with pytest.raises(ValueError):
-            sample_info_density(10, g, p, SeededRng(0), 999)
+            LawParams(0, g.g * p.p)
+        for bound in (achievability_rate, converse_rate):
+            with pytest.raises(ValueError, match="num_samples"):
+                bound(10, g, g, 1.0, 0.1, SeededRng(0), 999)
+            # less than one conditional draw expected below the lowest
+            # threshold, at level eps / 2
+            with pytest.raises(InsufficientSamplesError, match="less than one"):
+                bound(10, g, g, 1.0, 1e-3, SeededRng(0), 1999)
+            bound(10, g, g, 1.0, 1e-3, SeededRng(0), 2000)
 
 
 class TestAchievabilityBeta:
@@ -377,7 +385,10 @@ class TestOutputDrawSkip:
                 # a Chernoff bound is loose by a subexponential factor only
                 assert bound <= exact + 5.0
 
-    def test_bound_draws_only_the_conditional_and_the_tilted_sample(self, monkeypatch, pin_cpus):
+    @pytest.mark.parametrize("bound", [achievability_rate, converse_rate])
+    def test_bound_draws_only_the_conditional_and_the_tilted_sample(
+        self, monkeypatch, pin_cpus, bound
+    ):
         # one CPU evaluates the two tag symbols in order, so the sampler
         # calls interleave deterministically
         pin_cpus(1)
@@ -391,9 +402,10 @@ class TestOutputDrawSkip:
             return sample(self, gen, size, theta)
 
         monkeypatch.setattr(LawParams, "sample", recorded)
-        res = achievability_rate(100, sp, sm, 1.0, 1e-3, SeededRng(20), 20_000)
+        res = bound(100, sp, sm, 1.0, 1e-3, SeededRng(20), 20_000)
         # per symbol: the conditional sample (the tilt by 1), then one
-        # sample tilted into the output law's upper tail for all four tau
+        # sample tilted into the output law's upper tail for all of the
+        # bound's thresholds
         assert len(thetas) == 4 and thetas[0::2] == [1.0, 1.0]
         assert all(0.0 < theta < 1.0 for theta in thetas[1::2])
         assert all(sub.estimate.tilted for sub in res.per_d)
@@ -448,8 +460,9 @@ class TestSharedTiltedSample:
             assert abs(est.log_beta - log_beta) <= 1e-12
             assert est.ci_rel == pytest.approx(ci_rel, rel=1e-12)
         # and so is the converse's read at eta, on its own sample
-        draws = bounds_conv.sample_converse_density(n, g, p, SeededRng(seed).split(0), num)
-        est = bounds_conv.np_beta_converse(draws, 1e-3, (n, law.gammas), SeededRng(seed).split(1))
+        draws = bounds_conv.sample_converse_density(law, SeededRng(seed).split(0), num)
+        (eta,), tilted = tail.tilted_at_thresholds(law, draws, [1 - 1e-3], SeededRng(seed).split(1))
+        est = bounds_conv.np_beta_converse(1e-3, tilted, eta)
         assert est.tilted and est.threshold == empirical_quantile(draws, 1 - 1e-3)
         theta = law.solve_tilt(est.threshold)
         log_beta, ci_rel = _written_out(law, SeededRng(seed).split(1), num, theta, est.threshold)
@@ -459,7 +472,7 @@ class TestSharedTiltedSample:
     @pytest.mark.parametrize("gains,n", LAWS)
     def test_reads_do_not_depend_on_their_order(self, gains, n):
         law = LawParams(n, np.asarray(gains, float))
-        cond = tail.sample_law(n, law.gammas, SeededRng(22, 0), 20_000)
+        cond = sample_info_density(law, SeededRng(22, 0), 20_000)
         levels = [1 - 1e-3 + 1e-3 / k for k in (2, 4, 8, 16)]
         thresholds = empirical_quantile(cond, levels).tolist()
         sample = TiltedSample(law, SeededRng(22, 1), 20_000, thresholds[0])

@@ -18,6 +18,7 @@ from ambc_fbl.channel import EigenSpectrum, Fading, composite, draw_channel, eig
 from ambc_fbl.errors import ConvergenceError
 from ambc_fbl.numerics import SeededRng, product_gamma_logpdf
 from ambc_fbl.power import PowerAllocation, waterfill
+from ambc_fbl.tail import LawParams, tilted_at_thresholds
 from oracles import product_gamma_pdf
 
 
@@ -31,10 +32,17 @@ def _setup(gains, powers, d=1):
     return g, p
 
 
+def _beta(draws, eps, law, rng):
+    """``np_beta_converse`` at the empirical (1 - eps) exceedance quantile
+    eta of ``draws``, read from a tilted sample of ``law`` on ``rng``."""
+    (eta,), tilted = tilted_at_thresholds(law, draws, [1 - eps], rng)
+    return np_beta_converse(eps, tilted, eta)
+
+
 class TestSampleConverseDensity:
     def test_mean_is_capacity(self):
         g, p = _setup([2.0, 0.5], [0.6, 0.4])
-        draws = sample_converse_density(120, g, p, SeededRng(0), 50_000)
+        draws = sample_converse_density(LawParams(120, g.g * p.p), SeededRng(0), 50_000)
         cap = float(np.log1p(g.g * p.p).sum())
         se = draws.std() / math.sqrt(draws.size)
         assert draws.mean() / 120 == pytest.approx(cap, abs=3 * se / 120)
@@ -42,13 +50,13 @@ class TestSampleConverseDensity:
     def test_per_use_variance_is_dispersion(self):
         gamma = 2.0
         g, p = _setup([gamma], [1.0])
-        draws = sample_converse_density(1, g, p, SeededRng(1), 100_000)
+        draws = sample_converse_density(LawParams(1, g.g * p.p), SeededRng(1), 100_000)
         target = 1.0 - 1.0 / (1.0 + gamma) ** 2
         assert draws.var() == pytest.approx(target, rel=0.05)
 
     def test_zero_power_degenerates(self):
         g, p = _setup([1.0], [0.0])
-        draws = sample_converse_density(10, g, p, SeededRng(2), 2000)
+        draws = sample_converse_density(LawParams(10, g.g * p.p), SeededRng(2), 2000)
         assert draws.var() == 0.0
         assert np.all(draws == 0.0)
 
@@ -58,15 +66,15 @@ class TestNpBetaConverse:
         # zero power makes the two hypotheses coincide
         draws = np.zeros(50_000)
         for eps in (0.3, 0.1, 0.01):
-            est = np_beta_converse(draws, eps, law=(8, np.zeros(1)), rng=SeededRng(0))
+            est = _beta(draws, eps, LawParams(8, np.zeros(1)), SeededRng(0))
             assert est.beta == pytest.approx(1 - eps, abs=2 / math.sqrt(50_000))
 
     @pytest.mark.parametrize("gamma", [0.5, 1.0, 4.0])
     def test_single_use_matches_quadrature_oracle(self, gamma):
         n, eps = 1, 0.1
         g, p = _setup([gamma], [1.0])
-        draws = sample_converse_density(n, g, p, SeededRng(3), 100_000)
-        est = np_beta_converse(draws, eps, law=(n, g.g * p.p), rng=SeededRng(30))
+        draws = sample_converse_density(LawParams(n, g.g * p.p), SeededRng(3), 100_000)
+        est = _beta(draws, eps, LawParams(n, g.g * p.p), SeededRng(30))
         c = math.log1p(gamma) + 1.0
         law_h = stats.ncx2(2, 2 / gamma)
         law_g = stats.ncx2(2, 2 * (1 + gamma) / gamma)
@@ -77,17 +85,17 @@ class TestNpBetaConverse:
 
     def test_monotone_in_level(self):
         g, p = _setup([1.0], [1.0])
-        draws = sample_converse_density(20, g, p, SeededRng(4), 50_000)
+        draws = sample_converse_density(LawParams(20, g.g * p.p), SeededRng(4), 50_000)
         betas = [
-            np_beta_converse(draws, eps, law=(20, g.g * p.p), rng=SeededRng(40)).log_beta
+            _beta(draws, eps, LawParams(20, g.g * p.p), SeededRng(40)).log_beta
             for eps in (0.3, 0.1, 0.01)
         ]
         assert betas[0] < betas[1] < betas[2]
 
     def test_tilted_path_engages_at_large_blocklength(self):
         g, p = _setup([1.0], [1.0])
-        draws = sample_converse_density(1000, g, p, SeededRng(5), 20_000)
-        est = np_beta_converse(draws, 1e-3, law=(1000, g.g * p.p), rng=SeededRng(50))
+        draws = sample_converse_density(LawParams(1000, g.g * p.p), SeededRng(5), 20_000)
+        est = _beta(draws, 1e-3, LawParams(1000, g.g * p.p), SeededRng(50))
         assert est.tilted
         assert est.log_beta < -500
         assert est.ci_rel < 0.2
@@ -98,8 +106,8 @@ class TestNpBetaConverse:
         # tail at the estimator's own threshold
         gamma, n = 1.0, 100
         g, p = _setup([gamma], [1.0])
-        draws = sample_converse_density(n, g, p, SeededRng(51), 100_000)
-        est = np_beta_converse(draws, 1e-3, law=(n, g.g * p.p), rng=SeededRng(52))
+        draws = sample_converse_density(LawParams(n, g.g * p.p), SeededRng(51), 100_000)
+        est = _beta(draws, 1e-3, LawParams(n, g.g * p.p), SeededRng(52))
         assert est.tilted
         c = n * (math.log1p(gamma) + 1.0)
         exact = stats.ncx2.cdf((c - est.threshold) * 2 / gamma, 2 * n, 2 * n * (1 + gamma) / gamma)
@@ -137,7 +145,7 @@ class TestConverseConstants:
         g, p = _setup([1.0], [1.0])
         for n in (50, 4096):
             theta = (1.0 + 1.0) / (2 * n)
-            k1 = pdf_sup_bound(1, n, g, p)
+            k1 = pdf_sup_bound(n, g, p)
             peak = stats.gamma.pdf((n - 1) * theta, a=n, scale=theta)
             assert k1 == pytest.approx(peak / (1 * n), rel=1e-6)
 
@@ -181,7 +189,7 @@ class TestConverseConstants:
     def test_sup_dominates_samples(self):
         g, p = _setup([3.0, 1.0], [0.7, 0.3])
         n = 64
-        k1 = pdf_sup_bound(2, n, g, p)
+        k1 = pdf_sup_bound(n, g, p)
         theta_eff = float(np.prod((1 + g.g * p.p) / (2 * n))) ** 0.5
         rng = np.random.default_rng(1)
         for z in rng.uniform(0.05, 3.0, 10) * theta_eff**2 * n * n:
@@ -189,9 +197,10 @@ class TestConverseConstants:
 
     def test_three_mode_constant_finite(self):
         g, p = _setup([3.0, 1.0, 0.4], [0.5, 0.3, 0.2])
-        consts = converse_constants(3, 128, g, p, 1.0)
-        assert 0 < consts.k1 < math.inf
-        assert consts.k == consts.k1 * consts.k2
+        k1 = pdf_sup_bound(128, g, p)
+        assert 0 < k1 < math.inf
+        log_constant = converse_constants(128, g, p, 1.0)
+        assert log_constant == math.log(k1 * ball_volume_bound(3, 1.0) * 3 * 128)
 
 
 class TestUnitScaleLogSup:
@@ -243,9 +252,8 @@ class TestConverseRate:
         r_minus, r_plus = res.per_d
         assert r_minus.rate_nats == r_plus.rate_nats
         for sub, spec in zip(res.per_d, (sm, sp)):
-            consts = converse_constants(spec.m, 100, spec, waterfill(spec, 1.0), 1.0)
             assert sub.d == spec.d and sub.level == 1 - 1e-3
-            assert sub.log_constant == math.log(consts.k * spec.m * 100)
+            assert sub.log_constant == converse_constants(100, spec, waterfill(spec, 1.0), 1.0)
 
     def test_tracks_capacity_at_large_blocklength(self):
         sp, sm = self._spectra(10)

@@ -37,8 +37,10 @@ from ambc_fbl.power import waterfill
 def _run_fresh(script):
     """Run ``script`` in a new interpreter that imports this tree's package."""
     src = str(Path(ambc_fbl.__file__).resolve().parents[1])
+    # a RuntimeWarning fails the script, as pytest's filterwarnings, which
+    # does not reach a new interpreter, fails an in-process test
     proc = subprocess.run(
-        [sys.executable, "-c", script],
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", script],
         env=dict(os.environ, PYTHONPATH=src),
         capture_output=True,
         text=True,
@@ -393,7 +395,8 @@ class TestMain:
             outs.append(out.read_text())
         assert outs[0] != outs[1]
 
-    # argv after the command's --config, and the expected stderr message
+    # argv after the command's --config, the expected stderr message and,
+    # for a config of the wrong shape, the config's overrides
     USAGE_ERRORS = {
         "grid_text": (["tag-convert", "--grid", "abc"], "--grid must be comma separated numbers"),
         "grid_empty": (["tag-convert", "--grid", ""], "--grid must be comma separated numbers"),
@@ -406,13 +409,21 @@ class TestMain:
         "out_is_a_directory": (["sweep", "--out", "{tmp}"], "cannot write results to"),
         "point_curves_empty": (["point", "--n", "64", "--curves", ""], "at least one curve must be requested"),
         "sweep_curves_empty": (["sweep", "--out", "{tmp}/x.csv", "--curves", ""], "at least one curve"),
+        "config_curves_string": (["point", "--n", "64"], "curves must be a JSON array, got 'capacity'",
+                                 {"curves": "capacity"}),
+        "config_n_grid_string": (["point", "--n", "64"], "n_grid must be a JSON array, got '100'",
+                                 {"n_grid": "100"}),
+        "config_n_grid_int": (["point", "--n", "64"], "n_grid must be a JSON array, got 100",
+                              {"n_grid": 100}),
+        "config_n_grid_null": (["sweep", "--out", "{tmp}/x.csv"], "n_grid must be a JSON array, got None",
+                               {"n_grid": None}),
     }
 
     @pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
     def test_usage_errors_exit_2_with_a_message(self, tmp_path, capsys, monkeypatch, case):
-        argv, message = self.USAGE_ERRORS[case]
+        argv, message, *overrides = self.USAGE_ERRORS[case]
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(asdict(_config(curves=["capacity"]))))
+        cfg_path.write_text(json.dumps(dict(asdict(_config(curves=["capacity"])), **dict(*overrides))))
         sweeps = []
         monkeypatch.setattr(cli, "run_sweep", lambda cfg: sweeps.append(cfg) or run_sweep(cfg))
         argv = [arg.format(tmp=tmp_path) for arg in argv]
@@ -457,10 +468,10 @@ class TestMain:
     def test_converse_runs_past_the_old_limits(self):
         # n = 5000 and min(t, r) = 9 were once refused by the validator
         assert _config(n_grid=[16, 5000]).n_grid == (16, 5000)
-        cfg = _config(t=9, r=9, n_grid=[16], mc_samples=1000, channel_draws=1)
+        cfg = _config(t=9, r=9, n_grid=[16], mc_samples=2000, channel_draws=1)
         g = EigenSpectrum(g=np.linspace(4.0, 0.5, 9), d=1)
-        consts = bounds_conv.converse_constants(9, 5000, g, waterfill(g, 1.0), 1.0)
-        assert 0.0 < consts.k1 < math.inf and 0.0 < consts.k < math.inf
+        assert 0.0 < bounds_conv.pdf_sup_bound(5000, g, waterfill(g, 1.0)) < math.inf
+        assert math.isfinite(bounds_conv.converse_constants(5000, g, waterfill(g, 1.0), 1.0))
         (row,) = run_sweep(cfg).rows
         assert math.isfinite(row.conv_bits) and row.ach_bits <= row.conv_bits
 
@@ -633,15 +644,39 @@ class TestMain:
         assert main(["point", "--config", str(cfg_path), "--n", str(10**22)]) == 2
         assert "n_grid entries must be at most 2**53" in capsys.readouterr().err
 
-    def test_eps_floor_gives_rows(self, tmp_path, capsys):
+    @pytest.mark.parametrize("curves", ["achievability", "converse", None])
+    def test_eps_floor_starves_the_bounds(self, tmp_path, capsys, curves):
+        # 2000 draws at eps = 1e-12 expect 1e-9 draws below the lowest
+        # threshold; unguarded, the achievability read 1.92916 at n = 1000,
+        # above the normal approximation's 1.78201
         cfg = _config(eps=1e-12, n_grid=[16], channel_draws=1)
+        cfg_path = tmp_path / "eps.json"
+        cfg_path.write_text(json.dumps(asdict(cfg)))
+        argv = ["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "out.csv")]
+        assert main(argv + (["--curves", curves] if curves else [])) == 3
+        err = capsys.readouterr().err
+        assert "less than one conditional draw" in err and "Traceback" not in err
+
+    def test_eps_floor_gives_rows(self, tmp_path, capsys):
+        cfg = _config(eps=1e-12, n_grid=[16], channel_draws=1, curves=["capacity", "normal_approx"])
         cfg_path = tmp_path / "eps.json"
         cfg_path.write_text(json.dumps(asdict(cfg)))
         out = tmp_path / "out.csv"
         assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
         capsys.readouterr()
         cells = out.read_text().strip().splitlines()[1].split(",")
-        assert all(math.isfinite(float(x)) for x in cells)
+        assert all(math.isfinite(float(x)) for x in cells[:3])
+
+    def test_starved_deep_tail_exits_3(self, tmp_path, capsys):
+        # 1e5 draws at eps = 1e-6 expect 0.05 draws below the lowest
+        # threshold; unguarded, the achievability read 24.0174 with a CI of
+        # 3.7e-5 at n = 2000, against an exact 23.9779
+        cfg = dict(t=8, r=8, fading="rayleigh", a_coeff=0.5, snr_db=10.0, eps=1e-6,
+                   n_grid=[500, 2000], mc_samples=100_000, channel_draws=1, seed=3)
+        cfg_path = tmp_path / "deep.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["point", "--config", str(cfg_path), "--n", "2000"]) == 3
+        assert "mc_samples * eps / 2 = 0.05 < 1" in capsys.readouterr().err
 
     def test_package_exports_the_cli_names(self):
         from ambc_fbl import ExperimentConfig as exported_config

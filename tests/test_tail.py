@@ -62,7 +62,7 @@ class TestOneLaw:
         if kind == "output":
             draws = LawParams(16, np.zeros(2)).sample(SeededRng(3).generator(), 1000, 0.0)
         else:
-            draws = tail.sample_law(16, np.zeros(2), SeededRng(3), 1000)
+            draws = bounds_ach.sample_info_density(LawParams(16, np.zeros(2)), SeededRng(3), 1000)
         assert np.array_equal(draws, np.zeros(1000))
 
 
@@ -85,11 +85,12 @@ class TestSolveTilt:
                 assert theta > 0.0
                 assert abs(theta - oracle) <= 1e-11 * (1 + abs(theta))
 
+                # at or below the mean one Newton step from theta = 0 would
+                # return a wrong theta <= 0
                 target = mean - frac * abs(mean) * 0.1
-                theta = law.solve_tilt(target)
-                oracle = optimize.brentq(excess, law.theta_lower() * (1 - 1e-12), 0.0, xtol=1e-14)
-                assert theta < 0.0
-                assert abs(theta - oracle) <= 1e-11 * (1 + abs(theta))
+                for below in (mean, target):
+                    with pytest.raises(ValueError, match="at or below the mean"):
+                        law.solve_tilt(below)
 
     def test_nan_raises(self):
         law = LawParams(100, np.array([1.0, 0.5]))
