@@ -5,9 +5,10 @@ is the type-II error of the optimal test between the unconditional output law
 and the conditional law at type-I level 1 - eps + tau, and kappa is the
 measure-matching constant lower-bounded by tau over a computable density-ratio
 supremum.  Per tag symbol the bound takes the converse's steps with its
-own levels and constants: one ``tail.LawParams``, its conditional sample on
-``rng.split(0)``, ``tail.tilted_at_thresholds`` (four thresholds, one tilted
-sample on ``rng.split(1)``), a beta read per tau, and ``tail.best_bound``.
+own levels and constants: one ``tail.LawParams``, its one sample on
+``rng.split(0)``, tilted by the law's ``pilot_tilt(eps / 2)``, the four tau
+thresholds from one weighted quantile pass over it, a beta read per tau
+from the same draws, and ``tail.best_bound``.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from .tail import (
     SymbolBound,
     TiltedSample,
     best_bound,
+    check_mc_args,
     mixed_rate,
     mode_gammas,
-    tilted_at_thresholds,
 )
 
 _TAU_GRID_DIVISORS = (2, 4, 8, 16)
@@ -38,20 +39,22 @@ _C1_HALF_WIDTH = 0.5
 _C1_GRID_POINTS = 513
 
 
-def sample_info_density(law: LawParams, rng: SeededRng, num_samples: int) -> np.ndarray:
-    """Conditional-law draws, the tilt of ``law`` by 1: kept only as a trace
-    seam, which ROADMAP item 3 retires."""
-    return law.sample(rng.generator(), num_samples, 1.0)
+def sample_info_density(
+    law: LawParams, rng: SeededRng, num_samples: int, theta: float
+) -> np.ndarray:
+    """Draws of ``law`` tilted by ``theta``, the bound's one sample: kept
+    only as a trace seam, which ROADMAP item 3 retires."""
+    return law.sample(rng.generator(), num_samples, theta)
 
 
 def achievability_beta(
-    eps: float, tau: float, tilted: TiltedSample, threshold: float
+    eps: float, tau: float, sample: TiltedSample, threshold: float
 ) -> BetaEstimate:
     """beta at type-I level 1 - eps + tau and threshold gamma_n, read from
-    ``tilted``: kept only as a trace seam, which ROADMAP item 3 retires."""
+    ``sample``: kept only as a trace seam, which ROADMAP item 3 retires."""
     if not 0.0 < tau < eps < 1.0:
         raise ValueError("need 0 < tau < eps < 1")
-    return tilted.beta(1.0 - eps + tau, threshold)
+    return sample.beta(1.0 - eps + tau, threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -134,11 +137,11 @@ def _fixed_d_rate(
     c1_total = math.exp(sum(math.log(compute_c1(n, y)) for y in law.gammas))
     taus = [eps / k for k in _TAU_GRID_DIVISORS]
     levels = [1.0 - eps + tau for tau in taus]
-    draws = sample_info_density(law, rng.split(0), num_samples)
-    thresholds, tilted = tilted_at_thresholds(law, draws, levels, rng.split(1))
+    theta = law.pilot_tilt(eps / 2)
+    sample = TiltedSample(law, theta, sample_info_density(law, rng.split(0), num_samples, theta))
     candidates = [
-        (level, math.log(kappa_tau(tau, c1_total)), achievability_beta(eps, tau, tilted, x))
-        for tau, level, x in zip(taus, levels, thresholds)
+        (level, math.log(kappa_tau(tau, c1_total)), achievability_beta(eps, tau, sample, x))
+        for tau, level, x in zip(taus, levels, sample.thresholds(levels))
     ]
     return best_bound(n, g.d, candidates)
 
@@ -154,10 +157,11 @@ def achievability_rate(
 ) -> MixedRate:
     """Achievable-rate lower bound mixed over the equiprobable tag symbol.
 
-    Per symbol: waterfill, sample the conditional information-density law
-    for the thresholds and the tilted output law for beta, and search tau
-    over {eps/2, eps/4, eps/8, eps/16} for the largest log(kappa/beta)/n.
-    ``tail.mixed_rate`` evaluates the two symbols at the same time, on
-    common random numbers.
+    Per symbol: waterfill, draw one tilted sample of the information
+    density for the thresholds and beta, and search tau over {eps/2, eps/4,
+    eps/8, eps/16} for the largest log(kappa/beta)/n.
+    After ``tail.check_mc_args``, ``tail.mixed_rate`` evaluates the two
+    symbols at the same time, on common random numbers.
     """
+    check_mc_args(eps, num_samples)
     return mixed_rate(_fixed_d_rate, n, g_plus, g_minus, total_power, eps, rng, num_samples)

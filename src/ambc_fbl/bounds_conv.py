@@ -6,7 +6,8 @@ K = K1 K2 combines a supremum of the auxiliary per-mode-energy density (a
 product-of-gammas law evaluated by Mellin inversion) with the volume of the
 ball that contains every admissible energy vector.  Per tag symbol the
 bound takes the achievability's steps with its own level and constant: its
-threshold eta and tilted sample come from ``tail.tilted_at_thresholds``.
+one sample is tilted by the law's ``pilot_tilt(eps)``, and its threshold
+eta and beta are read from the same draws.
 """
 
 from __future__ import annotations
@@ -27,25 +28,27 @@ from .tail import (
     SymbolBound,
     TiltedSample,
     best_bound,
+    check_mc_args,
     mixed_rate,
     mode_gammas,
-    tilted_at_thresholds,
 )
 
 
-def sample_converse_density(law: LawParams, rng: SeededRng, num_samples: int) -> np.ndarray:
+def sample_converse_density(
+    law: LawParams, rng: SeededRng, num_samples: int, theta: float
+) -> np.ndarray:
     """Draws of the log likelihood ratio against the auxiliary channel, the
-    tilt of ``law`` by 1: kept only as a trace seam, which ROADMAP item 3
-    retires."""
-    return law.sample(rng.generator(), num_samples, 1.0)
+    law tilted by ``theta``, the bound's one sample: kept only as a trace
+    seam, which ROADMAP item 3 retires."""
+    return law.sample(rng.generator(), num_samples, theta)
 
 
-def np_beta_converse(eps: float, tilted: TiltedSample, eta: float) -> BetaEstimate:
+def np_beta_converse(eps: float, sample: TiltedSample, eta: float) -> BetaEstimate:
     """Neyman-Pearson beta at level 1 - eps and threshold eta, read from
-    ``tilted``: kept only as a trace seam, which ROADMAP item 3 retires."""
+    ``sample``: kept only as a trace seam, which ROADMAP item 3 retires."""
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    return tilted.beta(1.0 - eps, eta)
+    return sample.beta(1.0 - eps, eta)
 
 
 def ball_volume_bound(m: int, total_power: float) -> float:
@@ -126,9 +129,11 @@ def _fixed_d_rate(
     p = waterfill(g, total_power)
     law = LawParams(n, mode_gammas(g, p))
     log_constant = converse_constants(n, g, p, total_power)
-    draws = sample_converse_density(law, rng.split(0), num_samples)
-    (eta,), tilted = tilted_at_thresholds(law, draws, [1.0 - eps], rng.split(1))
-    return best_bound(n, g.d, [(1.0 - eps, log_constant, np_beta_converse(eps, tilted, eta))])
+    theta = law.pilot_tilt(eps)
+    draws = sample_converse_density(law, rng.split(0), num_samples, theta)
+    sample = TiltedSample(law, theta, draws)
+    (eta,) = sample.thresholds([1.0 - eps])
+    return best_bound(n, g.d, [(1.0 - eps, log_constant, np_beta_converse(eps, sample, eta))])
 
 
 def converse_rate(
@@ -144,7 +149,9 @@ def converse_rate(
 
     ``tail.mixed_rate`` evaluates the two symbols at the same time, on
     common random numbers, after the K1 supremum of their common (m, n) is
-    cached, so a cold (m, n) is searched once.
+    cached, so a cold (m, n) is searched once, and only for a call that
+    ``tail.check_mc_args`` accepts.
     """
+    check_mc_args(eps, num_samples)
     _unit_scale_log_sup(g_minus.m, n)  # both symbols then read it from the cache
     return mixed_rate(_fixed_d_rate, n, g_plus, g_minus, total_power, eps, rng, num_samples)

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, InsufficientSamplesError
 
 _MASK64 = (1 << 64) - 1
 
@@ -109,20 +109,35 @@ def standard_normals(streams: Sequence[SeededRng], size: int) -> np.ndarray:
     return out
 
 
-def empirical_quantile(draws: np.ndarray, level):
-    """Value gamma with empirical exceedance fraction P[X >= gamma] = level.
+def empirical_quantile(draws: np.ndarray, level, weights: np.ndarray):
+    """Value gamma with weighted exceedance fraction P[X >= gamma] = level,
+    from ``draws`` sorted ascending and their ``weights``, the likelihood
+    ratios of the law measured to the law drawn.
 
-    Linear interpolation between order statistics, so the result is a
+    The weighted CDF of N draws reaches (w_1 + ... + w_k - w_k / 2) / N at
+    the k-th smallest, the midpoint of its weight ((k - 1/2) / N with unit
+    weights), and gamma is read where it reaches 1 - level, by linear
+    interpolation between neighbouring order statistics, so the result is a
     deterministic function of the sample.  An array of levels gives the
     array of thresholds from one pass over the sample, each bit-equal to
-    the threshold of its level alone.
+    the threshold of its level alone.  Raises ``InsufficientSamplesError``
+    for a level that the weighted CDF does not bracket.
     """
     levels = np.asarray(level, dtype=float)
     if not np.all((levels > 0.0) & (levels < 1.0)):
         raise ValueError(f"level must lie in (0, 1), got {level}")
     if draws.size < 1:
         raise ValueError("cannot take a quantile of an empty sample")
-    gamma = np.quantile(draws, 1.0 - levels)
+    cdf = np.cumsum(weights)
+    cdf -= 0.5 * weights
+    cdf /= draws.size
+    lower = 1.0 - levels
+    if np.any(lower < cdf[0]) or np.any(lower > cdf[-1]):
+        raise InsufficientSamplesError(
+            f"weighted CDF from {cdf[0]:.3g} to {cdf[-1]:.3g} "
+            f"misses lower-tail level {lower.tolist()}"
+        )
+    gamma = np.interp(lower, cdf, draws)
     return float(gamma) if gamma.ndim == 0 else gamma
 
 

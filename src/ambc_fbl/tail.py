@@ -1,23 +1,23 @@
-"""What both bounds share: the law, the threshold-and-tilt step, the
-per-symbol record and the mixture over the two tag symbols.
+"""What both bounds share: the law, the one tilted sample per tag symbol,
+the per-symbol record and the mixture over the two tag symbols.
 
-Both bounds need the Neyman-Pearson type-II error beta of one information
-density X, and each beta is an upper tail of X under the output law: at
-the conditional law's level-(1 - eps + tau) quantile for the kappa-beta
-achievability bound, at its level-(1 - eps) quantile eta for the
-meta-converse.  So each bound, per tag symbol, builds the ``LawParams`` of
-its spectrum once, draws a conditional sample of it on its
-``rng.split(0)``, and hands both to ``tilted_at_thresholds``: one quantile
-pass over the draws for all the bound's levels, and one ``TiltedSample``
-on its ``rng.split(1)``, the one beta estimator: a sample of the output
-law, exponentially tilted so that its mean sits at the lowest threshold
-(untilted when that threshold lies at or below the law's mean), of which
-only the draws at or above that threshold are kept, sorted, so each read
-is a binary search and one pass over the draws it accepts.  The bounds
-differ only in their levels and constants: ``best_bound`` turns a bound's
-(level, log constant, beta) candidates into its ``SymbolBound``, and
-``mixed_rate`` evaluates the two tag symbols at the same time through
-``run_calls`` (one thread pool, shared with the sweep) and mixes them.
+Both bounds read thresholds off the conditional law of one information
+density X and, at each, a Neyman-Pearson type-II error beta, an upper tail
+of X under the output law: at the conditional law's level-(1 - eps + tau)
+exceedance quantile for the kappa-beta achievability bound, at its
+level-(1 - eps) quantile eta for the meta-converse.  So each bound, per tag
+symbol, builds the ``LawParams`` of its spectrum once and draws one sample
+of it on its ``rng.split(0)``, tilted by ``pilot_tilt`` of its lowest
+lower-tail level (eps / 2 for the achievability, eps for the converse), the
+tilt whose mean is the normal approximation of the lowest threshold and so
+the importance sampler for the thresholds and beta alike.  A
+``TiltedSample`` sorts the draws once; ``thresholds`` reads all the bound's
+levels in one weighted quantile pass, and each ``beta`` read is a binary
+search and one pass over the draws it accepts.  The bounds differ only in
+their levels and constants: ``best_bound`` turns a bound's (level, log
+constant, beta) candidates into its ``SymbolBound``, and ``mixed_rate``
+evaluates the two tag symbols at the same time through ``run_calls`` (one
+thread pool, shared with the sweep) and mixes them.
 
 Per active mode j with y = g_j p_j > 0, X has the per-block contribution
   n (log(1+y) + 1) - s * W,   W ~ ncx2(2n, lam),
@@ -47,7 +47,7 @@ import numpy as np
 
 from .channel import EigenSpectrum
 from .errors import ConvergenceError, InsufficientSamplesError
-from .numerics import SeededRng, empirical_quantile
+from .numerics import SeededRng, empirical_quantile, gaussian_q_inv
 from .power import PowerAllocation
 
 # the tilt solve's iteration limit, and its step tolerance relative to 1 + |theta|
@@ -139,6 +139,17 @@ class LawParams:
             mean, var = self.cgf_derivatives(theta)
         raise ConvergenceError(f"tilt search did not converge in {_TILT_MAXITER} iterations")
 
+    def pilot_tilt(self, level: float) -> float:
+        """The tilt theta0 whose mean K'(theta0) is x0 = K'(1) - sqrt(K''(1))
+        Q^-1(``level``), the normal approximation of the conditional law's
+        quantile at lower-tail level ``level``, clamped to [0, 1]: 0 when x0
+        <= K'(0), the output law's mean, and 1 when x0 >= K'(1)."""
+        mean, var = self.cgf_derivatives(1.0)
+        x0 = mean - math.sqrt(var) * gaussian_q_inv(level)
+        if x0 <= self.cgf_derivatives(0.0)[0]:
+            return 0.0
+        return 1.0 if x0 >= mean else self.solve_tilt(x0)
+
 
 def mode_gammas(g: EigenSpectrum, p: PowerAllocation) -> np.ndarray:
     """Per-mode received SNRs g_j p_j."""
@@ -165,59 +176,46 @@ class BetaEstimate:
 
 
 class TiltedSample:
-    """The one beta estimator: ``size`` draws from ``rng`` of the output law
-    ``law`` exponentially tilted by theta = solve_tilt(``lowest``) (0 when
-    ``lowest`` lies at or below the law's mean), made at construction,
-    which serve upper tails of ``law`` at ``lowest`` and every threshold
-    above it.
+    """A bound's one sample for one tag symbol: ``draws`` of ``law`` tilted
+    by ``theta`` in [0, 1], sorted once, from which its thresholds and every
+    beta are read.
 
-    With ``lowest`` above the law's mean, as in every deep tail, the tilt
-    puts the sample's mean at ``lowest``, and each weight at or above it is
-    at most exp(cgf(theta) - theta * lowest), so the sample serves
-    thresholds a fraction of a standard deviation above ``lowest`` as well
-    as ``lowest`` itself: the achievability bound reads its four tau levels
-    from one sample.  At or below the mean theta is 0 and the sample is
-    plain output-law Monte Carlo.  A law without active modes takes no
-    draws.
-
-    Construction keeps only the draws at or above ``lowest``, sorted, with
-    their log weights cgf(theta) - theta x; a read is then a binary search
-    and one pass over the draws it accepts, never over the rejected ones.
+    As K(1) = 0, a draw x has the likelihood ratio exp((1 - theta) x +
+    K(theta)) to the conditional law, by which ``thresholds`` weights it,
+    and exp(K(theta) - theta x) to the output law, by which ``beta`` does.
+    At theta = ``law.pilot_tilt`` of the bound's lowest lower-tail level
+    the draws cluster at the lowest threshold, in the lower tail of the
+    conditional law and the upper tail of the output law, where both
+    weights stay moderate.  At theta = 1 the thresholds are plain sample
+    quantiles, at theta = 0 beta is plain output-law Monte Carlo.
     """
 
-    def __init__(self, law: LawParams, rng: SeededRng, size: int, lowest: float):
-        self._lowest = lowest
-        self._size = size
-        self.theta = 0.0
-        self._kept: Optional[np.ndarray] = None
-        if law.degenerate:
-            return
-        if lowest > law.cgf_derivatives(0.0)[0]:
-            self.theta = law.solve_tilt(lowest)
-        draws = law.sample(rng.generator(), size, self.theta)
-        self._kept = draws[draws >= lowest]
-        self._kept.sort()
-        # with theta >= 0 the log weights fall as x rises, so the first
-        # accepted draw of any read has the largest
-        self._log_w = self.theta * self._kept
-        np.subtract(law.cgf(self.theta), self._log_w, out=self._log_w)
+    def __init__(self, law: LawParams, theta: float, draws: np.ndarray):
+        self.theta = theta
+        self._degenerate = law.degenerate
+        self._draws = np.sort(draws)
+        # with theta >= 0 the output-law log weights fall as x rises, so the
+        # first accepted draw of any beta read has the largest
+        self._log_w = law.cgf(theta) - theta * self._draws
+
+    def thresholds(self, levels: Sequence[float]) -> list:
+        """The thresholds with conditional exceedance probability
+        ``levels``, from one weighted quantile pass over the draws."""
+        return empirical_quantile(self._draws, levels, np.exp(self._log_w + self._draws)).tolist()
 
     def beta(self, level: float, threshold: float) -> BetaEstimate:
-        """beta = P[X >= ``threshold``] under ``law``, for the test of
-        exceedance level ``level``, from the draws reweighted by the
-        likelihood ratio exp(cgf(theta) - theta X), with its relative 95% CI.
+        """beta = P[X >= ``threshold``] under the output law, for the test
+        of exceedance level ``level``, from the draws reweighted by the
+        likelihood ratio exp(K(theta) - theta X), with its relative 95% CI.
 
         A law without active modes has X = 0 under both hypotheses, so the
         test rejects at random and beta is ``level`` exactly.  Raises
-        ``ValueError`` for a threshold below ``lowest``, and
         ``InsufficientSamplesError`` when no draw reaches the threshold or
         the relative CI exceeds 0.5.
         """
-        if self._kept is None:
+        if self._degenerate:
             return BetaEstimate(level, math.log(level), threshold, 0.0, tilted=False)
-        if threshold < self._lowest:
-            raise ValueError("a tilted sample reads no threshold below its lowest")
-        log_w = self._log_w[np.searchsorted(self._kept, threshold):]
+        log_w = self._log_w[np.searchsorted(self._draws, threshold):]
         if log_w.size == 0:
             raise InsufficientSamplesError("no tilted draw reached the threshold")
         mx = float(log_w[0])
@@ -225,7 +223,7 @@ class TiltedSample:
         # mean and population variance over all draws, each rejected draw
         # a weight of 0; the squares are summed in place, not by a BLAS dot,
         # which stalls when two threads call a multithreaded BLAS at once
-        num = self._size
+        num = self._draws.size
         mean = float(shifted.sum()) / num
         shifted -= mean
         np.square(shifted, out=shifted)
@@ -238,17 +236,6 @@ class TiltedSample:
         return BetaEstimate(
             math.exp(mx) * mean, mx + math.log(mean), threshold, ci_rel, tilted=self.theta > 0
         )
-
-
-def tilted_at_thresholds(
-    law: LawParams, draws: np.ndarray, levels: Sequence[float], rng: SeededRng
-) -> Tuple[list, TiltedSample]:
-    """A bound's thresholds, the empirical exceedance quantiles of the
-    conditional ``draws`` at its ``levels`` from one pass, and the one
-    ``TiltedSample`` of as many draws from ``rng`` that serves them all,
-    tilted to the lowest."""
-    thresholds = empirical_quantile(draws, levels).tolist()
-    return thresholds, TiltedSample(law, rng, draws.size, min(thresholds))
 
 
 @dataclass(frozen=True)
@@ -289,6 +276,22 @@ class MixedRate:
     per_d: Tuple[SymbolBound, SymbolBound]
 
 
+def check_mc_args(eps: float, num_samples: int) -> None:
+    """Refuse eps outside (0, 1), fewer than 1000 samples, and num_samples *
+    eps / 2 < 1 (``InsufficientSamplesError``): with unit weights, less than
+    one draw expected below the lowest achievability threshold, a floor kept
+    until ROADMAP item 2 measures one for the weighted quantile."""
+    if not 0.0 < eps < 1.0:
+        raise ValueError("eps must lie in (0, 1)")
+    if num_samples < 1000:
+        raise ValueError("num_samples must be >= 1000")
+    if num_samples * eps / 2 < 1:
+        raise InsufficientSamplesError(
+            f"mc_samples * eps / 2 = {num_samples * eps / 2:.3g} < 1: less than one "
+            "conditional draw is expected below the lowest threshold"
+        )
+
+
 def mixed_rate(
     fixed_d_rate: Callable[..., SymbolBound],
     n: int,
@@ -300,26 +303,12 @@ def mixed_rate(
     num_samples: int,
 ) -> MixedRate:
     """``fixed_d_rate(n, g, total_power, eps, rng, num_samples)`` for both
-    tag symbols, evaluated at the same time by ``run_calls`` and mixed with
-    equal weight through ``rate_nats`` and ``ci_rate_bits``.  Both read the
-    same substreams of ``rng`` (common random numbers), so equal spectra
-    give equal rates, and the result does not depend on the CPU count.
-
-    Raises ``InsufficientSamplesError`` when num_samples * eps / 2 < 1: the
-    lowest achievability threshold, the conditional sample's quantile at
-    lower-tail level eps / 2, then has less than one draw expected below
-    it, so it sits near the sample minimum, biased up, and beta is biased
-    down.
+    tag symbols, for arguments that ``check_mc_args`` accepts, evaluated at
+    the same time by ``run_calls`` and mixed with equal weight through
+    ``rate_nats`` and ``ci_rate_bits``.  Both read the same substreams of
+    ``rng`` (common random numbers), so equal spectra give equal rates, and
+    the result does not depend on the CPU count.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
-    if num_samples < 1000:
-        raise ValueError("num_samples must be >= 1000")
-    if num_samples * eps / 2 < 1:
-        raise InsufficientSamplesError(
-            f"mc_samples * eps / 2 = {num_samples * eps / 2:.3g} < 1: less than one "
-            "conditional draw is expected below the lowest threshold"
-        )
     res_minus, res_plus = run_calls(
         [partial(fixed_d_rate, n, g, total_power, eps, rng, num_samples) for g in (g_minus, g_plus)]
     )

@@ -16,10 +16,10 @@ from ambc_fbl.bounds_ach import achievability_beta, achievability_rate, sample_i
 from ambc_fbl.bounds_conv import converse_rate, np_beta_converse, sample_converse_density
 from ambc_fbl.channel import EigenSpectrum, Fading, composite, draw_channel, eigen_spectrum
 from ambc_fbl.cli import ExperimentConfig, emit_csv, run_sweep
-from ambc_fbl.numerics import SeededRng, empirical_quantile, gaussian_q_inv
+from ambc_fbl.numerics import SeededRng, gaussian_q_inv
 from ambc_fbl.power import PowerAllocation, waterfill
 from ambc_fbl.tag import TagErrorModel, eps_given_tag_error, tag_error_given_eps
-from ambc_fbl.tail import LawParams, TiltedSample, tilted_at_thresholds
+from ambc_fbl.tail import LawParams, TiltedSample
 from oracles import product_gamma_pdf, simulate_tag_error, verify_sigma_maximizer
 
 EPS = 1e-3
@@ -163,10 +163,11 @@ class TestCriterion5BetaOracles:
         n, eps, tau, num = 1, 0.1, 0.025, 200_000
         g = EigenSpectrum(g=np.array([gamma]), d=1)
         p = PowerAllocation(p=np.array([1.0]), water_level=2.0, total_power=1.0)
-        h_draws = sample_info_density(LawParams(n, g.g * p.p), SeededRng(105, 2), num)
-        lowest = empirical_quantile(h_draws, 1 - eps + tau)
-        tilted = TiltedSample(LawParams(n, g.g * p.p), SeededRng(105, 3), num, lowest)
-        est = achievability_beta(eps, tau, tilted, lowest)
+        law = LawParams(n, g.g * p.p)
+        theta = law.pilot_tilt(eps - tau)
+        sample = TiltedSample(law, theta, sample_info_density(law, SeededRng(105, 2), num, theta))
+        (lowest,) = sample.thresholds([1 - eps + tau])
+        est = achievability_beta(eps, tau, sample, lowest)
 
         c, law_h, scale_h, law_g, scale_g = _oracle_laws(gamma)
         gamma_n = c - scale_h * law_h.ppf(1 - eps + tau)
@@ -192,9 +193,10 @@ class TestCriterion5BetaOracles:
         g = EigenSpectrum(g=np.array([gamma]), d=1)
         p = PowerAllocation(p=np.array([1.0]), water_level=2.0, total_power=1.0)
         law = LawParams(n, g.g * p.p)
-        draws = sample_converse_density(law, SeededRng(106, 1), num)
-        (eta,), tilted = tilted_at_thresholds(law, draws, [1 - eps], SeededRng(106, 2))
-        est = np_beta_converse(eps, tilted, eta)
+        theta = law.pilot_tilt(eps)
+        sample = TiltedSample(law, theta, sample_converse_density(law, SeededRng(106, 1), num, theta))
+        (eta,) = sample.thresholds([1 - eps])
+        est = np_beta_converse(eps, sample, eta)
 
         c, law_h, scale_h, law_g, scale_g = _oracle_laws(gamma)
         eta = c - scale_h * law_h.ppf(1 - eps)
@@ -274,7 +276,8 @@ class TestCriterion6IdentitySuite:
     def test_beta_of_identical_laws_is_the_level(self):
         # the output law's own level-L quantile (one mode, from the scipy
         # ncx2 ppf) as the threshold: beta is L, read untilted at L = 0.92,
-        # below the law's mean, and tilted at L = 0.3, above it
+        # below the law's mean, and tilted to the threshold at L = 0.3,
+        # above it
         n, gamma, num = 20, 1.0, 100_000
         law = LawParams(n, np.array([gamma]))
         gaps = []
@@ -283,7 +286,8 @@ class TestCriterion6IdentitySuite:
             x = n * (math.log1p(gamma) + 1) - gamma / 2 * stats.ncx2.ppf(
                 level, 2 * n, 2 * n * (1 + gamma) / gamma
             )
-            tilted = TiltedSample(law, SeededRng(111, 3), num, x)
+            theta = law.solve_tilt(x) if x > law.cgf_derivatives(0.0)[0] else 0.0
+            tilted = TiltedSample(law, theta, law.sample(SeededRng(111, 3).generator(), num, theta))
             est = achievability_beta(eps, tau, tilted, x)
             gaps.append((tilted.theta, abs(est.beta - level)))
         ok = gaps[0][0] == 0.0 < gaps[1][0] and max(gap for _, gap in gaps) <= 2 / math.sqrt(num)
@@ -295,10 +299,11 @@ class TestCriterion6IdentitySuite:
         assert ok
 
         eps = 0.1
-        (eta,), tilted = tilted_at_thresholds(
-            LawParams(20, np.zeros(1)), np.zeros(num), [1 - eps], SeededRng(111, 4)
-        )
-        degenerate = np_beta_converse(eps, tilted, eta)
+        law = LawParams(20, np.zeros(1))
+        theta = law.pilot_tilt(eps)
+        sample = TiltedSample(law, theta, sample_converse_density(law, SeededRng(111, 4), num, theta))
+        (eta,) = sample.thresholds([1 - eps])
+        degenerate = np_beta_converse(eps, sample, eta)
         gap2 = abs(degenerate.beta - (1 - eps))
         ok2 = gap2 <= 2 / math.sqrt(num)
         _report("criterion 6f (degenerate converse beta equals its level)", ok2, f"gap {gap2:.2e}")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ambc_fbl import bounds_ach, bounds_conv, tail
+from ambc_fbl import bounds_ach, bounds_conv
 from ambc_fbl.bounds_ach import (
     MixedRate,
     achievability_beta,
@@ -38,15 +38,23 @@ def _laws(gains, powers, n, seed, num=100_000):
     g, p = _setup(gains, powers)
     law = (n, g.g * p.p)
     g_draws = LawParams(*law).sample(SeededRng(seed, 1).generator(), num, 0.0)
-    h_draws = sample_info_density(LawParams(*law), SeededRng(seed, 2), num)
+    h_draws = sample_info_density(LawParams(*law), SeededRng(seed, 2), num, 1.0)
     return g_draws, h_draws, law
 
 
-def _beta(h_draws, eps, tau, law, rng, size=100_000):
-    """``achievability_beta`` with its own tilted sample of the law
-    (n, gammas), tilted to the threshold the conditional draws give."""
-    lowest = empirical_quantile(h_draws, 1 - eps + tau)
-    return achievability_beta(eps, tau, TiltedSample(LawParams(*law), rng, size, lowest), lowest)
+def _one_sample(law, level, rng, size):
+    """The bound's one sample of ``law`` on ``rng``, tilted by its pilot at
+    lower-tail level ``level``."""
+    theta = law.pilot_tilt(level)
+    return TiltedSample(law, theta, sample_info_density(law, rng, size, theta))
+
+
+def _beta(eps, tau, law, rng, size=100_000):
+    """``achievability_beta`` at the threshold of level 1 - eps + tau, both
+    read from one sample of the law (n, gammas) of its own."""
+    sample = _one_sample(LawParams(*law), eps - tau, rng, size)
+    (threshold,) = sample.thresholds([1 - eps + tau])
+    return achievability_beta(eps, tau, sample, threshold)
 
 
 def _direct_per_use(kind, n, gamma, gen, num):
@@ -64,7 +72,7 @@ def _sample(kind, n, g, p, rng, num):
     by 0) or, through ``sample_info_density``, the conditional law."""
     if kind == "output":
         return LawParams(n, g.g * p.p).sample(rng.generator(), num, 0.0)
-    return sample_info_density(LawParams(n, g.g * p.p), rng, num)
+    return sample_info_density(LawParams(n, g.g * p.p), rng, num, 1.0)
 
 
 class TestSampleInfoDensity:
@@ -129,15 +137,17 @@ class TestAchievabilityBeta:
             x = n * (math.log1p(gamma) + 1) - gamma / 2 * stats.ncx2.ppf(
                 level, 2 * n, 2 * n * (1 + gamma) / gamma
             )
-            tilted = TiltedSample(law, SeededRng(0), num, x)
-            assert (tilted.theta > 0) == tilt
+            # below the output law's mean the sample is untilted
+            assert (x > law.cgf_derivatives(0.0)[0]) == tilt
+            theta = law.solve_tilt(x) if tilt else 0.0
+            tilted = TiltedSample(law, theta, law.sample(SeededRng(0).generator(), num, theta))
             est = achievability_beta(eps, tau, tilted, x)
+            assert est.tilted == tilt
             assert est.beta == pytest.approx(level, abs=2 / math.sqrt(num))
 
     def test_law_without_active_modes_returns_the_level_exactly(self):
         # X = 0 under both hypotheses: the test rejects at random
-        zeros = np.zeros(20_000)
-        est = _beta(zeros, 0.1, 0.02, (8, np.zeros(1)), SeededRng(0))
+        est = _beta(0.1, 0.02, (8, np.zeros(1)), SeededRng(0), 20_000)
         assert est.beta == 0.92
         assert not est.tilted
 
@@ -146,7 +156,7 @@ class TestAchievabilityBeta:
         # exact laws at n = 1: shifted and scaled noncentral chi-squares
         n, eps, tau = 1, 0.1, 0.025
         _, h_draws, law = _laws([gamma], [1.0], n, seed=6)
-        est = _beta(h_draws, eps, tau, law, SeededRng(60))
+        est = _beta(eps, tau, law, SeededRng(60))
         c = math.log1p(gamma) + 1.0
         law_h = stats.ncx2(2, 2 / gamma)
         law_g = stats.ncx2(2, 2 * (1 + gamma) / gamma)
@@ -158,21 +168,18 @@ class TestAchievabilityBeta:
 
     def test_beta_increases_with_tau(self):
         # one sample, tilted to the lowest threshold, that of the largest tau
-        _, h_draws, law = _laws([1.0], [1.0], 30, seed=7)
+        _, _, law = _laws([1.0], [1.0], 30, seed=7)
         taus = (0.01, 0.03, 0.06, 0.09)
-        lowest = empirical_quantile(h_draws, 1 - 0.1 + taus[-1])
-        tilted = TiltedSample(LawParams(*law), SeededRng(61), 100_000, lowest)
-        betas = [
-            achievability_beta(0.1, tau, tilted, empirical_quantile(h_draws, 1 - 0.1 + tau)).beta
-            for tau in taus
-        ]
+        sample = _one_sample(LawParams(*law), 0.1 - taus[-1], SeededRng(61), 100_000)
+        thresholds = sample.thresholds([1 - 0.1 + tau for tau in taus])
+        betas = [achievability_beta(0.1, tau, sample, x).beta for tau, x in zip(taus, thresholds)]
         assert all(b2 >= b1 for b1, b2 in zip(betas, betas[1:]))
 
     def test_tilted_path_matches_exact_tail(self):
         # deep tail, beyond raw Monte Carlo of the output law
         gamma, n = 1.0, 400
-        _, h_draws, law = _laws([gamma], [1.0], n, seed=8)
-        est = _beta(h_draws, 1e-3, 2.5e-4, law, SeededRng(62))
+        _, _, law = _laws([gamma], [1.0], n, seed=8)
+        est = _beta(1e-3, 2.5e-4, law, SeededRng(62))
         assert est.tilted
         assert est.log_beta < -100
         assert est.ci_rel < 0.1
@@ -182,8 +189,8 @@ class TestAchievabilityBeta:
         # chi-square with 2n degrees of freedom; evaluate the exact tail at
         # the estimator's own threshold so only the sampler is under test
         gamma, n = 1.0, 100
-        _, h_draws, law = _laws([gamma], [1.0], n, seed=88)
-        est = _beta(h_draws, 1e-3, 2.5e-4, law, SeededRng(89))
+        _, _, law = _laws([gamma], [1.0], n, seed=88)
+        est = _beta(1e-3, 2.5e-4, law, SeededRng(89))
         assert est.tilted
         c = n * (math.log1p(gamma) + 1.0)
         exact = stats.ncx2.cdf(
@@ -213,7 +220,7 @@ class TestAchievabilityBeta:
     def test_tau_eps_validation(self):
         _, h_draws, law = _laws([1.0], [1.0], 10, seed=10, num=2000)
         threshold = float(h_draws.min())
-        tilted = TiltedSample(LawParams(*law), SeededRng(0), 2000, threshold)
+        tilted = _one_sample(LawParams(*law), 0.1, SeededRng(0), 2000)
         with pytest.raises(ValueError):
             achievability_beta(0.1, 0.1, tilted, threshold)
         with pytest.raises(ValueError):
@@ -359,9 +366,10 @@ class TestAchievabilityRate:
 
 
 class TestOutputDrawSkip:
-    """The bound draws no output-law sample: every beta is read from one
-    tilted sample, whose largest weight at or above its lowest threshold
-    x, exp(cgf(theta) - theta x), is the Chernoff bound on the tail at x."""
+    """The bound draws no output-law sample: its thresholds and every beta
+    are read from one tilted sample, whose largest weight at or above a
+    threshold x, exp(cgf(theta) - theta x), is a Chernoff bound on the
+    tail at x."""
 
     @pytest.mark.parametrize("gamma", [0.3, 1.0, 4.0])
     @pytest.mark.parametrize("n", [8, 100, 1000])
@@ -373,9 +381,8 @@ class TestOutputDrawSkip:
         mean = law.cgf_derivatives(0.0)[0]
         for per_use in (-2.0, -1.0, 0.0, 0.5):
             threshold = per_use * n
-            theta = TiltedSample(law, SeededRng(0), 1000, threshold).theta
-            # the tilt is clamped to 0 at or below the mean
-            assert (theta > 0) == (threshold > mean)
+            # the tilt to the threshold, clamped to 0 at or below the mean
+            theta = law.solve_tilt(threshold) if threshold > mean else 0.0
             bound = law.cgf(theta) - theta * threshold
             exact = stats.ncx2.logcdf(
                 (c - threshold) * 2 / gamma, 2 * n, 2 * n * (1 + gamma) / gamma
@@ -386,7 +393,7 @@ class TestOutputDrawSkip:
                 assert bound <= exact + 5.0
 
     @pytest.mark.parametrize("bound", [achievability_rate, converse_rate])
-    def test_bound_draws_only_the_conditional_and_the_tilted_sample(
+    def test_bound_draws_one_tilted_sample_per_symbol(
         self, monkeypatch, pin_cpus, bound
     ):
         # one CPU evaluates the two tag symbols in order, so the sampler
@@ -403,11 +410,10 @@ class TestOutputDrawSkip:
 
         monkeypatch.setattr(LawParams, "sample", recorded)
         res = bound(100, sp, sm, 1.0, 1e-3, SeededRng(20), 20_000)
-        # per symbol: the conditional sample (the tilt by 1), then one
-        # sample tilted into the output law's upper tail for all of the
-        # bound's thresholds
-        assert len(thetas) == 4 and thetas[0::2] == [1.0, 1.0]
-        assert all(0.0 < theta < 1.0 for theta in thetas[1::2])
+        # per symbol one sample, tilted between the output law and the
+        # conditional law, for all of the bound's thresholds and betas
+        assert len(thetas) == 2
+        assert all(0.0 <= theta <= 1.0 for theta in thetas)
         assert all(sub.estimate.tilted for sub in res.per_d)
 
 
@@ -424,9 +430,19 @@ def _written_out(law, stream, num, theta, threshold):
     return mx + math.log(mean), 1.96 * weights.std() / math.sqrt(num) / mean
 
 
+def _weighted_threshold(law, stream, num, theta, level):
+    """The threshold of exceedance ``level`` under the conditional law,
+    from ``num`` draws of the law tilted by ``theta`` on ``stream``, each
+    weighted by its likelihood ratio exp((1 - theta) x + cgf(theta)) to
+    the conditional law."""
+    draws = np.sort(law.sample(stream.generator(), num, theta))
+    return empirical_quantile(draws, level, np.exp((1 - theta) * draws + law.cgf(theta)))
+
+
 class TestSharedTiltedSample:
-    """The four tau of one tag symbol read their tilted tails from one
-    sample, tilted to the lowest threshold, that of tau = eps/2."""
+    """The four tau of one tag symbol read their thresholds and tilted tails
+    from one sample, tilted by the pilot of the lowest threshold, that of
+    tau = eps/2."""
 
     LAWS = [([1.0], 100), ([1.0], 2000), ([2.0, 1.5], 100), ([2.0, 1.5], 2000)]
 
@@ -449,33 +465,38 @@ class TestSharedTiltedSample:
         assert len(ests) == 4 and all(est.tilted for est in ests)
         first = ests[0]
         # bit-equal to a sample of its own on the same stream, read once
-        stream = SeededRng(seed).split(1)
-        own = TiltedSample(law, stream, num, first.threshold).beta(1 - 1e-3 / 2, first.threshold)
+        stream = SeededRng(seed).split(0)
+        own = _one_sample(law, 1e-3 / 2, stream, num).beta(1 - 1e-3 / 2, first.threshold)
         assert (first.log_beta, first.ci_rel) == (own.log_beta, own.ci_rel)
         # every tau's sorted read is the importance-sampling sum written
-        # out over all draws, to 1e-12 relative in beta and its CI
-        theta = law.solve_tilt(first.threshold)
-        for est in ests:
+        # out over all draws, to 1e-12 relative in beta and its CI, at the
+        # threshold the conditional weights give
+        theta = law.pilot_tilt(1e-3 / 2)
+        levels = [1 - 1e-3 + 1e-3 / k for k in (2, 4, 8, 16)]
+        for est, level in zip(ests, levels):
             log_beta, ci_rel = _written_out(law, stream, num, theta, est.threshold)
             assert abs(est.log_beta - log_beta) <= 1e-12
             assert est.ci_rel == pytest.approx(ci_rel, rel=1e-12)
-        # and so is the converse's read at eta, on its own sample
-        draws = bounds_conv.sample_converse_density(law, SeededRng(seed).split(0), num)
-        (eta,), tilted = tail.tilted_at_thresholds(law, draws, [1 - 1e-3], SeededRng(seed).split(1))
-        est = bounds_conv.np_beta_converse(1e-3, tilted, eta)
-        assert est.tilted and est.threshold == empirical_quantile(draws, 1 - 1e-3)
-        theta = law.solve_tilt(est.threshold)
-        log_beta, ci_rel = _written_out(law, SeededRng(seed).split(1), num, theta, est.threshold)
+            assert est.threshold == pytest.approx(
+                _weighted_threshold(law, stream, num, theta, level), rel=1e-12, abs=1e-12
+            )
+        # and so is the converse's read at eta, on its own sample, tilted by
+        # the pilot of eta
+        est = bounds_conv._fixed_d_rate(n, g, 1.0, 1e-3, SeededRng(seed), num).estimate
+        theta = law.pilot_tilt(1e-3)
+        assert est.tilted and est.threshold == pytest.approx(
+            _weighted_threshold(law, stream, num, theta, 1 - 1e-3), rel=1e-12, abs=1e-12
+        )
+        log_beta, ci_rel = _written_out(law, stream, num, theta, est.threshold)
         assert abs(est.log_beta - log_beta) <= 1e-12
         assert est.ci_rel == pytest.approx(ci_rel, rel=1e-12)
 
     @pytest.mark.parametrize("gains,n", LAWS)
     def test_reads_do_not_depend_on_their_order(self, gains, n):
         law = LawParams(n, np.asarray(gains, float))
-        cond = sample_info_density(law, SeededRng(22, 0), 20_000)
+        sample = _one_sample(law, 1e-3 / 2, SeededRng(22, 0), 20_000)
         levels = [1 - 1e-3 + 1e-3 / k for k in (2, 4, 8, 16)]
-        thresholds = empirical_quantile(cond, levels).tolist()
-        sample = TiltedSample(law, SeededRng(22, 1), 20_000, thresholds[0])
+        thresholds = sample.thresholds(levels)
         forward = [sample.beta(*read) for read in zip(levels, thresholds)]
         backward = [sample.beta(*read) for read in reversed(list(zip(levels, thresholds)))]
         assert forward == backward[::-1]
@@ -489,20 +510,15 @@ class TestSharedTiltedSample:
         levels = [1 - eps + eps / k for k in (2, 4, 8, 16)]
         for seed, (gains, n) in enumerate(self.LAWS):
             law = LawParams(n, np.asarray(gains, float))
-            cond = law.sample(SeededRng(seed, 0).generator(), num, 1.0)
-            thresholds = empirical_quantile(cond, levels).tolist()
-            shared = TiltedSample(law, SeededRng(seed, 1), num, thresholds[0])
+            shared = _one_sample(law, eps / 2, SeededRng(seed, 1), num)
+            thresholds = shared.thresholds(levels)
             for i, (level, threshold) in enumerate(zip(levels[1:], thresholds[1:])):
                 est = shared.beta(level, threshold)
-                own = TiltedSample(law, SeededRng(seed, 2 + i), num, threshold).beta(level, threshold)
+                # a sample tilted to this threshold itself
+                theta = law.solve_tilt(threshold)
+                draws = law.sample(SeededRng(seed, 2 + i).generator(), num, theta)
+                own = TiltedSample(law, theta, draws).beta(level, threshold)
                 assert abs(est.log_beta - own.log_beta) <= z_ratio * math.hypot(est.ci_rel, own.ci_rel)
                 # no weight above the lowest threshold is large: the CI
                 # hardly grows over that of the sample's own threshold
                 assert est.ci_rel <= 1.1 * own.ci_rel
-
-    def test_no_read_below_the_first_threshold(self):
-        law = LawParams(100, np.array([1.0]))
-        sample = TiltedSample(law, SeededRng(0), 2000, -40.0)
-        sample.beta(0.5, -40.0)
-        with pytest.raises(ValueError, match="below its lowest"):
-            sample.beta(0.5, -41.0)

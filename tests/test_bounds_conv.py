@@ -15,10 +15,10 @@ from ambc_fbl.bounds_conv import (
     sample_converse_density,
 )
 from ambc_fbl.channel import EigenSpectrum, Fading, composite, draw_channel, eigen_spectrum
-from ambc_fbl.errors import ConvergenceError
+from ambc_fbl.errors import ConvergenceError, InsufficientSamplesError
 from ambc_fbl.numerics import SeededRng, product_gamma_logpdf
 from ambc_fbl.power import PowerAllocation, waterfill
-from ambc_fbl.tail import LawParams, tilted_at_thresholds
+from ambc_fbl.tail import LawParams, TiltedSample
 from oracles import product_gamma_pdf
 
 
@@ -32,17 +32,20 @@ def _setup(gains, powers, d=1):
     return g, p
 
 
-def _beta(draws, eps, law, rng):
-    """``np_beta_converse`` at the empirical (1 - eps) exceedance quantile
-    eta of ``draws``, read from a tilted sample of ``law`` on ``rng``."""
-    (eta,), tilted = tilted_at_thresholds(law, draws, [1 - eps], rng)
-    return np_beta_converse(eps, tilted, eta)
+def _beta(eps, law, rng, size):
+    """``np_beta_converse`` at the (1 - eps) exceedance quantile eta, both
+    read from the bound's one sample of ``law`` on ``rng``, tilted by the
+    pilot of eta."""
+    theta = law.pilot_tilt(eps)
+    sample = TiltedSample(law, theta, sample_converse_density(law, rng, size, theta))
+    (eta,) = sample.thresholds([1 - eps])
+    return np_beta_converse(eps, sample, eta)
 
 
 class TestSampleConverseDensity:
     def test_mean_is_capacity(self):
         g, p = _setup([2.0, 0.5], [0.6, 0.4])
-        draws = sample_converse_density(LawParams(120, g.g * p.p), SeededRng(0), 50_000)
+        draws = sample_converse_density(LawParams(120, g.g * p.p), SeededRng(0), 50_000, 1.0)
         cap = float(np.log1p(g.g * p.p).sum())
         se = draws.std() / math.sqrt(draws.size)
         assert draws.mean() / 120 == pytest.approx(cap, abs=3 * se / 120)
@@ -50,13 +53,13 @@ class TestSampleConverseDensity:
     def test_per_use_variance_is_dispersion(self):
         gamma = 2.0
         g, p = _setup([gamma], [1.0])
-        draws = sample_converse_density(LawParams(1, g.g * p.p), SeededRng(1), 100_000)
+        draws = sample_converse_density(LawParams(1, g.g * p.p), SeededRng(1), 100_000, 1.0)
         target = 1.0 - 1.0 / (1.0 + gamma) ** 2
         assert draws.var() == pytest.approx(target, rel=0.05)
 
     def test_zero_power_degenerates(self):
         g, p = _setup([1.0], [0.0])
-        draws = sample_converse_density(LawParams(10, g.g * p.p), SeededRng(2), 2000)
+        draws = sample_converse_density(LawParams(10, g.g * p.p), SeededRng(2), 2000, 1.0)
         assert draws.var() == 0.0
         assert np.all(draws == 0.0)
 
@@ -64,38 +67,35 @@ class TestSampleConverseDensity:
 class TestNpBetaConverse:
     def test_identical_laws_return_the_level(self):
         # zero power makes the two hypotheses coincide
-        draws = np.zeros(50_000)
         for eps in (0.3, 0.1, 0.01):
-            est = _beta(draws, eps, LawParams(8, np.zeros(1)), SeededRng(0))
+            est = _beta(eps, LawParams(8, np.zeros(1)), SeededRng(0), 50_000)
             assert est.beta == pytest.approx(1 - eps, abs=2 / math.sqrt(50_000))
 
     @pytest.mark.parametrize("gamma", [0.5, 1.0, 4.0])
     def test_single_use_matches_quadrature_oracle(self, gamma):
         n, eps = 1, 0.1
         g, p = _setup([gamma], [1.0])
-        draws = sample_converse_density(LawParams(n, g.g * p.p), SeededRng(3), 100_000)
-        est = _beta(draws, eps, LawParams(n, g.g * p.p), SeededRng(30))
+        num = 100_000
+        est = _beta(eps, LawParams(n, g.g * p.p), SeededRng(30), num)
         c = math.log1p(gamma) + 1.0
         law_h = stats.ncx2(2, 2 / gamma)
         law_g = stats.ncx2(2, 2 * (1 + gamma) / gamma)
         eta = c - gamma / (2 * (1 + gamma)) * law_h.ppf(1 - eps)
         beta_oracle = law_g.cdf((c - eta) * 2 / gamma)
-        se = math.sqrt(beta_oracle * (1 - beta_oracle) / draws.size)
+        se = math.sqrt(beta_oracle * (1 - beta_oracle) / num)
         assert est.beta == pytest.approx(beta_oracle, abs=4 * se + 0.003)
 
     def test_monotone_in_level(self):
         g, p = _setup([1.0], [1.0])
-        draws = sample_converse_density(LawParams(20, g.g * p.p), SeededRng(4), 50_000)
         betas = [
-            _beta(draws, eps, LawParams(20, g.g * p.p), SeededRng(40)).log_beta
+            _beta(eps, LawParams(20, g.g * p.p), SeededRng(40), 50_000).log_beta
             for eps in (0.3, 0.1, 0.01)
         ]
         assert betas[0] < betas[1] < betas[2]
 
     def test_tilted_path_engages_at_large_blocklength(self):
         g, p = _setup([1.0], [1.0])
-        draws = sample_converse_density(LawParams(1000, g.g * p.p), SeededRng(5), 20_000)
-        est = _beta(draws, 1e-3, LawParams(1000, g.g * p.p), SeededRng(50))
+        est = _beta(1e-3, LawParams(1000, g.g * p.p), SeededRng(50), 20_000)
         assert est.tilted
         assert est.log_beta < -500
         assert est.ci_rel < 0.2
@@ -106,8 +106,7 @@ class TestNpBetaConverse:
         # tail at the estimator's own threshold
         gamma, n = 1.0, 100
         g, p = _setup([gamma], [1.0])
-        draws = sample_converse_density(LawParams(n, g.g * p.p), SeededRng(51), 100_000)
-        est = _beta(draws, 1e-3, LawParams(n, g.g * p.p), SeededRng(52))
+        est = _beta(1e-3, LawParams(n, g.g * p.p), SeededRng(52), 100_000)
         assert est.tilted
         c = n * (math.log1p(gamma) + 1.0)
         exact = stats.ncx2.cdf((c - est.threshold) * 2 / gamma, 2 * n, 2 * n * (1 + gamma) / gamma)
@@ -254,6 +253,22 @@ class TestConverseRate:
         for sub, spec in zip(res.per_d, (sm, sp)):
             assert sub.d == spec.d and sub.level == 1 - 1e-3
             assert sub.log_constant == converse_constants(100, spec, waterfill(spec, 1.0), 1.0)
+
+    @pytest.mark.parametrize(
+        "eps,num,error",
+        [
+            (0.0, 2000, ValueError),
+            (1.0, 2000, ValueError),
+            (1e-3, 999, ValueError),
+            (1e-3, 1999, InsufficientSamplesError),  # the floor, num * eps / 2 < 1
+        ],
+    )
+    def test_refused_call_searches_no_k1(self, eps, num, error):
+        sp, sm = self._spectra(8)
+        _unit_scale_log_sup.cache_clear()
+        with pytest.raises(error):
+            converse_rate(100, sp, sm, 1.0, eps, SeededRng(9), num)
+        assert _unit_scale_log_sup.cache_info().misses == 0
 
     def test_tracks_capacity_at_large_blocklength(self):
         sp, sm = self._spectra(10)

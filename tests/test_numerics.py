@@ -18,7 +18,7 @@ from ambc_fbl.numerics import (
     product_gamma_logpdf,
     trigamma,
 )
-from ambc_fbl.errors import ConvergenceError
+from ambc_fbl.errors import ConvergenceError, InsufficientSamplesError
 from oracles import product_gamma_pdf
 
 mpmath = pytest.importorskip("mpmath")
@@ -298,37 +298,65 @@ class TestTrigamma:
             trigamma(x)
 
 
+def _unit_weights(draws):
+    """``draws`` sorted, with the unit weights of a sample of the law measured."""
+    return np.sort(draws), np.ones(draws.size)
+
+
 class TestEmpiricalQuantile:
     def test_midpoint_interpolation(self):
-        sample = np.array([1.0, 2.0, 3.0, 4.0])
-        assert empirical_quantile(sample, 0.5) == pytest.approx(2.5)
+        draws, weights = _unit_weights(np.array([1.0, 2.0, 3.0, 4.0]))
+        assert empirical_quantile(draws, 0.5, weights) == pytest.approx(2.5)
 
     def test_median_of_normal_draws(self):
-        draws = SeededRng(4).generator().standard_normal(100_000)
-        assert empirical_quantile(draws, 0.5) == pytest.approx(0.0, abs=0.02)
+        draws, weights = _unit_weights(SeededRng(4).generator().standard_normal(100_000))
+        assert empirical_quantile(draws, 0.5, weights) == pytest.approx(0.0, abs=0.02)
 
     def test_deep_level_inside_range(self):
-        draws = SeededRng(5).generator().standard_normal(100_000)
+        draws, weights = _unit_weights(SeededRng(5).generator().standard_normal(100_000))
         eps, tau = 1e-3, 5e-4
-        q = empirical_quantile(draws, 1 - eps + tau)
+        q = empirical_quantile(draws, 1 - eps + tau, weights)
         assert draws.min() < q < draws.max()
 
     def test_array_of_levels_equals_each_level_alone(self):
         # the achievability bound reads its four tau thresholds in one pass
-        draws = SeededRng(6).generator().standard_normal(100_000)
+        draws, weights = _unit_weights(SeededRng(6).generator().standard_normal(100_000))
         eps = 1e-3
         levels = [1 - eps + eps / k for k in (2, 4, 8, 16)]
-        together = empirical_quantile(draws, levels)
-        assert together.tolist() == [empirical_quantile(draws, level) for level in levels]
+        together = empirical_quantile(draws, levels, weights)
+        assert together.tolist() == [empirical_quantile(draws, level, weights) for level in levels]
 
     def test_errors(self):
         sample = np.array([1.0])
         with pytest.raises(ValueError):
-            empirical_quantile(sample, 0.0)
+            empirical_quantile(sample, 0.0, np.ones(1))
         with pytest.raises(ValueError):
-            empirical_quantile(sample, [0.5, 1.0])
+            empirical_quantile(sample, [0.5, 1.0], np.ones(1))
         with pytest.raises(ValueError):
-            empirical_quantile(np.array([]), 0.5)
+            empirical_quantile(np.array([]), 0.5, np.array([]))
+
+    def test_level_outside_the_weighted_cdf_raises(self):
+        # the CDF of four unit weights runs from 1/8 to 7/8
+        draws, weights = _unit_weights(np.array([1.0, 2.0, 3.0, 4.0]))
+        assert empirical_quantile(draws, 7 / 8, weights) == 1.0
+        assert empirical_quantile(draws, 1 / 8, weights) == 4.0
+        for level in (0.9, 0.1):
+            with pytest.raises(InsufficientSamplesError, match="misses lower-tail level"):
+                empirical_quantile(draws, level, weights)
+        # weights that sum to less than the level leave it unbracketed too
+        with pytest.raises(InsufficientSamplesError):
+            empirical_quantile(draws, 0.5, np.full(4, 0.1))
+
+    def test_weighted_quantile_matches_the_tilted_law(self):
+        # N(-2, 1) draws weighted by their likelihood ratio exp(2 x + 2) to
+        # N(0, 1) read the N(0, 1) lower-tail quantiles, within 3 standard
+        # errors of a plain sample quantile of as many draws
+        num = 100_000
+        draws = np.sort(SeededRng(7).generator().standard_normal(num) - 2.0)
+        for level in (0.9999, 0.999, 0.99, 0.9):
+            q = empirical_quantile(draws, level, np.exp(2.0 * draws + 2.0))
+            se = math.sqrt(level * (1 - level) / num) / stats.norm.pdf(stats.norm.isf(level))
+            assert abs(q - stats.norm.isf(level)) <= 3 * se
 
 
 class TestProductGammaPdf:

@@ -6,6 +6,7 @@ import sys
 import threading
 import time
 from functools import partial
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,9 +19,9 @@ from ambc_fbl.bounds_conv import converse_rate
 from ambc_fbl.channel import Fading, composite, draw_channel, eigen_spectrum
 from ambc_fbl.cli import ExperimentConfig, run_sweep
 from ambc_fbl.errors import ConvergenceError
-from ambc_fbl.numerics import SeededRng
+from ambc_fbl.numerics import SeededRng, gaussian_q
 from ambc_fbl.power import waterfill
-from ambc_fbl.tail import LawParams, TiltedSample, run_calls
+from ambc_fbl.tail import LawParams, TiltedSample, mode_gammas, run_calls
 
 _NS = (8, 100, 2000, 20_000)
 
@@ -62,7 +63,7 @@ class TestOneLaw:
         if kind == "output":
             draws = LawParams(16, np.zeros(2)).sample(SeededRng(3).generator(), 1000, 0.0)
         else:
-            draws = bounds_ach.sample_info_density(LawParams(16, np.zeros(2)), SeededRng(3), 1000)
+            draws = bounds_ach.sample_info_density(LawParams(16, np.zeros(2)), SeededRng(3), 1000, 1.0)
         assert np.array_equal(draws, np.zeros(1000))
 
 
@@ -123,28 +124,31 @@ class TestTiltedDraw:
     @pytest.mark.parametrize("n", [1, 8, 2000])
     @pytest.mark.parametrize("y", [0.01, 1.0, 100.0])
     def test_tilted_mean_sits_at_the_lowest_threshold(self, n, y):
+        # the pilot, the normal approximation of the lowest threshold, at
+        # the lower-tail level whose pilot lies halfway from the output to
+        # the conditional mean, or five standard deviations below the latter
         law = LawParams(n, np.array([y]))
-        mean, var = law.cgf_derivatives(0.0)
-        # halfway to the supremum, or two standard deviations up
-        lowest = mean + min(2.0 * math.sqrt(var), 0.5 * (float(law.const.sum()) - mean))
+        out_mean = law.cgf_derivatives(0.0)[0]
+        mean, var = law.cgf_derivatives(1.0)
+        lowest = max(0.5 * (out_mean + mean), mean - 5.0 * math.sqrt(var))
+        theta = law.pilot_tilt(gaussian_q((mean - lowest) / math.sqrt(var)))
+        assert 0.0 < theta < 1.0
         num = 20_000
-        sample = TiltedSample(law, SeededRng(24), num, lowest)
-        assert sample.theta > 0.0
-        draws = law.sample(SeededRng(24).generator(), num, sample.theta)
-        sd = math.sqrt(law.cgf_derivatives(sample.theta)[1])
+        draws = law.sample(SeededRng(24).generator(), num, theta)
+        sd = math.sqrt(law.cgf_derivatives(theta)[1])
         assert abs(draws.mean() - lowest) <= 4.0 * sd / math.sqrt(num)
 
 
 class TestSortedReads:
     def test_untilted_read_is_the_accepted_fraction(self):
-        # at or below the output law's mean theta is 0, every weight is 1,
-        # and beta is the fraction k / N of draws at or above the threshold
+        # at theta = 0 every weight is 1, and beta is the fraction k / N of
+        # draws at or above the threshold
         law = LawParams(100, np.array([1.0, 0.5]))
         mean, var = law.cgf_derivatives(0.0)
         num = 20_000
-        sample = TiltedSample(law, SeededRng(25), num, mean - math.sqrt(var))
-        assert sample.theta == 0.0
         draws = np.sort(law.sample(SeededRng(25).generator(), num, 0.0))
+        # handed over in descending order: the sample sorts its draws itself
+        sample = TiltedSample(law, 0.0, draws[::-1])
         # the k-th largest draw, for the first k from N / 4 with exp(log(k / N)) != k / N
         k = next(k for k in range(num // 4, num) if math.exp(math.log(k / num)) != k / num)
         for threshold in (mean - math.sqrt(var), mean, draws[num - k]):
@@ -153,6 +157,109 @@ class TestSortedReads:
             assert not est.tilted
             assert est.beta == p and est.log_beta == math.log(p)
             assert est.ci_rel == pytest.approx(1.96 * math.sqrt((1 - p) / (p * num)), rel=1e-12)
+
+
+_CLAMP_NUM = 100_000
+
+
+def _conditional_threshold(n, y, level):
+    """The one-mode conditional law's threshold x with P[X >= x] = ``level``,
+    x = c - s W for W ~ ncx2(2n, 2n / y), and the standard error of a plain
+    sample quantile of ``_CLAMP_NUM`` draws at it."""
+    c, s, lam = n * (math.log1p(y) + 1), y / (2 * (1 + y)), 2 * n / y
+    w = stats.ncx2.isf(1 - level, 2 * n, lam)
+    se = math.sqrt(level * (1 - level) / _CLAMP_NUM) * s / stats.ncx2.pdf(w, 2 * n, lam)
+    return c - s * w, se
+
+
+class TestPilotClamps:
+    """A bound's sample, tilted by the pilot of its lowest lower-tail level
+    (eps / 2 for the achievability, eps for the converse), at the two clamps
+    of the pilot tilt: its weighted thresholds lie within 3 standard errors
+    of a plain sample quantile of the exact ones."""
+
+    @staticmethod
+    def _check(n, y, pilot, levels, theta):
+        law = LawParams(n, np.array([y]))
+        assert law.pilot_tilt(pilot) == theta
+        draws = law.sample(SeededRng(26).generator(), _CLAMP_NUM, theta)
+        for level, x in zip(levels, TiltedSample(law, theta, draws).thresholds(levels)):
+            exact, se = _conditional_threshold(n, y, level)
+            assert abs(x - exact) <= 3 * se
+
+    def test_pilot_below_the_output_mean_samples_the_output_law(self):
+        # at n = 8, y = 0.1 the conditional law's eps / 2 and eps quantiles
+        # lie below the output law's mean
+        eps = 1e-3
+        self._check(8, 0.1, eps / 2, [1 - eps + eps / k for k in (2, 4, 8, 16)], 0.0)
+        self._check(8, 0.1, eps, [1 - eps], 0.0)
+
+    def test_level_above_a_half_samples_the_conditional_law(self):
+        # the converse's pilot at eps = 0.7 lies above the conditional mean
+        self._check(100, 1.0, 0.7, [0.3], 1.0)
+
+    def test_law_without_active_modes_gives_the_level(self):
+        law = LawParams(8, np.zeros(2))
+        theta = law.pilot_tilt(1e-3)
+        draws = bounds_conv.sample_converse_density(law, SeededRng(27), 2000, theta)
+        sample = TiltedSample(law, theta, draws)
+        (eta,) = sample.thresholds([1 - 1e-3])
+        est = sample.beta(1 - 1e-3, eta)
+        assert est.beta == 1 - 1e-3 and not est.tilted
+
+
+class TestBenchmarkPointAccuracy:
+    """The benchmark's point channel, the first draw of
+    ``configs/rician_k10_0db.json``, has one active mode per tag symbol, so
+    both bounds have exact rates from scipy's noncentral chi-square."""
+
+    N = 100
+    SEEDS = range(16)
+
+    @staticmethod
+    def _exact_rate(n, spec, total_power, eps):
+        """(achievability, converse) of one tag symbol in nats: the
+        thresholds from ``ncx2.isf`` under the conditional law, log beta
+        from ``ncx2.logcdf`` under the output law, and the library's
+        constants."""
+        p = waterfill(spec, total_power)
+        gammas = mode_gammas(spec, p)
+        (y,) = gammas[gammas > 0]
+        c, s1, s0 = n * (math.log1p(y) + 1), y / (2 * (1 + y)), y / 2
+
+        def log_beta(lower):
+            x = c - s1 * stats.ncx2.isf(lower, 2 * n, 2 * n / y)
+            return stats.ncx2.logcdf((c - x) / s0, 2 * n, 2 * n * (1 + y) / y)
+
+        c1 = bounds_ach.compute_c1(n, y)
+        ach = max(
+            (math.log(bounds_ach.kappa_tau(tau, c1)) - log_beta(eps - tau)) / n
+            for tau in (eps / 2, eps / 4, eps / 8, eps / 16)
+        )
+        conv = (bounds_conv.converse_constants(n, spec, p, total_power) - log_beta(eps)) / n
+        return ach, conv
+
+    def test_seed_means_within_three_standard_errors_and_spread_below_a_millibit(self):
+        config = Path(__file__).resolve().parents[1] / "configs" / "rician_k10_0db.json"
+        cfg = ExperimentConfig.from_json_file(config)
+        ch = draw_channel(SeededRng(cfg.seed).split(0), cfg.t, cfg.r, cfg.fading_spec, cfg.a_coeff)
+        sp, sm = eigen_spectrum(composite(ch, +1)), eigen_spectrum(composite(ch, -1))
+        n, eps, power = self.N, cfg.eps, cfg.total_power
+        per_d = [self._exact_rate(n, spec, power, eps) for spec in (sm, sp)]
+        exact = [0.5 * (a + b) / math.log(2) for a, b in zip(*per_d)]
+        # the benchmark's split: stream 2n for the achievability, 2n + 1
+        # for the converse, of each MC seed
+        rates = np.array([
+            (
+                achievability_rate(n, sp, sm, power, eps, mc.split(2 * n), cfg.mc_samples).rate_bits,
+                converse_rate(n, sp, sm, power, eps, mc.split(2 * n + 1), cfg.mc_samples).rate_bits,
+            )
+            for mc in map(SeededRng, self.SEEDS)
+        ])
+        for side, rate in zip(rates.T, exact):
+            sd = side.std(ddof=1)
+            assert abs(side.mean() - rate) <= 3 * sd / math.sqrt(side.size)
+            assert sd <= 0.001
 
 
 class _Leaves:
