@@ -4,33 +4,36 @@ The lower bound on rate is log(kappa / beta) / n per tag symbol, where beta
 is the type-II error of the optimal test between the unconditional output law
 and the conditional law at type-I level 1 - eps + tau, and kappa is the
 measure-matching constant lower-bounded by tau over a computable density-ratio
-supremum.  Per tag symbol the bound takes the converse's steps with its
-own levels and constants: one ``tail.LawParams``, its one sample on
-``rng.split(0)``, tilted by the law's ``pilot_tilt(eps / 2)``, the four tau
-thresholds from one weighted quantile pass over it, a beta read per tau
-from the same draws, and ``tail.best_bound``.
+supremum.  The bound takes the converse's steps with its own levels and
+constants: per tag symbol one ``tail.LawParams``, tilted by its
+``pilot_tilt(eps / 2)``; one raw draw of both symbols on ``rng.split(0)``;
+then per symbol the four tau thresholds from one weighted quantile pass
+over its draws, a beta read per tau from the same draws, and
+``tail.best_bound``.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
+from typing import Sequence
 
 import numpy as np
 
 from .channel import EigenSpectrum
 from .errors import OverflowRegimeError
 from .numerics import SeededRng, log_bessel_i
-from .power import waterfill
 from .tail import (
     BetaEstimate,
-    LawParams,
     MixedRate,
     SymbolBound,
+    SymbolLaw,
     TiltedSample,
     best_bound,
     check_mc_args,
+    draw_symbols,
     mixed_rate,
-    mode_gammas,
+    symbol_laws,
 )
 
 _TAU_GRID_DIVISORS = (2, 4, 8, 16)
@@ -39,12 +42,11 @@ _C1_HALF_WIDTH = 0.5
 _C1_GRID_POINTS = 513
 
 
-def sample_info_density(
-    law: LawParams, rng: SeededRng, num_samples: int, theta: float
-) -> np.ndarray:
-    """Draws of ``law`` tilted by ``theta``, the bound's one sample: kept
-    only as a trace seam, which ROADMAP item 3 retires."""
-    return law.sample(rng.generator(), num_samples, theta)
+def sample_info_density(symbols: Sequence[SymbolLaw], rng: SeededRng, num_samples: int) -> list:
+    """The bound's one raw draw, ``tail.draw_symbols``: each tag symbol's
+    draws, tilted by its pilot, in the calling thread's kept arrays.  Kept
+    as a trace seam, which ROADMAP item 3 retires."""
+    return draw_symbols(symbols, rng, num_samples)
 
 
 def achievability_beta(
@@ -130,20 +132,17 @@ def kappa_tau(tau: float, c1: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _fixed_d_rate(
-    n: int, g: EigenSpectrum, total_power: float, eps: float, rng: SeededRng, num_samples: int
-) -> SymbolBound:
-    law = LawParams(n, mode_gammas(g, waterfill(g, total_power)))
+def _fixed_d_rate(n: int, symbol: SymbolLaw, draws: np.ndarray, eps: float) -> SymbolBound:
+    law = symbol.law
     c1_total = math.exp(sum(math.log(compute_c1(n, y)) for y in law.gammas))
     taus = [eps / k for k in _TAU_GRID_DIVISORS]
     levels = [1.0 - eps + tau for tau in taus]
-    theta = law.pilot_tilt(eps / 2)
-    sample = TiltedSample(law, theta, sample_info_density(law, rng.split(0), num_samples, theta))
+    sample = TiltedSample(law, symbol.theta, draws)
     candidates = [
         (level, math.log(kappa_tau(tau, c1_total)), achievability_beta(eps, tau, sample, x))
         for tau, level, x in zip(taus, levels, sample.thresholds(levels))
     ]
-    return best_bound(n, g.d, candidates)
+    return best_bound(n, symbol.g.d, candidates)
 
 
 def achievability_rate(
@@ -157,11 +156,14 @@ def achievability_rate(
 ) -> MixedRate:
     """Achievable-rate lower bound mixed over the equiprobable tag symbol.
 
-    Per symbol: waterfill, draw one tilted sample of the information
-    density for the thresholds and beta, and search tau over {eps/2, eps/4,
-    eps/8, eps/16} for the largest log(kappa/beta)/n.
-    After ``tail.check_mc_args``, ``tail.mixed_rate`` evaluates the two
-    symbols at the same time, on common random numbers.
+    After ``tail.check_mc_args``: per symbol, waterfill and the pilot tilt
+    of eps / 2; one raw draw of both symbols' tilted information densities
+    on ``rng.split(0)``; then ``tail.mixed_rate`` evaluates the two symbols
+    at the same time, each reading its thresholds and beta from its own
+    draws and searching tau over {eps/2, eps/4, eps/8, eps/16} for the
+    largest log(kappa/beta)/n.
     """
     check_mc_args(eps, num_samples)
-    return mixed_rate(_fixed_d_rate, n, g_plus, g_minus, total_power, eps, rng, num_samples)
+    symbols = symbol_laws(n, (g_minus, g_plus), total_power, eps / 2)
+    draws = sample_info_density(symbols, rng.split(0), num_samples)
+    return mixed_rate([partial(_fixed_d_rate, n, s, x, eps) for s, x in zip(symbols, draws)])

@@ -4,43 +4,48 @@ beta is the type-II error of the optimal test between the conditional output
 law and a product auxiliary channel whose per-mode outputs are CN(0, 1+g_j p_j);
 K = K1 K2 combines a supremum of the auxiliary per-mode-energy density (a
 product-of-gammas law evaluated by Mellin inversion) with the volume of the
-ball that contains every admissible energy vector.  Per tag symbol the
-bound takes the achievability's steps with its own level and constant: its
-one sample is tilted by the law's ``pilot_tilt(eps)``, and its threshold
-eta and beta are read from the same draws.
+ball that contains every admissible energy vector.  The bound takes the
+achievability's steps with its own level and constant: each tag symbol's
+law is tilted by its ``pilot_tilt(eps)``, both symbols' draws come from
+one raw draw on ``rng.split(0)``, and each symbol's threshold eta and beta
+are read from its own draws.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
+from typing import Sequence
 
 import numpy as np
 
 from .channel import EigenSpectrum
 from .errors import ConvergenceError
 from .numerics import SeededRng, product_gamma_logpdf
-from .power import PowerAllocation, waterfill
+from .power import PowerAllocation
 from .tail import (
     BetaEstimate,
-    LawParams,
     MixedRate,
     SymbolBound,
+    SymbolLaw,
     TiltedSample,
     best_bound,
     check_mc_args,
+    draw_symbols,
     mixed_rate,
     mode_gammas,
+    symbol_laws,
 )
 
 
 def sample_converse_density(
-    law: LawParams, rng: SeededRng, num_samples: int, theta: float
-) -> np.ndarray:
-    """Draws of the log likelihood ratio against the auxiliary channel, the
-    law tilted by ``theta``, the bound's one sample: kept only as a trace
+    symbols: Sequence[SymbolLaw], rng: SeededRng, num_samples: int
+) -> list:
+    """The bound's one raw draw, ``tail.draw_symbols``: each tag symbol's
+    draws of the log likelihood ratio against the auxiliary channel, tilted
+    by its pilot, in the calling thread's kept arrays.  Kept as a trace
     seam, which ROADMAP item 3 retires."""
-    return law.sample(rng.generator(), num_samples, theta)
+    return draw_symbols(symbols, rng, num_samples)
 
 
 def np_beta_converse(eps: float, sample: TiltedSample, eta: float) -> BetaEstimate:
@@ -124,16 +129,13 @@ def converse_constants(n: int, g: EigenSpectrum, p: PowerAllocation, total_power
 
 
 def _fixed_d_rate(
-    n: int, g: EigenSpectrum, total_power: float, eps: float, rng: SeededRng, num_samples: int
+    n: int, symbol: SymbolLaw, draws: np.ndarray, total_power: float, eps: float
 ) -> SymbolBound:
-    p = waterfill(g, total_power)
-    law = LawParams(n, mode_gammas(g, p))
-    log_constant = converse_constants(n, g, p, total_power)
-    theta = law.pilot_tilt(eps)
-    draws = sample_converse_density(law, rng.split(0), num_samples, theta)
-    sample = TiltedSample(law, theta, draws)
+    log_constant = converse_constants(n, symbol.g, symbol.p, total_power)
+    sample = TiltedSample(symbol.law, symbol.theta, draws)
     (eta,) = sample.thresholds([1.0 - eps])
-    return best_bound(n, g.d, [(1.0 - eps, log_constant, np_beta_converse(eps, sample, eta))])
+    candidate = (1.0 - eps, log_constant, np_beta_converse(eps, sample, eta))
+    return best_bound(n, symbol.g.d, [candidate])
 
 
 def converse_rate(
@@ -147,11 +149,16 @@ def converse_rate(
 ) -> MixedRate:
     """Converse upper bound mixed over the equiprobable tag symbol.
 
-    ``tail.mixed_rate`` evaluates the two symbols at the same time, on
-    common random numbers, after the K1 supremum of their common (m, n) is
-    cached, so a cold (m, n) is searched once, and only for a call that
-    ``tail.check_mc_args`` accepts.
+    After ``tail.check_mc_args`` and the K1 supremum of the symbols' common
+    (m, n), cached so a cold (m, n) is searched once, and only for an
+    accepted call: per symbol, waterfill and the pilot tilt of eps; one raw
+    draw of both symbols on ``rng.split(0)``; then ``tail.mixed_rate``
+    evaluates the two symbols at the same time, each reading eta and beta
+    from its own draws.
     """
     check_mc_args(eps, num_samples)
     _unit_scale_log_sup(g_minus.m, n)  # both symbols then read it from the cache
-    return mixed_rate(_fixed_d_rate, n, g_plus, g_minus, total_power, eps, rng, num_samples)
+    symbols = symbol_laws(n, (g_minus, g_plus), total_power, eps)
+    draws = sample_converse_density(symbols, rng.split(0), num_samples)
+    calls = [partial(_fixed_d_rate, n, s, x, total_power, eps) for s, x in zip(symbols, draws)]
+    return mixed_rate(calls)

@@ -10,6 +10,7 @@ integrands).
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Sequence
@@ -44,6 +45,15 @@ _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 /
 _DIGAMMA = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 / 12, -3617 / 8160)
 _TRIGAMMA = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+# the kept arrays of each thread, by slot
+_KEPT = threading.local()
+# the slots of ``kept_array``, each holding one step's array at a time: a
+# draw's normals, chi-squares and per-mode term; then, over them, a sample
+# read's weights, weighted CDF and half weights; and from SYMBOL_SLOT on, a
+# bound's draws of its tag symbols
+DRAW_SLOTS = (0, 1, 2)
+WEIGHTS_SLOT, CDF_SLOT, HALF_SLOT = DRAW_SLOTS
+SYMBOL_SLOT = 3
 
 
 def _splitmix64(x: int) -> int:
@@ -109,6 +119,26 @@ def standard_normals(streams: Sequence[SeededRng], size: int) -> np.ndarray:
     return out
 
 
+def kept_array(slot: int, size: int) -> np.ndarray:
+    """The first ``size`` floats of the calling thread's kept array ``slot``.
+
+    Each thread allocates a slot's array at its first use and regrows it
+    only for a larger ``size``, so a warm Monte Carlo step allocates no
+    array of its sample size; the contents are whatever the thread last
+    wrote there.  ``tail.draw_tilted`` holds its variates in DRAW_SLOTS;
+    a ``TiltedSample`` read its weights in WEIGHTS_SLOT, and
+    ``empirical_quantile`` its weighted CDF and half weights in CDF_SLOT and
+    HALF_SLOT; ``tail.draw_symbols`` a bound's draws of its tag symbols in
+    SYMBOL_SLOT on, read by the symbols' steps until the thread's next
+    bound call.
+    """
+    arrays = _KEPT.__dict__
+    kept = arrays.get(slot)
+    if kept is None or kept.size < size:
+        kept = arrays[slot] = np.empty(size)
+    return kept[:size]
+
+
 def empirical_quantile(draws: np.ndarray, level, weights: np.ndarray):
     """Value gamma with weighted exceedance fraction P[X >= gamma] = level,
     from ``draws`` sorted ascending and their ``weights``, the likelihood
@@ -120,16 +150,18 @@ def empirical_quantile(draws: np.ndarray, level, weights: np.ndarray):
     interpolation between neighbouring order statistics, so the result is a
     deterministic function of the sample.  An array of levels gives the
     array of thresholds from one pass over the sample, each bit-equal to
-    the threshold of its level alone.  Raises ``InsufficientSamplesError``
-    for a level that the weighted CDF does not bracket.
+    the threshold of its level alone.  The CDF is formed in the calling
+    thread's kept arrays (``kept_array``), so ``weights`` must be in
+    neither CDF_SLOT nor HALF_SLOT.  Raises ``InsufficientSamplesError`` for
+    a level that the weighted CDF does not bracket.
     """
     levels = np.asarray(level, dtype=float)
     if not np.all((levels > 0.0) & (levels < 1.0)):
         raise ValueError(f"level must lie in (0, 1), got {level}")
     if draws.size < 1:
         raise ValueError("cannot take a quantile of an empty sample")
-    cdf = np.cumsum(weights)
-    cdf -= 0.5 * weights
+    cdf = np.cumsum(weights, out=kept_array(CDF_SLOT, weights.size))
+    cdf -= np.multiply(weights, 0.5, out=kept_array(HALF_SLOT, weights.size))
     cdf /= draws.size
     lower = 1.0 - levels
     if np.any(lower < cdf[0]) or np.any(lower > cdf[-1]):

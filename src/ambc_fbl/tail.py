@@ -1,29 +1,41 @@
-"""What both bounds share: the law, the one tilted sample per tag symbol,
-the per-symbol record and the mixture over the two tag symbols.
+"""What both bounds share: the law, the one raw draw per bound call and
+the tilted sample it gives each tag symbol, the per-symbol record and the
+mixture over the two tag symbols.
 
 Both bounds read thresholds off the conditional law of one information
 density X and, at each, a Neyman-Pearson type-II error beta, an upper tail
 of X under the output law: at the conditional law's level-(1 - eps + tau)
 exceedance quantile for the kappa-beta achievability bound, at its
-level-(1 - eps) quantile eta for the meta-converse.  So each bound, per tag
-symbol, builds the ``LawParams`` of its spectrum once and draws one sample
-of it on its ``rng.split(0)``, tilted by ``pilot_tilt`` of its lowest
-lower-tail level (eps / 2 for the achievability, eps for the converse), the
-tilt whose mean is the normal approximation of the lowest threshold and so
-the importance sampler for the thresholds and beta alike.  A
-``TiltedSample`` sorts the draws once; ``thresholds`` reads all the bound's
-levels in one weighted quantile pass, and each ``beta`` read is a binary
-search and one pass over the draws it accepts.  The bounds differ only in
-their levels and constants: ``best_bound`` turns a bound's (level, log
-constant, beta) candidates into its ``SymbolBound``, and ``mixed_rate``
-evaluates the two tag symbols at the same time through ``run_calls`` (one
-thread pool, shared with the sweep) and mixes them.
+level-(1 - eps) quantile eta for the meta-converse.  So each bound call
+builds, per tag symbol, the ``SymbolLaw`` of its spectrum: its
+``LawParams``, tilted by ``pilot_tilt`` of the bound's lowest lower-tail
+level (eps / 2 for the achievability, eps for the converse), the tilt whose
+mean is the normal approximation of the lowest threshold and so the
+importance sampler for the thresholds and beta alike.  ``draw_symbols``
+then makes the call's one raw draw on its ``rng.split(0)``, from which
+each symbol forms its own tilted draws, exactly those of a sample of its
+own on that stream.  A ``TiltedSample`` sorts a symbol's draws once, in
+place; ``thresholds`` reads all the bound's levels in one weighted quantile
+pass, and each ``beta`` read is a binary search and one pass over the
+draws it accepts.  The bounds differ only in their levels and constants:
+``best_bound`` turns a bound's (level, log constant, beta) candidates into
+its ``SymbolBound``, and ``mixed_rate`` evaluates the two tag symbols at
+the same time through ``run_calls`` (one thread pool, shared with the
+sweep) and mixes them.
+
+Every array of ``num_samples`` floats lives in the per-thread arrays of
+``numerics.kept_array``, allocated at a thread's first use and regrown
+only for a larger ``num_samples``, so a warm bound call allocates none.
+After a bound call the thread that ran it keeps 5 such arrays (its two
+symbols' draws, and the draw's variates, reused by the reads for their
+weights and weighted CDF), and a pool thread that only ran a symbol's
+reads keeps 3.
 
 Per active mode j with y = g_j p_j > 0, X has the per-block contribution
   n (log(1+y) + 1) - s * W,   W ~ ncx2(2n, lam),
 with lam = 2n(1+y)/y and s = y/2 under the output law: an exact identity
 for the sum over the n per-use terms, obtained by splitting each complex
-Gaussian into its real and imaginary parts.  Every sample draws W as
+Gaussian into its real and imaginary parts.  Every draw takes W as
 chi2(2n - 1) + (Z + sqrt(lam))^2, one gamma and one normal draw per mode.
 Zero-power modes contribute exactly zero.  The law tilted by theta (density
 times e^(theta x - K(theta)), K the closed-form cumulant generating
@@ -40,15 +52,22 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from functools import partial
 from typing import Any, Callable, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .channel import EigenSpectrum
 from .errors import ConvergenceError, InsufficientSamplesError
-from .numerics import SeededRng, empirical_quantile, gaussian_q_inv
-from .power import PowerAllocation
+from .numerics import (
+    DRAW_SLOTS,
+    SYMBOL_SLOT,
+    WEIGHTS_SLOT,
+    SeededRng,
+    empirical_quantile,
+    gaussian_q_inv,
+    kept_array,
+)
+from .power import PowerAllocation, waterfill
 
 # the tilt solve's iteration limit, and its step tolerance relative to 1 + |theta|
 _TILT_MAXITER = 100
@@ -97,19 +116,10 @@ class LawParams:
         return self.lam / a, self.scale / a
 
     def sample(self, gen: np.random.Generator, size: int, theta: float = 0.0) -> np.ndarray:
-        """``size`` draws from the law tilted by ``theta``, with one gamma draw
-        per mode: W = chi2(2n - 1) + (Z + sqrt(lam))^2, Z standard normal, is
-        ncx2(2n, lam)."""
-        out = np.zeros(size)
-        for c, lam, s in zip(self.const, *self.tilt(theta)):
-            w = gen.standard_normal(size)
-            w += math.sqrt(lam)
-            np.square(w, out=w)
-            w += gen.chisquare(2 * self.n - 1, size)
-            # out += c - s * w, in place in w
-            w *= s
-            np.subtract(c, w, out=w)
-            out += w
+        """``size`` draws from the law tilted by ``theta``: ``draw_tilted``
+        for this law alone, into a fresh array."""
+        out = np.empty(size)
+        draw_tilted(gen, [self], [theta], [out])
         return out
 
     def solve_tilt(self, target: float) -> float:
@@ -151,6 +161,81 @@ class LawParams:
         return 1.0 if x0 >= mean else self.solve_tilt(x0)
 
 
+def draw_tilted(
+    gen: np.random.Generator,
+    laws: Sequence[LawParams],
+    thetas: Sequence[float],
+    outs: Sequence[np.ndarray],
+) -> None:
+    """Fill each array of ``outs`` with draws of its law of ``laws`` (one
+    blocklength) tilted by its theta of ``thetas``, all from one set of
+    variates of ``gen``.
+
+    Mode by mode, for as many modes as the law with most has, the draw
+    takes N standard normals Z_j, then N chi2(2n - 1) variates C_j (twice
+    a standard gamma of shape n - 1/2, bit-equal to ``chisquare(2n - 1)``),
+    and adds c_j - s'_j (C_j + (Z_j + sqrt(lam'_j))^2) into the draws of
+    each law with a mode j: W = C_j + (Z_j + sqrt(lam'_j))^2 is
+    ncx2(2n, lam'_j), one gamma draw per mode.  A law reads the variates of
+    its own leading modes, so its draws equal those of its own ``sample``
+    on the same stream, whatever the other laws.  The variates and each
+    mode's term live in the calling thread's kept arrays (DRAW_SLOTS of
+    ``numerics.kept_array``), reused from mode to mode.
+    """
+    size = outs[0].size
+    tilts = [law.tilt(theta) for law, theta in zip(laws, thetas)]
+    normals, chi2, term = (kept_array(slot, size) for slot in DRAW_SLOTS)
+    for out in outs:
+        out.fill(0.0)
+    for j in range(max(law.gammas.size for law in laws)):
+        gen.standard_normal(out=normals)
+        gen.standard_gamma(laws[0].n - 0.5, out=chi2)
+        chi2 *= 2.0
+        for law, (lam, s), out in zip(laws, tilts, outs):
+            if j < lam.size:
+                # out += c - s * (chi2 + (normals + sqrt(lam))^2), in term
+                np.add(normals, math.sqrt(lam[j]), out=term)
+                np.square(term, out=term)
+                term += chi2
+                term *= s[j]
+                np.subtract(law.const[j], term, out=term)
+                out += term
+
+
+@dataclass(frozen=True)
+class SymbolLaw:
+    """Tag symbol ``g.d`` of a bound: its power allocation ``p``, its law
+    and the tilt ``theta`` of the draws that its thresholds and beta read."""
+
+    g: EigenSpectrum
+    p: PowerAllocation
+    law: LawParams
+    theta: float
+
+
+def symbol_laws(
+    n: int, spectra: Sequence[EigenSpectrum], total_power: float, level: float
+) -> list:
+    """The ``SymbolLaw`` of each spectrum: waterfilled at ``total_power``,
+    its law at blocklength n, tilted by the law's ``pilot_tilt(level)``."""
+    out = []
+    for g in spectra:
+        p = waterfill(g, total_power)
+        law = LawParams(n, mode_gammas(g, p))
+        out.append(SymbolLaw(g, p, law, law.pilot_tilt(level)))
+    return out
+
+
+def draw_symbols(symbols: Sequence[SymbolLaw], rng: SeededRng, num_samples: int) -> list:
+    """A bound's one raw draw: ``num_samples`` draws of each symbol's law,
+    tilted by its theta, from ``rng`` by ``draw_tilted``, in the calling
+    thread's kept arrays from SYMBOL_SLOT on.  They stay there, for the
+    symbols' steps to sort and read, until the thread's next bound call."""
+    outs = [kept_array(SYMBOL_SLOT + i, num_samples) for i in range(len(symbols))]
+    draw_tilted(rng.generator(), [s.law for s in symbols], [s.theta for s in symbols], outs)
+    return outs
+
+
 def mode_gammas(g: EigenSpectrum, p: PowerAllocation) -> np.ndarray:
     """Per-mode received SNRs g_j p_j."""
     return np.asarray(g.g, dtype=float) * np.asarray(p.p, dtype=float)
@@ -177,8 +262,10 @@ class BetaEstimate:
 
 class TiltedSample:
     """A bound's one sample for one tag symbol: ``draws`` of ``law`` tilted
-    by ``theta`` in [0, 1], sorted once, from which its thresholds and every
-    beta are read.
+    by ``theta`` in [0, 1], sorted once in place and kept, from which its
+    thresholds and every beta are read.  Each read forms its weights in the
+    calling thread's kept arrays, so reads of several samples may
+    interleave.
 
     As K(1) = 0, a draw x has the likelihood ratio exp((1 - theta) x +
     K(theta)) to the conditional law, by which ``thresholds`` weights it,
@@ -193,15 +280,24 @@ class TiltedSample:
     def __init__(self, law: LawParams, theta: float, draws: np.ndarray):
         self.theta = theta
         self._degenerate = law.degenerate
-        self._draws = np.sort(draws)
-        # with theta >= 0 the output-law log weights fall as x rises, so the
-        # first accepted draw of any beta read has the largest
-        self._log_w = law.cgf(theta) - theta * self._draws
+        draws.sort()
+        self._draws = draws
+        self._cgf = law.cgf(theta)
+
+    def _log_weights(self, start: int) -> np.ndarray:
+        """The output-law log weights K(theta) - theta x of the draws from
+        index ``start`` on, in the calling thread's kept WEIGHTS_SLOT.  With
+        theta >= 0 they fall as x rises, so the first is the largest."""
+        draws = self._draws[start:]
+        log_w = np.multiply(draws, self.theta, out=kept_array(WEIGHTS_SLOT, draws.size))
+        return np.subtract(self._cgf, log_w, out=log_w)
 
     def thresholds(self, levels: Sequence[float]) -> list:
         """The thresholds with conditional exceedance probability
         ``levels``, from one weighted quantile pass over the draws."""
-        return empirical_quantile(self._draws, levels, np.exp(self._log_w + self._draws)).tolist()
+        weights = self._log_weights(0)
+        weights += self._draws
+        return empirical_quantile(self._draws, levels, np.exp(weights, out=weights)).tolist()
 
     def beta(self, level: float, threshold: float) -> BetaEstimate:
         """beta = P[X >= ``threshold``] under the output law, for the test
@@ -215,11 +311,12 @@ class TiltedSample:
         """
         if self._degenerate:
             return BetaEstimate(level, math.log(level), threshold, 0.0, tilted=False)
-        log_w = self._log_w[np.searchsorted(self._draws, threshold):]
+        log_w = self._log_weights(int(np.searchsorted(self._draws, threshold)))
         if log_w.size == 0:
             raise InsufficientSamplesError("no tilted draw reached the threshold")
         mx = float(log_w[0])
-        shifted = np.exp(log_w - mx)
+        log_w -= mx
+        shifted = np.exp(log_w, out=log_w)
         # mean and population variance over all draws, each rejected draw
         # a weight of 0; the squares are summed in place, not by a BLAS dot,
         # which stalls when two threads call a multithreaded BLAS at once
@@ -292,26 +389,14 @@ def check_mc_args(eps: float, num_samples: int) -> None:
         )
 
 
-def mixed_rate(
-    fixed_d_rate: Callable[..., SymbolBound],
-    n: int,
-    g_plus: EigenSpectrum,
-    g_minus: EigenSpectrum,
-    total_power: float,
-    eps: float,
-    rng: SeededRng,
-    num_samples: int,
-) -> MixedRate:
-    """``fixed_d_rate(n, g, total_power, eps, rng, num_samples)`` for both
-    tag symbols, for arguments that ``check_mc_args`` accepts, evaluated at
-    the same time by ``run_calls`` and mixed with equal weight through
-    ``rate_nats`` and ``ci_rate_bits``.  Both read the same substreams of
-    ``rng`` (common random numbers), so equal spectra give equal rates, and
-    the result does not depend on the CPU count.
+def mixed_rate(calls: Sequence[Callable[[], SymbolBound]]) -> MixedRate:
+    """The bounds of tag symbols d = -1 and d = +1, from ``calls`` evaluated
+    at the same time by ``run_calls``, mixed with equal weight through
+    ``rate_nats`` and ``ci_rate_bits``.  A bound's calls read one draw of
+    one substream (common random numbers), so equal spectra give equal
+    rates, and the result does not depend on the CPU count.
     """
-    res_minus, res_plus = run_calls(
-        [partial(fixed_d_rate, n, g, total_power, eps, rng, num_samples) for g in (g_minus, g_plus)]
-    )
+    res_minus, res_plus = run_calls(calls)
     rate = 0.5 * (res_minus.rate_nats + res_plus.rate_nats)
     ci = 0.5 * math.hypot(res_minus.ci_rate_bits, res_plus.ci_rate_bits)
     return MixedRate(rate, rate / math.log(2), ci, (res_minus, res_plus))

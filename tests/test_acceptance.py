@@ -12,8 +12,8 @@ import pytest
 from scipy import stats
 
 from ambc_fbl.asymptotics import capacity, dispersion
-from ambc_fbl.bounds_ach import achievability_beta, achievability_rate, sample_info_density
-from ambc_fbl.bounds_conv import converse_rate, np_beta_converse, sample_converse_density
+from ambc_fbl.bounds_ach import achievability_beta, achievability_rate
+from ambc_fbl.bounds_conv import converse_rate, np_beta_converse
 from ambc_fbl.channel import EigenSpectrum, Fading, composite, draw_channel, eigen_spectrum
 from ambc_fbl.cli import ExperimentConfig, emit_csv, run_sweep
 from ambc_fbl.numerics import SeededRng, gaussian_q_inv
@@ -165,7 +165,7 @@ class TestCriterion5BetaOracles:
         p = PowerAllocation(p=np.array([1.0]), water_level=2.0, total_power=1.0)
         law = LawParams(n, g.g * p.p)
         theta = law.pilot_tilt(eps - tau)
-        sample = TiltedSample(law, theta, sample_info_density(law, SeededRng(105, 2), num, theta))
+        sample = TiltedSample(law, theta, law.sample(SeededRng(105, 2).generator(), num, theta))
         (lowest,) = sample.thresholds([1 - eps + tau])
         est = achievability_beta(eps, tau, sample, lowest)
 
@@ -194,7 +194,7 @@ class TestCriterion5BetaOracles:
         p = PowerAllocation(p=np.array([1.0]), water_level=2.0, total_power=1.0)
         law = LawParams(n, g.g * p.p)
         theta = law.pilot_tilt(eps)
-        sample = TiltedSample(law, theta, sample_converse_density(law, SeededRng(106, 1), num, theta))
+        sample = TiltedSample(law, theta, law.sample(SeededRng(106, 1).generator(), num, theta))
         (eta,) = sample.thresholds([1 - eps])
         est = np_beta_converse(eps, sample, eta)
 
@@ -301,7 +301,7 @@ class TestCriterion6IdentitySuite:
         eps = 0.1
         law = LawParams(20, np.zeros(1))
         theta = law.pilot_tilt(eps)
-        sample = TiltedSample(law, theta, sample_converse_density(law, SeededRng(111, 4), num, theta))
+        sample = TiltedSample(law, theta, law.sample(SeededRng(111, 4).generator(), num, theta))
         (eta,) = sample.thresholds([1 - eps])
         degenerate = np_beta_converse(eps, sample, eta)
         gap2 = abs(degenerate.beta - (1 - eps))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ambc_fbl import bounds_ach, bounds_conv
+from ambc_fbl import bounds_ach, bounds_conv, tail
 from ambc_fbl.bounds_ach import (
     MixedRate,
     achievability_beta,
@@ -13,7 +13,6 @@ from ambc_fbl.bounds_ach import (
     compute_c1,
     kappa_tau,
     log_energy_density_ratio,
-    sample_info_density,
 )
 from ambc_fbl.bounds_conv import converse_rate
 from ambc_fbl.channel import EigenSpectrum, Fading, composite, draw_channel, eigen_spectrum
@@ -38,7 +37,7 @@ def _laws(gains, powers, n, seed, num=100_000):
     g, p = _setup(gains, powers)
     law = (n, g.g * p.p)
     g_draws = LawParams(*law).sample(SeededRng(seed, 1).generator(), num, 0.0)
-    h_draws = sample_info_density(LawParams(*law), SeededRng(seed, 2), num, 1.0)
+    h_draws = LawParams(*law).sample(SeededRng(seed, 2).generator(), num, 1.0)
     return g_draws, h_draws, law
 
 
@@ -46,7 +45,7 @@ def _one_sample(law, level, rng, size):
     """The bound's one sample of ``law`` on ``rng``, tilted by its pilot at
     lower-tail level ``level``."""
     theta = law.pilot_tilt(level)
-    return TiltedSample(law, theta, sample_info_density(law, rng, size, theta))
+    return TiltedSample(law, theta, law.sample(rng.generator(), size, theta))
 
 
 def _beta(eps, tau, law, rng, size=100_000):
@@ -69,10 +68,10 @@ def _direct_per_use(kind, n, gamma, gen, num):
 
 def _sample(kind, n, g, p, rng, num):
     """Draws of the information density under the output law (the tilt
-    by 0) or, through ``sample_info_density``, the conditional law."""
+    by 0) or the conditional law (the tilt by 1)."""
     if kind == "output":
         return LawParams(n, g.g * p.p).sample(rng.generator(), num, 0.0)
-    return sample_info_density(LawParams(n, g.g * p.p), rng, num, 1.0)
+    return LawParams(n, g.g * p.p).sample(rng.generator(), num, 1.0)
 
 
 class TestSampleInfoDensity:
@@ -396,24 +395,23 @@ class TestOutputDrawSkip:
     def test_bound_draws_one_tilted_sample_per_symbol(
         self, monkeypatch, pin_cpus, bound
     ):
-        # one CPU evaluates the two tag symbols in order, so the sampler
-        # calls interleave deterministically
         pin_cpus(1)
         ch = draw_channel(SeededRng(19), 2, 3, Fading.rayleigh(), 0.5)
         sp, sm = eigen_spectrum(composite(ch, +1)), eigen_spectrum(composite(ch, -1))
-        thetas = []
-        sample = LawParams.sample
+        draws = []
+        draw = tail.draw_tilted
 
-        def recorded(self, gen, size, theta=0.0):
-            thetas.append(theta)
-            return sample(self, gen, size, theta)
+        def recorded(gen, laws, thetas, outs):
+            draws.append(list(thetas))
+            return draw(gen, laws, thetas, outs)
 
-        monkeypatch.setattr(LawParams, "sample", recorded)
+        monkeypatch.setattr(tail, "draw_tilted", recorded)
         res = bound(100, sp, sm, 1.0, 1e-3, SeededRng(20), 20_000)
-        # per symbol one sample, tilted between the output law and the
-        # conditional law, for all of the bound's thresholds and betas
-        assert len(thetas) == 2
-        assert all(0.0 <= theta <= 1.0 for theta in thetas)
+        # one raw draw per bound call, giving each symbol one sample,
+        # tilted between the output law and the conditional law, for all of
+        # the bound's thresholds and betas
+        assert len(draws) == 1 and len(draws[0]) == 2
+        assert all(0.0 <= theta <= 1.0 for theta in draws[0])
         assert all(sub.estimate.tilted for sub in res.per_d)
 
 
@@ -459,7 +457,9 @@ class TestSharedTiltedSample:
         monkeypatch.setattr(bounds_ach, "achievability_beta", recorded)
         g = EigenSpectrum(np.asarray(gains, float), 1)
         p = waterfill(g, 1.0)
-        bounds_ach._fixed_d_rate(n, g, 1.0, 1e-3, SeededRng(seed), num)
+        (symbol,) = tail.symbol_laws(n, [g], 1.0, 1e-3 / 2)
+        (draws,) = tail.draw_symbols([symbol], SeededRng(seed).split(0), num)
+        bounds_ach._fixed_d_rate(n, symbol, draws, 1e-3)
         law = LawParams(n, g.g * p.p)
         assert law.gammas.size == len(gains)
         assert len(ests) == 4 and all(est.tilted for est in ests)
@@ -482,7 +482,9 @@ class TestSharedTiltedSample:
             )
         # and so is the converse's read at eta, on its own sample, tilted by
         # the pilot of eta
-        est = bounds_conv._fixed_d_rate(n, g, 1.0, 1e-3, SeededRng(seed), num).estimate
+        (symbol,) = tail.symbol_laws(n, [g], 1.0, 1e-3)
+        (draws,) = tail.draw_symbols([symbol], SeededRng(seed).split(0), num)
+        est = bounds_conv._fixed_d_rate(n, symbol, draws, 1.0, 1e-3).estimate
         theta = law.pilot_tilt(1e-3)
         assert est.tilted and est.threshold == pytest.approx(
             _weighted_threshold(law, stream, num, theta, 1 - 1e-3), rel=1e-12, abs=1e-12

@@ -12,7 +12,6 @@ from ambc_fbl.bounds_conv import (
     converse_rate,
     np_beta_converse,
     pdf_sup_bound,
-    sample_converse_density,
 )
 from ambc_fbl.channel import EigenSpectrum, Fading, composite, draw_channel, eigen_spectrum
 from ambc_fbl.errors import ConvergenceError, InsufficientSamplesError
@@ -37,7 +36,7 @@ def _beta(eps, law, rng, size):
     read from the bound's one sample of ``law`` on ``rng``, tilted by the
     pilot of eta."""
     theta = law.pilot_tilt(eps)
-    sample = TiltedSample(law, theta, sample_converse_density(law, rng, size, theta))
+    sample = TiltedSample(law, theta, law.sample(rng.generator(), size, theta))
     (eta,) = sample.thresholds([1 - eps])
     return np_beta_converse(eps, sample, eta)
 
@@ -45,7 +44,7 @@ def _beta(eps, law, rng, size):
 class TestSampleConverseDensity:
     def test_mean_is_capacity(self):
         g, p = _setup([2.0, 0.5], [0.6, 0.4])
-        draws = sample_converse_density(LawParams(120, g.g * p.p), SeededRng(0), 50_000, 1.0)
+        draws = LawParams(120, g.g * p.p).sample(SeededRng(0).generator(), 50_000, 1.0)
         cap = float(np.log1p(g.g * p.p).sum())
         se = draws.std() / math.sqrt(draws.size)
         assert draws.mean() / 120 == pytest.approx(cap, abs=3 * se / 120)
@@ -53,13 +52,13 @@ class TestSampleConverseDensity:
     def test_per_use_variance_is_dispersion(self):
         gamma = 2.0
         g, p = _setup([gamma], [1.0])
-        draws = sample_converse_density(LawParams(1, g.g * p.p), SeededRng(1), 100_000, 1.0)
+        draws = LawParams(1, g.g * p.p).sample(SeededRng(1).generator(), 100_000, 1.0)
         target = 1.0 - 1.0 / (1.0 + gamma) ** 2
         assert draws.var() == pytest.approx(target, rel=0.05)
 
     def test_zero_power_degenerates(self):
         g, p = _setup([1.0], [0.0])
-        draws = sample_converse_density(LawParams(10, g.g * p.p), SeededRng(2), 2000, 1.0)
+        draws = LawParams(10, g.g * p.p).sample(SeededRng(2).generator(), 2000, 1.0)
         assert draws.var() == 0.0
         assert np.all(draws == 0.0)
 

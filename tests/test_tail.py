@@ -5,6 +5,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
@@ -63,7 +64,7 @@ class TestOneLaw:
         if kind == "output":
             draws = LawParams(16, np.zeros(2)).sample(SeededRng(3).generator(), 1000, 0.0)
         else:
-            draws = bounds_ach.sample_info_density(LawParams(16, np.zeros(2)), SeededRng(3), 1000, 1.0)
+            draws = LawParams(16, np.zeros(2)).sample(SeededRng(3).generator(), 1000, 1.0)
         assert np.array_equal(draws, np.zeros(1000))
 
 
@@ -147,8 +148,9 @@ class TestSortedReads:
         mean, var = law.cgf_derivatives(0.0)
         num = 20_000
         draws = np.sort(law.sample(SeededRng(25).generator(), num, 0.0))
-        # handed over in descending order: the sample sorts its draws itself
-        sample = TiltedSample(law, 0.0, draws[::-1])
+        # handed over in descending order: the sample sorts its draws
+        # itself, in place, so it gets a copy
+        sample = TiltedSample(law, 0.0, draws[::-1].copy())
         # the k-th largest draw, for the first k from N / 4 with exp(log(k / N)) != k / N
         k = next(k for k in range(num // 4, num) if math.exp(math.log(k / num)) != k / num)
         for threshold in (mean - math.sqrt(var), mean, draws[num - k]):
@@ -201,7 +203,7 @@ class TestPilotClamps:
     def test_law_without_active_modes_gives_the_level(self):
         law = LawParams(8, np.zeros(2))
         theta = law.pilot_tilt(1e-3)
-        draws = bounds_conv.sample_converse_density(law, SeededRng(27), 2000, theta)
+        draws = law.sample(SeededRng(27).generator(), 2000, theta)
         sample = TiltedSample(law, theta, draws)
         (eta,) = sample.thresholds([1 - 1e-3])
         est = sample.beta(1 - 1e-3, eta)
@@ -353,8 +355,8 @@ class TestRunCalls:
         pin_cpus(2)
         leaves = _Leaves()
 
-        def leaf(n, g, total_power, eps, rng, num_samples):
-            leaves((n, g.d), 0.01)
+        def leaf(n, symbol, draws, *rest):
+            leaves((n, symbol.g.d), 0.01)
             return SimpleNamespace(rate_nats=1.0, ci_rate_bits=0.0)
 
         monkeypatch.setattr(bounds_ach, "_fixed_d_rate", leaf)
@@ -411,3 +413,125 @@ class TestSymbolsAtOnce:
             converse_rate(300, sp, sm, 1.0, 1e-3, SeededRng(7), 2000)
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0
+
+
+def _spectra_with_modes(seed, total_power):
+    """The two tag symbols' spectra of a 2 x 3 Rayleigh draw, and their
+    active-mode counts (d = -1, d = +1) at ``total_power``."""
+    ch = draw_channel(SeededRng(seed), 2, 3, Fading.rayleigh(), 0.5)
+    sp, sm = eigen_spectrum(composite(ch, +1)), eigen_spectrum(composite(ch, -1))
+    return sp, sm, [int((waterfill(s, total_power).p > 0).sum()) for s in (sm, sp)]
+
+
+# (seed, total power, active modes of d = -1 and d = +1): unequal, then equal counts
+_MODE_COUNTS = [(5, 0.3, [1, 2]), (12, 1.0, [2, 2])]
+# each bound's module, the lower-tail level of its pilot and the arguments
+# of its per-symbol step after the draws
+_BOUNDS = {
+    "achievability": (
+        bounds_ach, achievability_rate, lambda eps: eps / 2, lambda power, eps: (eps,)
+    ),
+    "converse": (bounds_conv, converse_rate, lambda eps: eps, lambda power, eps: (power, eps)),
+}
+
+
+class TestOneRawDraw:
+    """Each bound call draws its variates once, for both tag symbols, and
+    each symbol reads exactly the draws of its own sample on the stream."""
+
+    @pytest.mark.parametrize("seed,total_power,modes", _MODE_COUNTS)
+    @pytest.mark.parametrize("name", sorted(_BOUNDS))
+    def test_symbol_bounds_equal_their_own_samples(self, name, seed, total_power, modes, pin_cpus):
+        module, bound, pilot_level, step_args = _BOUNDS[name]
+        sp, sm, counts = _spectra_with_modes(seed, total_power)
+        assert counts == modes
+        pin_cpus(2)
+        n, eps, num, rng = 100, 1e-3, 20_000, SeededRng(31)
+        res = bound(n, sp, sm, total_power, eps, rng, num)
+        for g, sub in zip((sm, sp), res.per_d):
+            # the per-symbol sample of the previous layout: the symbol's own
+            # law, drawn alone on rng.split(0), then sorted and read
+            p = waterfill(g, total_power)
+            law = LawParams(n, mode_gammas(g, p))
+            theta = law.pilot_tilt(pilot_level(eps))
+            draws = law.sample(rng.split(0).generator(), num, theta)
+            symbol = tail.SymbolLaw(g, p, law, theta)
+            assert sub == module._fixed_d_rate(n, symbol, draws, *step_args(total_power, eps))
+
+    @pytest.mark.parametrize("seed,total_power,modes", _MODE_COUNTS)
+    def test_sample_is_the_shared_draw(self, seed, total_power, modes):
+        sp, sm, _ = _spectra_with_modes(seed, total_power)
+        laws = [LawParams(100, mode_gammas(g, waterfill(g, total_power))) for g in (sm, sp)]
+        thetas = [0.3, 0.7]
+        outs = [np.empty(5000), np.empty(5000)]
+        tail.draw_tilted(SeededRng(32).generator(), laws, thetas, outs)
+        for law, theta, out in zip(laws, thetas, outs):
+            assert np.array_equal(law.sample(SeededRng(32).generator(), 5000, theta), out)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_sample_matches_the_two_draws_per_mode(self, m):
+        # the draw written out: per mode, W = (Z + sqrt(lam))^2 + chi2(2n - 1)
+        law = next(_laws(m))
+        theta = 0.4
+        gen = SeededRng(33).generator()
+        expected = np.zeros(5000)
+        for c, lam, s in zip(law.const, *law.tilt(theta)):
+            w = (gen.standard_normal(5000) + math.sqrt(lam)) ** 2
+            w += gen.chisquare(2 * law.n - 1, 5000)
+            expected += c - s * w
+        assert np.array_equal(law.sample(SeededRng(33).generator(), 5000, theta), expected)
+
+
+class TestKeptArrays:
+    """A bound call's arrays of ``num_samples`` floats live in its threads'
+    kept arrays, so a warm call allocates none."""
+
+    @pytest.mark.parametrize("name", sorted(_BOUNDS))
+    def test_warm_call_allocates_no_sample_sized_array(self, name, pin_cpus):
+        _, bound, _, _ = _BOUNDS[name]
+        sp, sm, _ = _spectra_with_modes(12, 1.0)
+        pin_cpus(1)
+        num = 20_000
+        bound(100, sp, sm, 1.0, 1e-3, SeededRng(34), num)
+        tracemalloc.start()
+        try:
+            bound(100, sp, sm, 1.0, 1e-3, SeededRng(35), num)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < num * 8
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_concurrent_calls_equal_serial_ones(self, cpus, pin_cpus):
+        # two threads on different n, spectra and sample sizes, so each
+        # thread's kept arrays (and the pool worker's) change shape between
+        # calls; a short switch interval interleaves them
+        pin_cpus(cpus)
+        jobs = []
+        for seed, total_power, num in ((5, 0.3, 20_000), (12, 1.0, 7000)):
+            sp, sm, _ = _spectra_with_modes(seed, total_power)
+            jobs.append([
+                partial(bound, n, sp, sm, total_power, 1e-3, SeededRng(36 + i), num + 1000 * i)
+                for i, n in enumerate((100, 1000, 300))
+                for bound in (achievability_rate, converse_rate)
+            ])
+        serial = [[call() for call in calls] for calls in jobs]
+        start = threading.Barrier(len(jobs))
+        results = [None] * len(jobs)
+
+        def run(k):
+            start.wait()
+            results[k] = [call() for call in jobs[k]]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(k,), daemon=True) for k in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == serial
