@@ -15,7 +15,6 @@ over its draws, a beta read per tau from the same draws, and
 from __future__ import annotations
 
 import math
-from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -158,12 +157,12 @@ def achievability_rate(
 
     After ``tail.check_mc_args``: per symbol, waterfill and the pilot tilt
     of eps / 2; one raw draw of both symbols' tilted information densities
-    on ``rng.split(0)``; then ``tail.mixed_rate`` evaluates the two symbols
-    at the same time, each reading its thresholds and beta from its own
-    draws and searching tau over {eps/2, eps/4, eps/8, eps/16} for the
-    largest log(kappa/beta)/n.
+    on ``rng.split(0)``; then, for d = -1 and then d = +1 on the calling
+    thread, the symbol reads its thresholds and beta from its own draws and
+    searches tau over {eps/2, eps/4, eps/8, eps/16} for the largest
+    log(kappa/beta)/n; ``tail.mixed_rate`` mixes the two.
     """
     check_mc_args(eps, num_samples)
     symbols = symbol_laws(n, (g_minus, g_plus), total_power, eps / 2)
     draws = sample_info_density(symbols, rng.split(0), num_samples)
-    return mixed_rate([partial(_fixed_d_rate, n, s, x, eps) for s, x in zip(symbols, draws)])
+    return mixed_rate(*(_fixed_d_rate(n, s, x, eps) for s, x in zip(symbols, draws)))

@@ -14,7 +14,7 @@ are read from its own draws.
 from __future__ import annotations
 
 import math
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -149,16 +149,14 @@ def converse_rate(
 ) -> MixedRate:
     """Converse upper bound mixed over the equiprobable tag symbol.
 
-    After ``tail.check_mc_args`` and the K1 supremum of the symbols' common
-    (m, n), cached so a cold (m, n) is searched once, and only for an
-    accepted call: per symbol, waterfill and the pilot tilt of eps; one raw
-    draw of both symbols on ``rng.split(0)``; then ``tail.mixed_rate``
-    evaluates the two symbols at the same time, each reading eta and beta
-    from its own draws.
+    After ``tail.check_mc_args``: per symbol, waterfill and the pilot tilt
+    of eps; one raw draw of both symbols on ``rng.split(0)``; then, for
+    d = -1 and then d = +1 on the calling thread, the symbol reads eta and
+    beta from its own draws and takes log(K m n), whose K1 supremum of the
+    symbols' common (m, n) is cached, so d = -1 searches a cold (m, n) and
+    d = +1 reads it; ``tail.mixed_rate`` mixes the two.
     """
     check_mc_args(eps, num_samples)
-    _unit_scale_log_sup(g_minus.m, n)  # both symbols then read it from the cache
     symbols = symbol_laws(n, (g_minus, g_plus), total_power, eps)
     draws = sample_converse_density(symbols, rng.split(0), num_samples)
-    calls = [partial(_fixed_d_rate, n, s, x, total_power, eps) for s, x in zip(symbols, draws)]
-    return mixed_rate(calls)
+    return mixed_rate(*(_fixed_d_rate(n, s, x, total_power, eps) for s, x in zip(symbols, draws)))

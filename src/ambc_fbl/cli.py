@@ -9,11 +9,14 @@ import json
 import math
 import numbers
 import operator
+import os
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -36,7 +39,6 @@ from .errors import (
 )
 from .numerics import SeededRng
 from .power import waterfill
-from .tail import run_calls
 
 CURVES = ("capacity", "normal_approx", "achievability", "converse")
 CSV_HEADER = "n,capacity_bits,na_bits,ach_bits,conv_bits,ach_ci,conv_ci,draws"
@@ -295,6 +297,53 @@ def _aggregate(values: np.ndarray, cis: np.ndarray) -> Tuple[float, float]:
     return center, math.hypot(between, mc)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def run_calls(calls: Sequence[Callable[[], Any]]) -> list:
+    """Results of ``calls``, in list order, evaluated at the same time on
+    a pool of min(usable CPUs, len(calls)) threads that ends with the call.
+    The caller only waits, so at most one thread per usable CPU computes;
+    with one worker the calls run inline, in order, and no thread starts.
+
+    A failing call stops every call after it in list order from starting;
+    calls already running are waited for, and the first failure in list
+    order is raised, as in a serial run.  An interrupt of the waiting
+    caller (``KeyboardInterrupt``) likewise starts no queued call.
+    """
+    workers = min(_usable_cpus(), len(calls))
+    if workers < 2:
+        return [call() for call in calls]
+    stop = len(calls)  # no call after this index starts
+    lock = threading.Lock()
+
+    def run(i: int) -> Any:
+        nonlocal stop
+        if i > stop:
+            return None
+        try:
+            return calls[i]()
+        except BaseException:  # kept by the future, raised below in list order
+            with lock:
+                stop = min(stop, i)
+            raise
+
+    with ThreadPoolExecutor(max_workers=workers, thread_name_prefix="ambc-fbl") as pool:
+        try:
+            futures = [pool.submit(run, i) for i in range(len(calls))]
+            wait(futures)
+        except BaseException:
+            # leaving the block waits for every queued call, so none may start
+            stop = -1
+            raise
+    return [future.result() for future in futures]
+
+
 def run_sweep(config: ExperimentConfig) -> SweepResult:
     """Sweep the blocklength grid, averaging rates over channel realizations.
 
@@ -306,14 +355,14 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     (see ``_set_up``): channels, eps, spectra, capacity, dispersion and the
     normal approximation, each layer one call over all draws but the
     per-draw eps conversion.  The Monte Carlo bounds then run through
-    ``tail.run_calls`` as a fixed list of (draw, n, bound) items in serial
-    order, each on its draw's spectra, each bound splitting its two tag
-    symbols over the same pool, so at most one thread per usable CPU
-    computes.  Each item reads only its own random substream, so the rows
-    do not depend on the CPU count or the scheduling.  A failure is raised
-    as in a serial run of these two passes: a set-up failure before any
-    item starts, else the first failing item in that order, after which no
-    later item starts.
+    ``run_calls`` as a fixed list of (draw, n, bound) items in serial
+    order, each on its draw's spectra, on one thread pool made for the
+    sweep: at most one thread per usable CPU computes, and none is left
+    when the sweep returns.  Each item reads only its own random substream,
+    so the rows do not depend on the CPU count or the scheduling.  A
+    failure is raised as in a serial run of these two passes: a set-up
+    failure before any item starts, else the first failing item in that
+    order, after which no later item starts.
     """
     root = SeededRng(config.seed)
     setup = _set_up(config, root)

@@ -130,7 +130,8 @@ def kept_array(slot: int, size: int) -> np.ndarray:
     ``empirical_quantile`` its weighted CDF and half weights in CDF_SLOT and
     HALF_SLOT; ``tail.draw_symbols`` a bound's draws of its tag symbols in
     SYMBOL_SLOT on, read by the symbols' steps until the thread's next
-    bound call.
+    bound call.  They are per thread, as a sweep's pool runs its bound
+    calls at the same time; they end with the sweep's threads.
     """
     arrays = _KEPT.__dict__
     kept = arrays.get(slot)

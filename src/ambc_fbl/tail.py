@@ -19,17 +19,16 @@ place; ``thresholds`` reads all the bound's levels in one weighted quantile
 pass, and each ``beta`` read is a binary search and one pass over the
 draws it accepts.  The bounds differ only in their levels and constants:
 ``best_bound`` turns a bound's (level, log constant, beta) candidates into
-its ``SymbolBound``, and ``mixed_rate`` evaluates the two tag symbols at
-the same time through ``run_calls`` (one thread pool, shared with the
-sweep) and mixes them.
+its ``SymbolBound``, and ``mixed_rate`` mixes the two tag symbols' bounds.
+A bound call runs its two symbols in order, d = -1 then d = +1, on the
+calling thread, and starts no thread.
 
 Every array of ``num_samples`` floats lives in the per-thread arrays of
 ``numerics.kept_array``, allocated at a thread's first use and regrown
 only for a larger ``num_samples``, so a warm bound call allocates none.
-After a bound call the thread that ran it keeps 5 such arrays (its two
+After a bound call the thread that ran it keeps 5 such arrays: its two
 symbols' draws, and the draw's variates, reused by the reads for their
-weights and weighted CDF), and a pool thread that only ran a symbol's
-reads keeps 3.
+weights and weighted CDF.
 
 Per active mode j with y = g_j p_j > 0, X has the per-block contribution
   n (log(1+y) + 1) - s * W,   W ~ ncx2(2n, lam),
@@ -48,11 +47,8 @@ scale y/(2(1+y)).
 from __future__ import annotations
 
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -389,87 +385,12 @@ def check_mc_args(eps: float, num_samples: int) -> None:
         )
 
 
-def mixed_rate(calls: Sequence[Callable[[], SymbolBound]]) -> MixedRate:
-    """The bounds of tag symbols d = -1 and d = +1, from ``calls`` evaluated
-    at the same time by ``run_calls``, mixed with equal weight through
-    ``rate_nats`` and ``ci_rate_bits``.  A bound's calls read one draw of
-    one substream (common random numbers), so equal spectra give equal
-    rates, and the result does not depend on the CPU count.
+def mixed_rate(minus: SymbolBound, plus: SymbolBound) -> MixedRate:
+    """The bounds of tag symbols d = -1 and d = +1 mixed with equal weight
+    through ``rate_nats`` and ``ci_rate_bits``.  A bound's two symbols read
+    one draw of one substream (common random numbers), so equal spectra
+    give equal rates.
     """
-    res_minus, res_plus = run_calls(calls)
-    rate = 0.5 * (res_minus.rate_nats + res_plus.rate_nats)
-    ci = 0.5 * math.hypot(res_minus.ci_rate_bits, res_plus.ci_rate_bits)
-    return MixedRate(rate, rate / math.log(2), ci, (res_minus, res_plus))
-
-
-# the process-wide pool of run_calls, created at first use
-_POOL: Optional[ThreadPoolExecutor] = None
-_POOL_LOCK = threading.Lock()
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _shared_pool() -> Optional[ThreadPoolExecutor]:
-    """The pool of (usable CPUs - 1) workers, or None with one usable CPU."""
-    global _POOL
-    with _POOL_LOCK:
-        if _POOL is None:
-            cpus = _usable_cpus()
-            if cpus < 2:
-                return None
-            _POOL = ThreadPoolExecutor(max_workers=cpus - 1, thread_name_prefix="ambc-fbl")
-        return _POOL
-
-
-def run_calls(calls: Sequence[Callable[[], Any]]) -> list:
-    """Results of ``calls``, in list order, evaluated at the same time.
-
-    Idle workers of one process-wide pool take calls from the queue; the
-    calling thread runs every call that no worker has started yet itself,
-    going on to later calls before it waits for any running one.  A call
-    therefore never waits for queued work, so calls may nest (a sweep's
-    bounds, each splitting its two tag symbols) without deadlock, and at
-    most one thread per usable CPU computes.  With one usable CPU every
-    call runs inline, in order, and no pool is created.
-
-    A failing call stops every call after it in list order from starting;
-    calls already running are waited for, and the exception of the first
-    failing call in list order is raised, as in a serial run.
-    """
-    pool = _shared_pool() if len(calls) > 1 else None
-    if pool is None:
-        return [call() for call in calls]
-    results: list = [None] * len(calls)
-    errors = {}
-    stop = len(calls)  # no call after this index starts
-    lock = threading.Lock()
-
-    def run(i: int) -> None:
-        nonlocal stop
-        if i > stop:
-            return
-        try:
-            results[i] = calls[i]()
-        except BaseException as exc:  # re-raised below, on the calling thread
-            with lock:
-                errors[i] = exc
-                stop = min(stop, i)
-
-    futures = [pool.submit(run, i) for i in range(len(calls))]
-    started = []
-    for i, future in enumerate(futures):
-        if future.cancel():
-            run(i)
-        else:
-            started.append(future)
-    # a cancelled future counts as done only once a worker dequeues it
-    wait(started)
-    if errors:
-        raise errors[min(errors)]
-    return results
+    rate = 0.5 * (minus.rate_nats + plus.rate_nats)
+    ci = 0.5 * math.hypot(minus.ci_rate_bits, plus.ci_rate_bits)
+    return MixedRate(rate, rate / math.log(2), ci, (minus, plus))

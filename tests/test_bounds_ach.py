@@ -392,10 +392,7 @@ class TestOutputDrawSkip:
                 assert bound <= exact + 5.0
 
     @pytest.mark.parametrize("bound", [achievability_rate, converse_rate])
-    def test_bound_draws_one_tilted_sample_per_symbol(
-        self, monkeypatch, pin_cpus, bound
-    ):
-        pin_cpus(1)
+    def test_bound_draws_one_tilted_sample_per_symbol(self, monkeypatch, bound):
         ch = draw_channel(SeededRng(19), 2, 3, Fading.rayleigh(), 0.5)
         sp, sm = eigen_spectrum(composite(ch, +1)), eigen_spectrum(composite(ch, -1))
         draws = []

@@ -2,12 +2,14 @@ import csv
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import tempfile
 import threading
 import time
 from dataclasses import asdict
+from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -26,6 +28,7 @@ from ambc_fbl.cli import (
     emit_csv,
     format_rows,
     main,
+    run_calls,
     run_sweep,
 )
 from ambc_fbl.channel import EigenSpectrum
@@ -273,6 +276,47 @@ class TestBoundPool:
         with pytest.raises(ZeroSpectrumError, match="all eigenvalues are zero"):
             run_sweep(cfg)
         assert calls == []
+
+
+class TestSweepThreads:
+    """The sweep's pool, ``cli.run_calls``, lives only as long as its call."""
+
+    def test_interrupt_starts_no_queued_call(self, pin_cpus):
+        pin_cpus(2)
+        interrupted = threading.Event()
+        started_after = []
+
+        def call(i):
+            started_after.append(interrupted.is_set())
+            if i == 0:
+                time.sleep(0.2)
+                interrupted.set()
+                os.kill(os.getpid(), signal.SIGINT)
+            else:
+                # the other worker is inside a call, far from its end, when
+                # the interrupt comes
+                time.sleep(0.3)
+
+        with pytest.raises(KeyboardInterrupt):
+            run_calls([partial(call, i) for i in range(20)])
+        time.sleep(0.5)
+        # only the worker that sent the interrupt may take one more call
+        # before the waiting caller sees it
+        assert sum(started_after) <= 1
+
+    def test_sweep_leaves_no_thread(self, monkeypatch, pin_cpus):
+        pin_cpus(2)
+        names = []
+        bound = bounds_ach.achievability_rate
+
+        def recorded(*args):
+            names.append(threading.current_thread().name)
+            return bound(*args)
+
+        monkeypatch.setattr(bounds_ach, "achievability_rate", recorded)
+        run_sweep(_config())
+        assert any(name.startswith("ambc-fbl") for name in names)
+        assert not [t for t in threading.enumerate() if t.name.startswith("ambc-fbl")]
 
 
 class TestEmitCsv:

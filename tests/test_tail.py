@@ -1,5 +1,6 @@
-"""The tail engine's one law and its tilt solve, and the shared pool:
-``tail.run_calls`` and the bounds that split their two tag symbols over it."""
+"""The tail engine's one law and its tilt solve, the bounds that run their
+two tag symbols in order on the calling thread, and the sweep's pool,
+``cli.run_calls``."""
 
 import math
 import sys
@@ -18,11 +19,11 @@ from ambc_fbl import bounds_ach, bounds_conv, tail
 from ambc_fbl.bounds_ach import achievability_rate
 from ambc_fbl.bounds_conv import converse_rate
 from ambc_fbl.channel import Fading, composite, draw_channel, eigen_spectrum
-from ambc_fbl.cli import ExperimentConfig, run_sweep
+from ambc_fbl.cli import ExperimentConfig, run_calls, run_sweep
 from ambc_fbl.errors import ConvergenceError
 from ambc_fbl.numerics import SeededRng, gaussian_q
 from ambc_fbl.power import waterfill
-from ambc_fbl.tail import LawParams, TiltedSample, mode_gammas, run_calls
+from ambc_fbl.tail import LawParams, TiltedSample, mode_gammas
 
 _NS = (8, 100, 2000, 20_000)
 
@@ -325,30 +326,36 @@ class TestRunCalls:
         pin_cpus(1)
         threads = run_calls([threading.get_ident] * 4)
         assert threads == [threading.get_ident()] * 4
-        assert tail._POOL is None
 
-    def test_nested_calls_finish_with_one_computing_thread_per_cpu(self, pin_cpus):
+    def test_more_workers_than_cores_keep_list_order(self, pin_cpus):
         # more workers than cores and a short switch interval: a lost update
-        # of the stop index or a wait on queued work would show here
+        # of the stop index or a lost result would show here
         pin_cpus(4)
         leaves = _Leaves()
 
-        def outer(i):
-            return run_calls([partial(leaves, (i, j), 0.001) for j in range(3)])
+        def fail(i):
+            raise ValueError(f"call {i} failed")
 
+        ok = [partial(leaves, i, 0.001) for i in range(48)]
+        failing = [partial(fail, i) if i in (10, 20, 30) else call for i, call in enumerate(ok)]
         out = []
+
+        def runs():
+            out.append(run_calls(ok))
+            with pytest.raises(ValueError, match="call 10 failed"):
+                run_calls(failing)
+            out.append("raised")
+
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            runner = threading.Thread(target=lambda: out.append(run_calls(
-                [partial(outer, i) for i in range(16)])), daemon=True)
+            runner = threading.Thread(target=runs, daemon=True)
             runner.start()
             runner.join(timeout=60)
         finally:
             sys.setswitchinterval(interval)
         assert not runner.is_alive()
-        assert out == [[[(i, j) for j in range(3)] for i in range(16)]]
-        assert len(leaves.started) == len(set(leaves.started)) == 48
+        assert out == [list(range(48)), "raised"]
         assert 1 <= leaves.most <= 4
 
     def test_sweep_runs_at_most_one_leaf_per_cpu(self, pin_cpus, monkeypatch):
@@ -371,8 +378,9 @@ class TestRunCalls:
         assert leaves.most == 2
 
 
-class TestSymbolsAtOnce:
-    """Both bounds evaluate their two tag symbols through ``run_calls``."""
+class TestSymbolsInOrder:
+    """Both bounds evaluate their two tag symbols in order, d = -1 then
+    d = +1, on the calling thread."""
 
     @staticmethod
     def _spectra():
@@ -387,15 +395,19 @@ class TestSymbolsAtOnce:
         sp, sm = self._spectra()
         results = []
         for cpus in (1, 2):
+            # with 2 CPUs both calls run at once on the sweep pool's
+            # threads, with 1 on this thread
             pin_cpus(cpus)
-            results.append(bound(100, sp, sm, 1.0, 1e-3, SeededRng(7), 20_000))
-        one, two = results
-        # rates, tau, kappa, K and every BetaEstimate field, bit for bit
-        assert one.per_d == two.per_d
-        assert [sub.d for sub in two.per_d] == [-1, 1]
-        assert (one.rate_bits, one.ci_rate_bits) == (two.rate_bits, two.ci_rate_bits)
+            call = partial(bound, 100, sp, sm, 1.0, 1e-3, SeededRng(7), 20_000)
+            results += run_calls([call, call])
+        one = results[0]
+        for other in results[1:]:
+            # rates, tau, kappa, K and every BetaEstimate field, bit for bit
+            assert one.per_d == other.per_d
+            assert (one.rate_bits, one.ci_rate_bits) == (other.rate_bits, other.ci_rate_bits)
+        assert [sub.d for sub in one.per_d] == [-1, 1]
 
-    def test_cold_converse_searches_k1_once(self, pin_cpus, monkeypatch):
+    def test_cold_converse_searches_k1_once(self, monkeypatch):
         sp, sm = self._spectra()
         calls = []
         pdf = bounds_conv.product_gamma_logpdf
@@ -406,13 +418,25 @@ class TestSymbolsAtOnce:
 
         monkeypatch.setattr(bounds_conv, "product_gamma_logpdf", counted)
         counts = []
-        for cpus in (1, 2):
-            pin_cpus(cpus)
+        for run in (
+            lambda: bounds_conv._unit_scale_log_sup(sm.m, 300),
+            lambda: converse_rate(300, sp, sm, 1.0, 1e-3, SeededRng(7), 2000),
+        ):
             bounds_conv._unit_scale_log_sup.cache_clear()
             calls.clear()
-            converse_rate(300, sp, sm, 1.0, 1e-3, SeededRng(7), 2000)
+            run()
             counts.append(len(calls))
+        # the converse's two symbols share one search of their (m, n)
         assert counts[0] == counts[1] > 0
+
+    @pytest.mark.parametrize("bound", [achievability_rate, converse_rate])
+    def test_bound_call_starts_no_thread(self, bound, pin_cpus):
+        sp, sm = self._spectra()
+        # a sweep would start 2 threads; a library call starts none
+        pin_cpus(2)
+        before = threading.active_count()
+        bound(100, sp, sm, 1.0, 1e-3, SeededRng(7), 20_000)
+        assert threading.active_count() == before
 
 
 def _spectra_with_modes(seed, total_power):
@@ -441,11 +465,10 @@ class TestOneRawDraw:
 
     @pytest.mark.parametrize("seed,total_power,modes", _MODE_COUNTS)
     @pytest.mark.parametrize("name", sorted(_BOUNDS))
-    def test_symbol_bounds_equal_their_own_samples(self, name, seed, total_power, modes, pin_cpus):
+    def test_symbol_bounds_equal_their_own_samples(self, name, seed, total_power, modes):
         module, bound, pilot_level, step_args = _BOUNDS[name]
         sp, sm, counts = _spectra_with_modes(seed, total_power)
         assert counts == modes
-        pin_cpus(2)
         n, eps, num, rng = 100, 1e-3, 20_000, SeededRng(31)
         res = bound(n, sp, sm, total_power, eps, rng, num)
         for g, sub in zip((sm, sp), res.per_d):
@@ -487,10 +510,9 @@ class TestKeptArrays:
     kept arrays, so a warm call allocates none."""
 
     @pytest.mark.parametrize("name", sorted(_BOUNDS))
-    def test_warm_call_allocates_no_sample_sized_array(self, name, pin_cpus):
+    def test_warm_call_allocates_no_sample_sized_array(self, name):
         _, bound, _, _ = _BOUNDS[name]
         sp, sm, _ = _spectra_with_modes(12, 1.0)
-        pin_cpus(1)
         num = 20_000
         bound(100, sp, sm, 1.0, 1e-3, SeededRng(34), num)
         tracemalloc.start()
@@ -501,12 +523,10 @@ class TestKeptArrays:
             tracemalloc.stop()
         assert peak < num * 8
 
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_concurrent_calls_equal_serial_ones(self, cpus, pin_cpus):
+    def test_concurrent_calls_equal_serial_ones(self):
         # two threads on different n, spectra and sample sizes, so each
-        # thread's kept arrays (and the pool worker's) change shape between
-        # calls; a short switch interval interleaves them
-        pin_cpus(cpus)
+        # thread's kept arrays change shape between calls; a short switch
+        # interval interleaves them
         jobs = []
         for seed, total_power, num in ((5, 0.3, 20_000), (12, 1.0, 7000)):
             sp, sm, _ = _spectra_with_modes(seed, total_power)
